@@ -25,8 +25,8 @@ from .analysis import (comparative_scan, detect_critical_points,
                        fit_block_law, fit_volume_law, susceptibility,
                        sweep_block_coefficients, sweep_de_density,
                        sweep_global_entanglement)
-from .entropy import (block_diagonal_entropy, de_density, global_entanglement,
-                      pure_state_diagonal_entropy)
+from .entropy import (MAX_BLOCK, block_diagonal_entropy, de_density,
+                      global_entanglement, pure_state_diagonal_entropy)
 from .errors import KitaevDEError
 from .gaussian import correlator_kernel
 from .majorana import Side, zero_modes
@@ -152,6 +152,10 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
             raise ValidationError("field 'beta' is required for variant 2")
     for field in ("n", "samples", "l", "l_min", "l_max", "threads"):
         config[field] = int(config[field])
+    for field, lo in (("l", 1), ("l_min", 1), ("l_max", config["l_min"])):
+        if not lo <= config[field] <= MAX_BLOCK:
+            raise ValidationError(f"field '{field}' must be in {lo}..{MAX_BLOCK}, "
+                                  f"got {config[field]}")
     if config["basis"] not in ("z", "x"):
         raise ValidationError("field 'basis' must be 'z' or 'x'")
     return config

@@ -8,29 +8,32 @@ so the sum runs over the positive-k half of the antiperiodic grid; summing
 over all N grid points would double count every pair.  The convention is
 pinned by the closed-chain ground-energy cross-check in the oracle tests.
 
-Block diagonal entropies expand the diagonal of the reduced density matrix in
-subset correlators.  For a block of L sites and measurement outcomes
-``t in {0,1}^L`` (Z basis: t=1 means occupied; X basis: t=1 means
-``sigma_x = -1``),
+Block diagonal distributions come from one chain-rule engine (Terhal &
+DiVincenzo, PRA 65, 032325, 2002).  Measuring ``sigma_z = A_1 B_1`` on the
+first site of a block with A-B contraction matrix ``m`` gives ``s = +-1``
+with probability ``(1 + s m_11) / 2`` and leaves a Gaussian state whose
+contraction matrix on the remaining sites is the Schur complement
+``m_rest - s u v^T / (1 + s m_11)`` (``u``, ``v`` the first column and row of
+``m`` without ``m_11``).  Running this site by site over all outcome
+branches gives every joint probability in O(2^L) total work.
 
-    p(t) = 2^-L * sum_S prod_{j in S} (1 - 2 t_j) * <prod_{j in S} sigma_j>
-
-which is a length-2^L Walsh-Hadamard transform of the subset-correlator
-table, O(L 2^L) after the 2^L correlators are known (the naive combination
-is O(4^L)).
+The X basis is the same problem on bonds: ``X_m X_{m+1} = B_m A_{m+1}``
+(Jordan-Wigner bond duality), so the L - 1 bond outcomes of an L-site block
+follow from the chain rule on the bond contraction matrix.  A site outcome
+string ``x`` fixes the bond string ``x XOR (x >> 1)`` (top bit dropped), and
+``x`` and its complement share it with equal weight by fermion parity, so
+``p_X(x) = p_bond(x XOR (x >> 1)) / 2``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.special import xlogy
 
 from .errors import GaplessSpecError, NormalizationFailureError
-from .gaussian import (CorrelationSource, CorrelatorKernel, _pair_matrix,
-                       _string_contraction_matrix, _pfaffian_batch,
-                       _x_string_ops)
+from .gaussian import (CorrelationSource, CorrelatorKernel, _bond_matrix,
+                       _pair_matrix)
 from .model import ModelSpec, grid_numerators
 
 GAP_TOL = 1e-8
@@ -105,61 +108,34 @@ def global_entanglement(spec: ModelSpec, n: int = DEFAULT_GRID) -> float:
     return 1.0 - sz * sz
 
 
-def _wht(v: np.ndarray) -> np.ndarray:
-    """In-place fast Walsh-Hadamard transform (H = [[1,1],[1,-1]] per bit)."""
-    v = v.copy()
-    n = v.size
-    h = 1
-    while h < n:
-        v = v.reshape(-1, 2, h)
-        a = v[:, 0, :].copy()
-        b = v[:, 1, :]
-        v[:, 0, :] = a + b
-        v[:, 1, :] = a - b
-        v = v.reshape(n)
-        h *= 2
-    return v
+_SIGNS = np.array([[1.0], [-1.0]])  # outcome bit 0 -> s = +1, bit 1 -> s = -1
 
 
-def _subset_masks(l: int, size: int) -> np.ndarray:
-    combos = np.array(list(combinations(range(l), size)), dtype=int)
-    return combos  # (n_subsets, size) site offsets
+def _chain_rule(m: np.ndarray) -> np.ndarray:
+    """Joint outcome probabilities of ``A_j B_j`` on every row of ``m``.
 
-
-def _z_subset_table(source: CorrelationSource, sites: np.ndarray) -> np.ndarray:
-    """w[mask] = <prod sigma_z over subset(mask)> for every subset bitmask."""
-    l = sites.size
-    w = np.zeros(1 << l)
-    w[0] = 1.0
-    full = _pair_matrix(source, sites)
-    for size in range(1, l + 1):
-        combos = _subset_masks(l, size)
-        sub = full[combos[:, :, None], combos[:, None, :]]
-        dets = np.linalg.det(sub)
-        masks = (1 << combos).sum(axis=1)
-        w[masks] = dets
-    return w
-
-
-def _x_subset_table(source: CorrelationSource, sites: np.ndarray) -> np.ndarray:
-    """w[mask] = <prod sigma_x over subset(mask)>; odd subsets vanish."""
-    l = sites.size
-    w = np.zeros(1 << l)
-    w[0] = 1.0
-    groups: dict[int, list] = {}
-    for size in range(2, l + 1, 2):
-        for combo in combinations(range(l), size):
-            op_sites, op_types = _x_string_ops(sites[list(combo)])
-            mask = sum(1 << c for c in combo)
-            groups.setdefault(op_sites.size, []).append((mask, op_sites, op_types))
-    for dim, items in groups.items():
-        mats = np.empty((len(items), dim, dim))
-        for i, (_, op_sites, op_types) in enumerate(items):
-            mats[i] = _string_contraction_matrix(source, op_sites, op_types)
-        pfs = _pfaffian_batch(mats)
-        for i, (mask, _, _) in enumerate(items):
-            w[mask] = pfs[i]
-    return w
+    ``m`` is an A-B contraction matrix; bit ``a`` of the returned index is the
+    outcome of row ``a`` (1 means ``s = -1``).  Each level splits every branch
+    by the outcome of its first remaining site and passes the Schur complement
+    on.  A joint probability below ``-CLAMP_TOL`` raises; branches of zero
+    weight keep an undivided complement, which their zero weight makes moot.
+    """
+    p = np.ones(1)
+    mats = m[None, :, :]
+    while mats.shape[1]:
+        denom = 1.0 + _SIGNS * mats[:, 0, 0]  # (outcome, branch)
+        p = 0.5 * p * denom
+        if p.min() < -CLAMP_TOL:
+            raise NormalizationFailureError(
+                f"probability {p.min():.3e} < -{CLAMP_TOL}")
+        p = np.clip(p, 0.0, None)
+        scale = _SIGNS / np.where(p > 0.0, denom, 1.0)
+        uv = mats[:, 1:, :1] * mats[:, :1, 1:]
+        k = mats.shape[1] - 1
+        p = p.reshape(-1)
+        mats = (mats[None, :, 1:, 1:]
+                - scale[:, :, None, None] * uv).reshape(p.size, k, k)
+    return p
 
 
 def block_diagonal_distribution(source: CorrelationSource, l: int,
@@ -169,9 +145,9 @@ def block_diagonal_distribution(source: CorrelationSource, l: int,
 
     For a Toeplitz source the block position is immaterial; for a dense
     (open-chain) source it starts at site ``start``.  Raises
-    :class:`NormalizationFailureError` when the assembled probabilities are
-    more than 1e-12 negative or the total deviates from 1 by more than 1e-6,
-    both of which signal a convention bug upstream.
+    :class:`NormalizationFailureError` when a joint probability of the chain
+    rule is more than 1e-12 negative or the total deviates from 1 by more
+    than 1e-6, both of which signal a convention bug upstream.
     """
     if not 1 <= l <= MAX_BLOCK:
         raise ValueError(f"block length must be in 1..{MAX_BLOCK}, got {l}")
@@ -180,15 +156,13 @@ def block_diagonal_distribution(source: CorrelationSource, l: int,
     sites = np.arange(start, start + l)
     basis = basis.lower()
     if basis == "z":
-        w = _z_subset_table(source, sites)
+        p = _chain_rule(_pair_matrix(source, sites, sites))
     elif basis == "x":
-        w = _x_subset_table(source, sites)
+        p_bond = _chain_rule(_bond_matrix(source, sites[:-1]))
+        x = np.arange(1 << l)
+        p = 0.5 * p_bond[(x ^ (x >> 1)) % (1 << (l - 1))]
     else:
         raise ValueError(f"unknown basis {basis!r}")
-    p = _wht(w) / (1 << l)
-    if p.min() < -CLAMP_TOL:
-        raise NormalizationFailureError(f"probability {p.min():.3e} < -{CLAMP_TOL}")
-    p = np.clip(p, 0.0, None)
     total = p.sum()
     if abs(total - 1.0) > NORM_TOL:
         raise NormalizationFailureError(f"probabilities sum to {total!r}")

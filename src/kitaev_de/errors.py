@@ -19,8 +19,9 @@ class TolAmbiguousError(KitaevDEError):
 
 
 class NormalizationFailureError(KitaevDEError):
-    """A diagonal distribution failed to normalise; signals a convention bug
-    upstream of the subset-correlator expansion."""
+    """A diagonal distribution failed to normalise: a joint probability of
+    the chain rule fell below -1e-12 or the total left 1 by more than 1e-6.
+    Signals a convention bug in the contraction matrix it was given."""
 
 
 class DegenerateGroundStateError(KitaevDEError):

@@ -11,10 +11,13 @@ Correlation sources
 
 With these contractions, ``sigma_z = A_j B_j = 1 - 2 n_j`` and every subset
 expectation ``< prod_{j in S} sigma_z_j >`` is the determinant of the A-B
-submatrix.  ``sigma_x`` strings expand into ordered Majorana products
-``B_s A_{s+1} B_{s+1} ... A_e`` whose expectation is the Pfaffian of the
-pairwise contraction matrix.  Both rules are pinned against the
-exact-diagonalization oracle in the tests.
+submatrix.  ``sigma_x`` strings reduce to the same problem through the
+Jordan-Wigner bond duality (Lieb, Schultz & Mattis 1961): the bond operator
+``X_m X_{m+1} = B_m A_{m+1}`` is again a product of two distinct Majoranas,
+so ``X_{s_1} X_{s_2} X_{s_3} X_{s_4} ...`` is the product of the bonds in
+``[s_1, s_2) u [s_3, s_4) u ...`` and its expectation is the determinant of
+the bond contraction matrix ``<B_{m_i} A_{m_j + 1}>``.  Both rules are pinned
+against the exact-diagonalization oracle in the tests.
 """
 from __future__ import annotations
 
@@ -128,11 +131,22 @@ def pair_correlation(source: CorrelationSource, a: int, b: int) -> float:
     return float(source.m[a, b])
 
 
-def _pair_matrix(source: CorrelationSource, sites: np.ndarray) -> np.ndarray:
+def _pair_matrix(source: CorrelationSource, rows: np.ndarray,
+                 cols: np.ndarray) -> np.ndarray:
+    """``[i, j] = <A_{rows_i} B_{cols_j}>`` from either source type."""
     if isinstance(source, CorrelatorKernel):
-        rmat = sites[None, :] - sites[:, None]  # [a,b] = s_b - s_a
-        return source.g[rmat + source.l_max]
-    return source.m[np.ix_(sites, sites)]
+        r = cols[None, :] - rows[:, None]
+        if r.size and np.abs(r).max() > source.l_max:
+            raise ValueError(f"|R|={np.abs(r).max()} exceeds tabulated "
+                             f"l_max={source.l_max}")
+        return source.g[r + source.l_max]
+    return source.m[np.ix_(rows, cols)]
+
+
+def _bond_matrix(source: CorrelationSource, bonds: np.ndarray) -> np.ndarray:
+    """``[i, j] = <B_{b_i} A_{b_j + 1}>``: the A-B contraction matrix of the
+    bond operators ``X_b X_{b+1} = B_b A_{b+1}``."""
+    return -_pair_matrix(source, bonds + 1, bonds).T
 
 
 def sigma_z_correlator(source: CorrelationSource, sites) -> float:
@@ -142,51 +156,22 @@ def sigma_z_correlator(source: CorrelationSource, sites) -> float:
         return 1.0
     if sites.size > 20:
         raise ValueError("subset size limited to 20 sites")
-    return float(np.linalg.det(_pair_matrix(source, sites)))
-
-
-def _x_string_ops(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered Majorana string of ``prod sigma_x`` over an even subset.
-
-    Consecutive pairs ``(s_1, s_2), (s_3, s_4), ...`` contribute
-    ``B_{s} A_{s+1} B_{s+1} ... A_{e}``; returns (site, type) arrays where
-    type 0 is an A operator and type 1 a B operator.
-    """
-    op_sites, op_types = [], []
-    for i in range(0, len(sites), 2):
-        s, e = sites[i], sites[i + 1]
-        for m in range(s, e):
-            op_sites += [m, m + 1]
-            op_types += [1, 0]  # B_m, A_{m+1}
-    return np.asarray(op_sites, dtype=int), np.asarray(op_types, dtype=int)
-
-
-def _string_contraction_matrix(source: CorrelationSource, op_sites, op_types):
-    """Antisymmetric matrix of ordered pairwise contractions of the string."""
-    if isinstance(source, CorrelatorKernel):
-        def val(sa, sb):  # [p,q] = <A_{sa_p} B_{sb_q}>
-            return source.g[(sb[None, :] - sa[:, None]) + source.l_max]
-    else:
-        def val(sa, sb):
-            return source.m[np.ix_(sa, sb)]
-    is_a = op_types == 0
-    ab = np.outer(is_a, ~is_a)            # X_p = A, X_q = B
-    ba = np.outer(~is_a, is_a)            # X_p = B, X_q = A
-    v_ab = val(op_sites, op_sites)        # [p,q] = <A_{s_p} B_{s_q}>
-    mat = ab * v_ab - ba * v_ab.T
-    return mat
+    return float(np.linalg.det(_pair_matrix(source, sites, sites)))
 
 
 def sigma_x_correlator(source: CorrelationSource, sites) -> float:
-    """``< prod_{j in sites} sigma_x_j >``; zero for odd subsets (parity)."""
+    """``< prod_{j in sites} sigma_x_j >``; zero for odd subsets (parity).
+
+    Consecutive sites ``(s_1, s_2), (s_3, s_4), ...`` pair up into the bond
+    ranges ``[s_1, s_2) u [s_3, s_4) u ...``, whose bond determinant is the
+    correlator.
+    """
     sites = sorted(sites)
     if len(sites) % 2 == 1:
         return 0.0
-    if not sites:
-        return 1.0
-    op_sites, op_types = _x_string_ops(np.asarray(sites, dtype=int))
-    mat = _string_contraction_matrix(source, op_sites, op_types)
-    return pfaffian(mat)
+    bonds = [m for i in range(0, len(sites), 2)
+             for m in range(sites[i], sites[i + 1])]
+    return float(np.linalg.det(_bond_matrix(source, np.asarray(bonds, dtype=int))))
 
 
 # ---------------------------------------------------------------------------
@@ -208,42 +193,20 @@ def pfaffian(mat: np.ndarray, antisym_tol: float = 1e-12) -> float:
     scale = max(np.abs(mat).max(), 1.0)
     if np.abs(mat + mat.T).max() > antisym_tol * scale:
         raise ValueError("matrix is not antisymmetric within tolerance")
-    if n == 0:
-        return 1.0
-    return float(_pfaffian_batch(mat[None, :, :])[0])
-
-
-def _pfaffian_batch(mats: np.ndarray) -> np.ndarray:
-    """Pfaffians of a stack of real antisymmetric matrices (B, n, n)."""
-    m = np.array(mats, dtype=float)
-    nb, n, _ = m.shape
-    if n % 2 == 1:
-        raise OddDimensionError(f"odd dimension {n}")
-    pf = np.ones(nb)
-    if n == 0:
-        return pf
-    rows = np.arange(nb)
+    m = mat.copy()
+    pf = 1.0
     for j in range(0, n - 1, 2):
-        # pivot: bring the largest |m[:, j+1:, j]| into row j+1
-        col = np.abs(m[:, j + 1:, j])
-        kp = j + 1 + col.argmax(axis=1)
-        swap = kp != (j + 1)
-        pf = np.where(swap, -pf, pf)
-        ra = m[rows, j + 1, :].copy()
-        m[rows, j + 1, :] = m[rows, kp, :]
-        m[rows, kp, :] = ra
-        ca = m[rows, :, j + 1].copy()
-        m[rows, :, j + 1] = m[rows, :, kp]
-        m[rows, :, kp] = ca
-
-        piv = m[:, j, j + 1]
-        alive = np.abs(piv) > 0.0
-        pf = np.where(alive, pf * piv, 0.0)
+        # pivot: bring the largest |m[j+1:, j]| into row j+1
+        kp = j + 1 + int(np.abs(m[j + 1:, j]).argmax())
+        if kp != j + 1:
+            m[[j + 1, kp], :] = m[[kp, j + 1], :]
+            m[:, [j + 1, kp]] = m[:, [kp, j + 1]]
+            pf = -pf
+        piv = m[j, j + 1]
+        if piv == 0.0:
+            return 0.0
+        pf *= piv
         if j + 2 < n:
-            denom = np.where(alive, piv, 1.0)
-            tau = m[:, j, j + 2:] / denom[:, None]
-            colv = m[:, j + 2:, j + 1]
-            update = tau[:, :, None] * colv[:, None, :]
-            m[:, j + 2:, j + 2:] += np.where(alive[:, None, None],
-                                             update - update.transpose(0, 2, 1), 0.0)
-    return pf
+            update = np.outer(m[j, j + 2:] / piv, m[j + 2:, j + 1])
+            m[j + 2:, j + 2:] += update - update.T
+    return float(pf)

@@ -17,8 +17,11 @@ Every mode is described by the numerator pair ``(y, z)`` of the Anderson
 vector, with ``eps = hypot(y, z)`` the (positive-branch) quasiparticle energy:
 
 * pairing-only variant:    ``y = (Delta/2) f_alpha(k)``, ``z = J cos k + mu``
-* pairing+hopping variant: ``y = Delta sum_l sin(kl) d_l^(-beta)``,
-  ``z = mu/2 + J sum_l cos(kl) d_l^(-alpha)``
+* pairing+hopping variant: ``y = Delta sum_l sin(kl) d_l^(-alpha)``,
+  ``z = mu/2 + J sum_l cos(kl) d_l^(-beta)``
+
+so pairing decays with ``alpha`` and hopping with ``beta`` in both the closed
+and the open chain (:func:`open_chain_weights`).
 
 The Bogoliubov angle is fixed as ``theta = atan2(y, -z) / 2`` so that
 ``sin(theta)^2`` is the occupation probability of the ``(k, -k)`` pair in the
@@ -176,8 +179,8 @@ def _grid_harmonics(key) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         w = _closed_weights(a, n)
         ws, wc = w, None
     else:
-        ws = _range_weights(b, r, n)  # sine sum decays with beta
-        wc = _range_weights(a, r, n)  # cosine sum decays with alpha
+        ws = _range_weights(a, r, n)  # sine (pairing) sum decays with alpha
+        wc = _range_weights(b, r, n)  # cosine (hopping) sum decays with beta
 
     def grid_sum(weights):
         u = np.zeros(n, dtype=complex)
@@ -224,8 +227,8 @@ def numerators_at(spec: ModelSpec, k, n: int) -> tuple[np.ndarray, np.ndarray]:
         y = 0.5 * spec.delta * f
         z = spec.j * np.cos(k) + spec.mu
     else:
-        s = _harmonic_sum(_range_weights(spec.beta, spec.r, n), k).imag
-        c = _harmonic_sum(_range_weights(spec.alpha, spec.r, n), k).real
+        s = _harmonic_sum(_range_weights(spec.alpha, spec.r, n), k).imag
+        c = _harmonic_sum(_range_weights(spec.beta, spec.r, n), k).real
         y = spec.delta * s
         z = 0.5 * spec.mu + spec.j * c
     return y, z

@@ -38,10 +38,6 @@ from .model import ModelSpec, Variant, open_chain_weights, spin_couplings
 MAX_SITES = 12
 DEGENERACY_TOL = 1e-10
 
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_PAULI_IY = np.array([[0.0, 1.0], [-1.0, 0.0]])  # i * sigma_y, real
-_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-
 
 @dataclass(frozen=True)
 class FockGroundState:
@@ -193,53 +189,41 @@ def eigen_residual(state: FockGroundState) -> float:
 # spin picture (Jordan-Wigner image), used for sigma_x-basis references
 # ---------------------------------------------------------------------------
 
-def _kron_site_ops(n: int, site_ops: dict[int, np.ndarray]) -> np.ndarray:
-    """Tensor product over sites with site 0 as the least significant bit."""
-    out = np.ones((1, 1))
-    for site in range(n - 1, -1, -1):
-        out = np.kron(out, site_ops.get(site, np.eye(2)))
-    return out
-
-
-def spin_hamiltonian(spec: ModelSpec, n: int) -> np.ndarray:
-    """Dense spin Hamiltonian equivalent to the open fermionic chain.
+def spin_hamiltonian(spec: ModelSpec, n: int) -> sp.csr_matrix:
+    """Sparse spin Hamiltonian equivalent to the open fermionic chain.
 
     ``H = sum_l sum_j [jx_l X_j X_{j+l} + jy_l Y_j Y_{j+l}] * prod Z_mid
     + (mu/2) sum_j Z_j`` with the couplings of
-    :func:`kitaev_de.model.spin_couplings`.
+    :func:`kitaev_de.model.spin_couplings`.  Each bond term is a signed bit
+    flip: it maps the basis state ``idx`` to ``idx ^ (1<<j | 1<<(j+l))`` with
+    amplitude ``prod z_mid * (jx_l - jy_l z_j z_{j+l})``, where ``z = +-1``
+    are the ``sigma_z`` values of ``idx`` (``Y Y = -z z`` on a flip).
     """
     coup = spin_couplings(spec, l_max=n - 1)
     dim = 1 << n
-    h = np.zeros((dim, dim))
+    idx = np.arange(dim)
+    z = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)) & 1)  # z[idx, site]
+    rows, cols, vals = [idx], [idx], [0.5 * coup.mu * z.sum(axis=1)]
     for l in range(1, n):
         jx, jy = coup.jx[l - 1], coup.jy[l - 1]
         if jx == 0.0 and jy == 0.0:
             continue
         for j in range(0, n - l):
-            string = {m: _PAULI_Z for m in range(j + 1, j + l)}
-            if jx != 0.0:
-                ops = dict(string)
-                ops[j] = _PAULI_X
-                ops[j + l] = _PAULI_X
-                h += jx * _kron_site_ops(n, ops)
-            if jy != 0.0:
-                ops = dict(string)
-                ops[j] = _PAULI_IY
-                ops[j + l] = _PAULI_IY
-                h += -jy * _kron_site_ops(n, ops)  # Y Y = -(iY)(iY)
-    for j in range(n):
-        h += 0.5 * coup.mu * _kron_site_ops(n, {j: _PAULI_Z})
-    return h
+            amp = z[:, j + 1:j + l].prod(axis=1) * (jx - jy * z[:, j] * z[:, j + l])
+            rows.append(idx ^ (1 << j | 1 << (j + l)))
+            cols.append(idx)
+            vals.append(amp)
+    return sp.csr_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(dim, dim))
 
 
 def spin_ground_state(spec: ModelSpec, n: int) -> tuple[np.ndarray, float]:
     """Ground state of the spin picture (open chain only)."""
-    h = spin_hamiltonian(spec, n)
-    vals, vecs = np.linalg.eigh(h)
+    vals, vec = _lowest_two(spin_hamiltonian(spec, n))
     if vals[1] - vals[0] < DEGENERACY_TOL:
         raise DegenerateGroundStateError(
             f"two lowest spin levels within {vals[1] - vals[0]:.3e}")
-    vec = vecs[:, 0]
     if vec[np.argmax(np.abs(vec))] < 0:
         vec = -vec
     return vec, float(vals[0])

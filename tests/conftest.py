@@ -21,8 +21,7 @@ def random_pairing_spec(rng, trivial=False):
 
 
 def random_pairing_hopping_spec(rng, trivial=False):
-    """Random pairing+hopping spec with alpha = beta (momentum and
-    real-space pictures coincide only on that line)."""
+    """Random pairing+hopping spec on the line alpha = beta."""
     ab = float(rng.uniform(0.1, 0.5))
     j = float(rng.uniform(0.2, 0.5))
     delta = float(rng.uniform(0.5, 1.2))

@@ -1,10 +1,13 @@
 """Command-line interface: validation, outputs, determinism, exit codes."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import kitaev_de
 from kitaev_de.cli import main
 
 
@@ -30,6 +33,16 @@ class TestValidation:
     def test_missing_task(self, tmp_path, capsys):
         assert run_cli(["--out", str(tmp_path / "o.csv")]) == 1
         assert "task" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--l", "20"], "'l'"), (["--l", "0"], "'l'"),
+        (["--l-max", "20"], "'l_max'"), (["--l-min", "0"], "'l_min'"),
+        (["--l-min", "9", "--l-max", "5"], "'l_max'")])
+    def test_block_length_out_of_range(self, tmp_path, capsys, flags, field):
+        code = run_cli(["--task", "de-block", *flags,
+                        "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert field in capsys.readouterr().err
 
     def test_numerical_failure_exit_2(self, tmp_path, capsys):
         # spec whose gap closes exactly on a sampled momentum
@@ -162,11 +175,15 @@ class TestOutputs:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # the child imports the same package as the tests, installed or not
         out = tmp_path / "w.csv"
+        src = str(Path(kitaev_de.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "kitaev_de.cli", "--task", "winding",
              "--variant", "1", "--delta", "1", "--mu", "-0.5",
              "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert out.exists()

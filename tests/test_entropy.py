@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy.special import xlogy
 
-from kitaev_de import (GaplessSpecError, ModelSpec, NormalizationFailureError,
-                       block_diagonal_distribution, block_diagonal_entropy,
-                       correlator_kernel, de_density, global_entanglement,
-                       open_chain_correlations, pure_state_diagonal_entropy,
-                       sigma_x_correlator, sigma_z_correlator)
-from kitaev_de.entropy import _binary_entropy_bits, _wht
+from kitaev_de import (DenseCorrelations, GaplessSpecError, ModelSpec,
+                       NormalizationFailureError, block_diagonal_distribution,
+                       block_diagonal_entropy, correlator_kernel, de_density,
+                       global_entanglement, open_chain_correlations,
+                       pure_state_diagonal_entropy, sigma_x_correlator,
+                       sigma_z_correlator)
+from kitaev_de.entropy import _binary_entropy_bits
 from kitaev_de.oracle import ed_diagonal_marginal, ed_ground_state
 
 from conftest import random_gapped_spec
@@ -60,18 +61,6 @@ class TestPureStateDE:
             pure_state_diagonal_entropy(grid_gapless_spec(512), 512)
 
 
-class TestWalshHadamard:
-    def test_matches_naive_transform(self, rng):
-        for l in (1, 2, 5):
-            v = rng.standard_normal(1 << l)
-            got = _wht(v)
-            naive = np.zeros_like(v)
-            for t in range(1 << l):
-                for s in range(1 << l):
-                    naive[t] += v[s] * (-1.0) ** bin(s & t).count("1")
-            assert np.allclose(got, naive, atol=1e-12)
-
-
 class TestBlockDistribution:
     def test_single_site_z(self, rng):
         spec = random_gapped_spec(rng, trivial=True)
@@ -103,6 +92,23 @@ class TestBlockDistribution:
             dist = block_diagonal_distribution(src, 4, basis)
             want = ed_diagonal_marginal(state, range(4), basis)
             assert np.abs(dist.p - want).max() < 1e-8
+
+    def test_kernel_and_dense_sources_agree(self):
+        # a kernel rewritten as the dense matrix m[a, b] = G_{b-a} must give
+        # the same distributions and sigma_x correlators: pins the Toeplitz
+        # indexing of both accessors, rows and columns, in both bases
+        spec = ModelSpec.pairing(j=1.0, delta=0.7, mu=1.4, alpha=1.7)
+        ker = correlator_kernel(spec, n=2048, l_max=10)
+        a = np.arange(11)
+        dense = DenseCorrelations(m=ker.g[a[None, :] - a[:, None] + 10],
+                                  energy=np.nan, eps_min=np.nan)
+        for basis in ("z", "x"):
+            want = block_diagonal_distribution(ker, 10, basis).p
+            got = block_diagonal_distribution(dense, 10, basis, start=1).p
+            assert np.abs(got - want).max() < 1e-14
+        for sites in ([0, 3], [1, 2, 5, 9], [0, 4, 6, 10]):
+            assert sigma_x_correlator(dense, sites) == pytest.approx(
+                sigma_x_correlator(ker, sites), abs=1e-14)
 
     def test_interior_block_matches_oracle(self, rng):
         spec = random_gapped_spec(rng, trivial=True)

@@ -6,7 +6,6 @@ from kitaev_de import (DegenerateGroundStateError, GaplessSpecError, ModelSpec,
                        OddDimensionError, correlator_kernel,
                        open_chain_correlations, pair_correlation, pfaffian,
                        sigma_x_correlator, sigma_z_correlator)
-from kitaev_de.gaussian import _pfaffian_batch
 from kitaev_de.oracle import (ed_ground_state, ed_pair_correlator,
                               ed_sigma_x_product, ed_sigma_z_product)
 
@@ -163,6 +162,12 @@ class TestSigmaX:
                 want = ed_sigma_x_product(spec, 10, sites)
                 assert got == pytest.approx(want, abs=1e-10)
 
+    def test_beyond_kernel_range_raises(self):
+        # bonds 0..4 need G_{-5}; a negative index must not wrap around
+        ker = correlator_kernel(ModelSpec.pairing(mu=2.0), n=256, l_max=4)
+        with pytest.raises(ValueError):
+            sigma_x_correlator(ker, [0, 5])
+
     def test_four_site_block_matches_ed(self, rng):
         spec = random_gapped_spec(rng, trivial=True)
         src = open_chain_correlations(spec, 10)
@@ -214,15 +219,9 @@ class TestPfaffian:
         with pytest.raises(ValueError):
             pfaffian(np.eye(4))
 
-    def test_batch_matches_single(self, rng):
-        mats = np.array([self._random_antisym(rng, 8) for _ in range(40)])
-        got = _pfaffian_batch(mats)
-        want = [pfaffian(m) for m in mats]
-        assert np.allclose(got, want, rtol=1e-11, atol=1e-11)
-
-    def test_singular_batch_member(self, rng):
-        mats = np.array([self._random_antisym(rng, 6) for _ in range(3)])
-        mats[1] = 0.0
-        got = _pfaffian_batch(mats)
-        assert got[1] == 0.0
-        assert got[0] != 0.0 and got[2] != 0.0
+    def test_singular_is_zero(self, rng):
+        m = self._random_antisym(rng, 6)
+        assert pfaffian(m) != 0.0
+        m[2, :] = m[:, 2] = 0.0
+        assert pfaffian(m) == 0.0
+        assert pfaffian(np.zeros((6, 6))) == 0.0

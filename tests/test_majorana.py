@@ -174,6 +174,11 @@ class TestModeCount:
                 continue
             assert analytic_pair_count(spec) == abs(nu)
             checked += 1
+        # unequal exponents: the closed chain must decay the pairing with
+        # alpha, as the open chain does, for the counts to agree (3 pairs)
+        spec = ModelSpec.pairing_hopping(j=-0.8, delta=1.0, mu=-1.0,
+                                         alpha=0.0, beta=0.5, r=3)
+        assert analytic_pair_count(spec) == abs(winding_number(spec).nu) == 3
 
     def test_svd_count_matches_analytic(self, rng):
         # the SVD cutoff resolves every pair once the slowest decay root is
