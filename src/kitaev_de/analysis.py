@@ -11,7 +11,7 @@ the midpoint with the largest jump in its cluster.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,17 +20,14 @@ from .entropy import (block_diagonal_entropy, de_density, global_entanglement,
 from .errors import (GaplessSpecError, IllConditionedError,
                      InsufficientPointsError, NonUniformGridError)
 from .gaussian import correlator_kernel
-from .model import ModelSpec
-from .topology import winding_number
+from .model import DEFAULT_GRID, ModelSpec
+from .topology import _with_param, winding_number
 
 DEFAULT_KAPPA = 10.0
 DEFAULT_STEP = 0.01
 DEFAULT_N_DENSITY = 2000
 DEFAULT_BLOCK_RANGE = range(4, 15)
-DEFAULT_KERNEL_GRID = 8192
 COND_LIMIT = 1e10
-
-_SWEEPABLE = ("mu", "delta", "j", "alpha", "beta")
 
 
 @dataclass(frozen=True)
@@ -166,12 +163,6 @@ def detect_critical_points(curve: SusceptibilityCurve,
 # sweep drivers
 # ---------------------------------------------------------------------------
 
-def _with_param(spec: ModelSpec, name: str, value: float) -> ModelSpec:
-    if name not in _SWEEPABLE:
-        raise ValueError(f"unknown sweep parameter {name!r}; use one of {_SWEEPABLE}")
-    return replace(spec, **{name: float(value)})
-
-
 def sweep_de_density(spec: ModelSpec, name: str, values,
                      n: int = DEFAULT_N_DENSITY) -> np.ndarray:
     """``s(parameter)`` over a sweep; NaN where the grid gap closes."""
@@ -185,7 +176,7 @@ def sweep_de_density(spec: ModelSpec, name: str, values,
 
 
 def sweep_global_entanglement(spec: ModelSpec, name: str, values,
-                              n: int = DEFAULT_KERNEL_GRID) -> np.ndarray:
+                              n: int = DEFAULT_GRID) -> np.ndarray:
     out = np.empty(len(values))
     for i, v in enumerate(values):
         try:
@@ -197,7 +188,7 @@ def sweep_global_entanglement(spec: ModelSpec, name: str, values,
 
 def block_coefficients(spec: ModelSpec, basis: str = "z",
                        lengths=DEFAULT_BLOCK_RANGE,
-                       n: int = DEFAULT_KERNEL_GRID) -> ScalingFit:
+                       n: int = DEFAULT_GRID) -> ScalingFit:
     """Fit of the block law at one parameter point."""
     lengths = list(lengths)
     kernel = correlator_kernel(spec, n=n, l_max=max(lengths))
@@ -207,7 +198,7 @@ def block_coefficients(spec: ModelSpec, basis: str = "z",
 
 def sweep_block_coefficients(spec: ModelSpec, name: str, values,
                              basis: str = "z", lengths=DEFAULT_BLOCK_RANGE,
-                             n: int = DEFAULT_KERNEL_GRID,
+                             n: int = DEFAULT_GRID,
                              threads: int = 1) -> np.ndarray:
     """(a, b, c) block-law coefficients along a sweep; rows are grid points."""
     values = list(values)
@@ -231,7 +222,7 @@ def comparative_scan(spec: ModelSpec, name: str, values,
                      channels=("s", "a", "b", "c", "E", "nu"),
                      basis: str = "z", lengths=DEFAULT_BLOCK_RANGE,
                      n_density: int = DEFAULT_N_DENSITY,
-                     n_kernel: int = DEFAULT_KERNEL_GRID,
+                     n_kernel: int = DEFAULT_GRID,
                      threads: int = 1) -> dict[str, np.ndarray]:
     """Aligned table of diagnostic channels over one parameter sweep."""
     values = np.asarray(values, dtype=float)

@@ -158,6 +158,17 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
                                   f"got {config[field]}")
     if config["basis"] not in ("z", "x"):
         raise ValidationError("field 'basis' must be 'z' or 'x'")
+    if not float(config["step"]) > 0:
+        raise ValidationError(f"field 'step' must be > 0, got {config['step']}")
+    _sizes(config)
+    try:
+        spec = _spec(config)
+    except ValueError as exc:
+        raise ValidationError(f"invalid model: {exc}") from None
+    if (config["task"] == "mzm" and spec.variant is Variant.LONG_RANGE_PAIRING_HOPPING
+            and config["n"] <= 2 * spec.r):
+        raise ValidationError(f"field 'n' must be > 2r = {2 * spec.r} for mzm "
+                              f"with variant 2, got {config['n']}")
     return config
 
 
@@ -177,6 +188,15 @@ def _grid(config: dict) -> np.ndarray:
         raise ValidationError("fields 'start' and 'stop' are required for sweeps")
     return np.arange(float(config["start"]),
                      float(config["stop"]) + 1e-12, float(config["step"]))
+
+
+def _sizes(config: dict) -> list[int]:
+    try:
+        lo, hi, st = (int(x) for x in str(config["sizes"]).split(":"))
+        return list(range(lo, hi + 1, st))
+    except ValueError:  # also a zero step
+        raise ValidationError("field 'sizes' must be three integers start:stop:step "
+                              f"with a nonzero step, got {config['sizes']!r}") from None
 
 
 def _lengths(config: dict) -> list[int]:
@@ -227,8 +247,7 @@ def run_task(config: dict) -> dict:
         write_csv(out, ["ge"], [[e]])
         results = {"ge": e}
     elif task == "fit-volume":
-        lo, hi, st = (int(x) for x in str(config["sizes"]).split(":"))
-        sizes = list(range(lo, hi + 1, st))
+        sizes = _sizes(config)
         values = [pure_state_diagonal_entropy(spec, n).value for n in sizes]
         fit = fit_volume_law(sizes, values)
         write_csv(out, ["n", "entropy_bits"], zip(sizes, values))

@@ -34,10 +34,8 @@ from scipy.special import xlogy
 from .errors import GaplessSpecError, NormalizationFailureError
 from .gaussian import (CorrelationSource, CorrelatorKernel, _bond_matrix,
                        _pair_matrix)
-from .model import ModelSpec, grid_numerators
+from .model import DEFAULT_GRID, GAP_TOL, ModelSpec, grid_numerators
 
-GAP_TOL = 1e-8
-DEFAULT_GRID = 8192
 MAX_BLOCK = 16
 CLAMP_TOL = 1e-12
 NORM_TOL = 1e-6

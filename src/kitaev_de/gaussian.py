@@ -7,7 +7,12 @@ Correlation sources
   ``theta_{-k} = -theta_k``, and equals ``<A_a B_{a+R}>`` with
   ``A = c^dag + c``, ``B = c^dag - c``.
 * :class:`DenseCorrelations` -- open chains; the full matrix ``m[a, b] =
-  <A_a B_b>`` from the Bogoliubov-de Gennes ground state.
+  <A_a B_b>``.  In these operators the open chain reads
+  ``H = -(1/2) sum_{ab} K_{ab} A_a B_b`` with the real coupling matrix K of
+  :mod:`kitaev_de.majorana`, so ``<H> = -tr(K^T m) / 2``.  Over orthogonal
+  contraction matrices this is lowest at the polar factor of K, ``m = u v^T``
+  for ``K = u diag(s) v^T``, with ground energy ``-sum(s) / 2`` (Lieb,
+  Schultz & Mattis, Ann. Phys. 16, 407, 1961).
 
 With these contractions, ``sigma_z = A_j B_j = 1 - 2 n_j`` and every subset
 expectation ``< prod_{j in S} sigma_z_j >`` is the determinant of the A-B
@@ -24,15 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .errors import (DegenerateGroundStateError, GaplessSpecError,
                      OddDimensionError)
-from .model import ModelSpec, grid_numerators, open_chain_weights
+from .majorana import build_coupling
+from .model import DEFAULT_GRID, GAP_TOL, ModelSpec, grid_numerators
 
-GAP_TOL = 1e-8
 KERNEL_IMAG_TOL = 1e-10
-DEFAULT_GRID = 8192
 
 
 @dataclass(frozen=True)
@@ -86,42 +89,23 @@ def correlator_kernel(spec: ModelSpec, n: int = DEFAULT_GRID,
 
 
 def open_chain_correlations(spec: ModelSpec, n: int) -> DenseCorrelations:
-    """Pair correlations of the open-chain ground state via a BdG solve.
+    """Pair correlations of the open-chain ground state from one SVD of K.
 
-    Raises :class:`DegenerateGroundStateError` when the smallest quasiparticle
-    energy is below 1e-10 (the ground state correlators are then ill-defined).
+    With ``K = u diag(s) v^T`` the coupling matrix of
+    :func:`~kitaev_de.majorana.build_coupling`, ``m`` is the polar factor
+    ``u v^T``, the quasiparticle energies are ``s`` and the ground energy is
+    ``-sum(s) / 2`` (see the module docstring).  Raises
+    :class:`DegenerateGroundStateError` when the smallest quasiparticle
+    energy is below 1e-10 (the ground state correlators are then
+    ill-defined).
     """
     if n > 2000:
         raise ValueError(f"open-chain solve limited to n <= 2000, got {n}")
-    hop, pair = open_chain_weights(spec, n)
-    amat = np.zeros((n, n))
-    pmat = np.zeros((n, n))
-    np.fill_diagonal(amat, -spec.mu)
-    for l in range(1, n):
-        if hop[l - 1] != 0.0:
-            idx = np.arange(n - l)
-            amat[idx, idx + l] += -hop[l - 1]
-            amat[idx + l, idx] += -hop[l - 1]
-        if pair[l - 1] != 0.0:
-            idx = np.arange(n - l)
-            pmat[idx + l, idx] += pair[l - 1]
-            pmat[idx, idx + l] += -pair[l - 1]
-    bdg = np.block([[amat, pmat], [-pmat, -amat]])
-    vals, vecs = la.eigh(bdg)
-    pos = vals > 0
-    eps_min = float(np.min(np.abs(vals)))
+    u, s, vt = np.linalg.svd(build_coupling(spec, n))
+    eps_min = float(s[-1])
     if eps_min < 1e-10:
         raise DegenerateGroundStateError(f"smallest quasiparticle energy {eps_min:.3e}")
-    u = vecs[:n, pos]
-    v = vecs[n:, pos]
-    cmat = v @ v.T
-    fmat = u @ v.T
-    fmat = 0.5 * (fmat - fmat.T)
-    m = np.eye(n) - 2.0 * cmat - 2.0 * fmat
-    # 1/2 Tr A from normal ordering plus the n*mu/2 constant of the chemical term
-    energy = (0.5 * float(np.trace(amat)) - 0.5 * float(np.sum(vals[pos]))
-              + 0.5 * n * spec.mu)
-    return DenseCorrelations(m=m, energy=energy, eps_min=eps_min)
+    return DenseCorrelations(m=u @ vt, energy=-0.5 * float(s.sum()), eps_min=eps_min)
 
 
 def pair_correlation(source: CorrelationSource, a: int, b: int) -> float:

@@ -18,10 +18,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import GaplessSpecError, TolAmbiguousError
-from .model import ModelSpec, Variant, minimum_gap, open_chain_weights
+from .model import GAP_TOL, ModelSpec, Variant, minimum_gap, open_chain_weights
 
 DEFAULT_TOL = 1e-8
-GAP_TOL = 1e-8
 GAP_SAMPLES = 4096
 
 
@@ -50,8 +49,6 @@ def build_coupling(spec: ModelSpec, n: int) -> np.ndarray:
     ``K_{j, j+l} = pair_l - hop_l`` and ``K_{j+l, j} = -pair_l - hop_l``.
     The bandwidth is max(1, r) for the respective variant.
     """
-    if spec.variant is Variant.LONG_RANGE_PAIRING_HOPPING and n <= 2 * spec.r:
-        raise ValueError(f"need n > 2r = {2 * spec.r}, got {n}")
     hop, pair = open_chain_weights(spec, n)
     k = np.zeros((n, n))
     np.fill_diagonal(k, -spec.mu)
@@ -71,8 +68,11 @@ def zero_modes(spec: ModelSpec, n: int, tol: float = DEFAULT_TOL) -> list[ZeroMo
     :class:`TolAmbiguousError` when any singular value falls within a factor
     of 10 of the cutoff, making the count unreliable.  Modes come out
     orthonormal (SVD), ordered by localization centre, with left modes first
-    within each pair.
+    within each pair.  The pairing+hopping variant needs ``n > 2r`` so that
+    the two edges do not overlap.
     """
+    if spec.variant is Variant.LONG_RANGE_PAIRING_HOPPING and n <= 2 * spec.r:
+        raise ValueError(f"need n > 2r = {2 * spec.r}, got {n}")
     gap = minimum_gap(spec, GAP_SAMPLES)
     if gap <= GAP_TOL:
         raise GaplessSpecError(f"bulk gap {gap:.3e} <= {GAP_TOL}")

@@ -45,6 +45,8 @@ import numpy as np
 from .errors import ZeroVectorError
 
 ZERO_TOL = 1e-14  # both numerators below this -> gap closes at that momentum
+GAP_TOL = 1e-8  # quasiparticle energies at or below this count as gapless
+DEFAULT_GRID = 8192  # antiperiodic grid size for kernels and global entanglement
 
 
 class Variant(Enum):
@@ -61,6 +63,8 @@ class ModelSpec:
     ``beta`` and ``r`` belong to the pairing+hopping variant only; the
     constructor rejects them for the pairing-only variant and requires them
     otherwise, so a valid instance never carries meaningless fields.
+    ``j``, ``delta`` and ``mu`` must be finite; ``alpha`` and ``beta`` may be
+    infinite (the nearest-neighbour limit).
     """
 
     variant: Variant
@@ -72,6 +76,9 @@ class ModelSpec:
     r: int | None = None
 
     def __post_init__(self):
+        for name in ("j", "delta", "mu"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.alpha >= 0):
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.variant is Variant.LONG_RANGE_PAIRING:

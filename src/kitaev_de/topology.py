@@ -17,10 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GaplessSpecError, NumericalWindingWarning
-from .model import ModelSpec, anderson_vector, grid_numerators
+from .model import GAP_TOL, ModelSpec, anderson_vector, grid_numerators
 
 DEFAULT_SAMPLES = 4096
-GAP_TOL = 1e-8
 SNAP_TOL = 0.05
 
 _SWEEPABLE = ("mu", "delta", "j", "alpha", "beta")

@@ -44,6 +44,19 @@ class TestValidation:
         assert code == 1
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--task", "winding", "--mu", "nan"], "mu must be finite"),
+        (["--task", "winding", "--mu", "inf"], "mu must be finite"),
+        (["--task", "sweep", "--start", "0", "--stop", "1", "--step", "0"],
+         "'step'"),
+        (["--task", "fit-volume", "--sizes", "200:abc:2"], "'sizes'"),
+        (["--task", "mzm", "--variant", "2", "--r", "3", "--beta", "0",
+          "--alpha", "0", "--n", "6"], "'n'")])
+    def test_bad_value_names_field(self, tmp_path, capsys, flags, message):
+        code = run_cli([*flags, "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_numerical_failure_exit_2(self, tmp_path, capsys):
         # spec whose gap closes exactly on a sampled momentum
         from conftest import grid_gapless_spec

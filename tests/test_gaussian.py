@@ -65,12 +65,17 @@ class TestOpenChain:
         assert np.allclose(src.m, np.eye(12), atol=1e-7)
 
     def test_matches_ed(self, rng):
-        for _ in range(3):
-            spec = random_gapped_spec(rng, trivial=True)
-            state = ed_ground_state(spec, 10, "open")
-            src = open_chain_correlations(spec, 10)
-            for a in range(0, 10, 3):
-                for b in range(0, 10, 2):
+        cases = [(random_gapped_spec(rng, trivial=True), 10) for _ in range(3)]
+        # trivial alpha != beta chain, including n <= 2r where the two edges
+        # overlap (mode counting needs n > 2r, the correlations do not)
+        unequal = ModelSpec.pairing_hopping(j=0.4, delta=0.8, mu=-3.2,
+                                            alpha=0.0, beta=0.5, r=3)
+        cases += [(unequal, n) for n in (4, 6, 10)]
+        for spec, n in cases:
+            state = ed_ground_state(spec, n, "open")
+            src = open_chain_correlations(spec, n)
+            for a in range(n):
+                for b in range(n):
                     want = ed_pair_correlator(state, a, b)
                     assert src.m[a, b] == pytest.approx(want, abs=1e-10)
             assert src.energy == pytest.approx(state.energy, abs=1e-9)

@@ -67,7 +67,7 @@ class TestCoupling:
     def test_needs_room_for_range(self):
         spec = ModelSpec.pairing_hopping(j=0.8, delta=1.0, mu=0.6)
         with pytest.raises(ValueError):
-            build_coupling(spec, 6)
+            zero_modes(spec, 6)
 
 
 class TestZeroModes:

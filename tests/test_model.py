@@ -206,6 +206,18 @@ class TestModelSpecValidation:
         with pytest.raises(ValueError):
             ModelSpec.pairing(alpha=-1.0)
 
+    @pytest.mark.parametrize("field", ["j", "delta", "mu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_couplings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ModelSpec.pairing(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            ModelSpec.pairing_hopping(**{field: value})
+
+    def test_infinite_exponents_allowed(self):
+        spec = ModelSpec.pairing_hopping(alpha=math.inf, beta=math.inf)
+        assert math.isinf(spec.alpha) and math.isinf(spec.beta)
+
     def test_open_chain_weights_single_term_at_inf(self):
         hop, pair = open_chain_weights(ModelSpec.pairing(j=2.0, delta=3.0), 6)
         assert hop[0] == 1.0 and np.all(hop[1:] == 0)
