@@ -31,7 +31,7 @@ from .errors import KitaevDEError
 from .gaussian import correlator_kernel
 from .majorana import Side, zero_modes
 from .model import ModelSpec, Variant
-from .topology import trajectory, winding_number
+from .topology import _SWEEPABLE, _with_param, trajectory, winding_number
 
 TASKS = ("winding", "trajectory", "mzm", "de-pure", "de-block", "ge",
          "fit-volume", "fit-block", "sweep", "critical-scan", "compare")
@@ -67,6 +67,15 @@ DEFAULTS = {
 _TASK_N = {"winding": 4096, "trajectory": 4096, "mzm": 100, "de-pure": 2000,
            "de-block": 8192, "ge": 8192, "fit-volume": 2000, "fit-block": 8192,
            "sweep": 2000, "critical-scan": 2000, "compare": 2000}
+
+_INT_FIELDS = ("variant", "r", "n", "samples", "l", "l_min", "l_max", "threads")
+_FLOAT_FIELDS = ("j", "delta", "mu", "alpha", "beta", "start", "stop", "step",
+                 "kappa", "tol")
+_FINITE_FIELDS = ("start", "stop", "step", "kappa", "tol")
+_CHOICES = {"task": TASKS, "basis": ("z", "x"), "param": _SWEEPABLE,
+            "quantity": ("s", "E")}
+_SWEEP_TASKS = ("sweep", "critical-scan", "compare")
+MAX_GRID_POINTS = 10**8
 
 
 class ValidationError(Exception):
@@ -114,17 +123,27 @@ def _sidecar(path: str, config: dict, extra: dict | None = None) -> None:
         fh.write("\n")
 
 
-def _parse_alpha(value, field):
-    if value is None:
+def _coerce(field: str, value, kind):
+    """``value`` as ``kind`` (``int`` or ``float``).
+
+    Accepts numbers and numeric strings (``"inf"`` included), and ``None``
+    for fields whose default is ``None``; booleans, containers and other
+    strings raise a :class:`ValidationError` naming the field.
+    """
+    if value is None and DEFAULTS[field] is None:
         return None
-    if isinstance(value, str):
-        if value.lower() in ("inf", "infinity"):
-            return math.inf
-        try:
-            return float(value)
-        except ValueError:
-            raise ValidationError(f"field '{field}' must be a number or 'inf'")
-    return float(value)
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise TypeError
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"field '{field}' must be a number, "
+                              f"got {value!r}") from None
+    if kind is int:
+        if not x.is_integer():
+            raise ValidationError(f"field '{field}' must be an integer, got {value!r}")
+        return int(x)
+    return x
 
 
 def resolve_config(file_values: dict, overrides: dict) -> dict:
@@ -136,30 +155,40 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
     for key, val in overrides.items():
         if val is not None:
             config[key] = val
-    if config["task"] not in TASKS:
-        raise ValidationError(f"field 'task' must be one of {TASKS}, "
-                              f"got {config['task']!r}")
+    for field, allowed in _CHOICES.items():
+        if config[field] not in allowed:
+            raise ValidationError(f"field '{field}' must be one of {allowed}, "
+                                  f"got {config[field]!r}")
+    for field in ("out", "channels", "sizes"):
+        if not isinstance(config[field], str):
+            raise ValidationError(f"field '{field}' must be a string, "
+                                  f"got {config[field]!r}")
     if config["n"] is None:
         config["n"] = _TASK_N[config["task"]]
-    config["alpha"] = _parse_alpha(config["alpha"], "alpha")
-    config["beta"] = _parse_alpha(config["beta"], "beta")
-    if int(config["variant"]) not in (1, 2):
+    for field in _INT_FIELDS:
+        config[field] = _coerce(field, config[field], int)
+    for field in _FLOAT_FIELDS:
+        config[field] = _coerce(field, config[field], float)
+    for field in _FINITE_FIELDS:
+        if config[field] is not None and not math.isfinite(config[field]):
+            raise ValidationError(f"field '{field}' must be finite, got {config[field]}")
+    if config["variant"] not in (1, 2):
         raise ValidationError("field 'variant' must be 1 or 2")
-    if int(config["variant"]) == 2:
+    if config["variant"] == 2:
         if config["r"] is None:
             raise ValidationError("field 'r' is required for variant 2")
         if config["beta"] is None:
             raise ValidationError("field 'beta' is required for variant 2")
-    for field in ("n", "samples", "l", "l_min", "l_max", "threads"):
-        config[field] = int(config[field])
     for field, lo in (("l", 1), ("l_min", 1), ("l_max", config["l_min"])):
         if not lo <= config[field] <= MAX_BLOCK:
             raise ValidationError(f"field '{field}' must be in {lo}..{MAX_BLOCK}, "
                                   f"got {config[field]}")
-    if config["basis"] not in ("z", "x"):
-        raise ValidationError("field 'basis' must be 'z' or 'x'")
-    if not float(config["step"]) > 0:
-        raise ValidationError(f"field 'step' must be > 0, got {config['step']}")
+    for field in ("step", "tol"):
+        if not config[field] > 0:
+            raise ValidationError(f"field '{field}' must be > 0, got {config[field]}")
+    if config["samples"] < 256:
+        raise ValidationError(f"field 'samples' must be >= 256, got {config['samples']}")
+    _check_n(config)
     _sizes(config)
     try:
         spec = _spec(config)
@@ -169,34 +198,69 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
             and config["n"] <= 2 * spec.r):
         raise ValidationError(f"field 'n' must be > 2r = {2 * spec.r} for mzm "
                               f"with variant 2, got {config['n']}")
+    if config["task"] in _SWEEP_TASKS:
+        grid = _grid(config)
+        for value in (grid[0], grid[-1]):
+            try:
+                _with_param(spec, config["param"], value)
+            except ValueError as exc:
+                raise ValidationError(f"field '{config['param']}': sweep value "
+                                      f"{value:g} gives an invalid model: {exc}") from None
     return config
 
 
+def _check_n(config: dict) -> None:
+    """Closed chains need an even grid; block tasks need ``l_max < n/4``."""
+    n, task = config["n"], config["task"]
+    if task == "mzm":
+        if n < 2:
+            raise ValidationError(f"field 'n' must be >= 2, got {n}")
+    elif n < 2 or n % 2:
+        raise ValidationError(f"field 'n' must be an even integer >= 2, got {n}")
+    block = {"de-block": config["l"], "fit-block": config["l_max"]}.get(task)
+    if block is not None and not n > 4 * block:
+        raise ValidationError(f"field 'n' must be > 4 * {block} = {4 * block} "
+                              f"for blocks up to L = {block}, got {n}")
+
+
 def _spec(config: dict) -> ModelSpec:
-    if int(config["variant"]) == 1:
-        return ModelSpec(Variant.LONG_RANGE_PAIRING, j=float(config["j"]),
-                         delta=float(config["delta"]), mu=float(config["mu"]),
+    if config["variant"] == 1:
+        return ModelSpec(Variant.LONG_RANGE_PAIRING, j=config["j"],
+                         delta=config["delta"], mu=config["mu"],
                          alpha=config["alpha"])
-    return ModelSpec(Variant.LONG_RANGE_PAIRING_HOPPING, j=float(config["j"]),
-                     delta=float(config["delta"]), mu=float(config["mu"]),
-                     alpha=config["alpha"], beta=config["beta"],
-                     r=int(config["r"]))
+    return ModelSpec(Variant.LONG_RANGE_PAIRING_HOPPING, j=config["j"],
+                     delta=config["delta"], mu=config["mu"],
+                     alpha=config["alpha"], beta=config["beta"], r=config["r"])
 
 
 def _grid(config: dict) -> np.ndarray:
-    if config["start"] is None or config["stop"] is None:
+    """``start + step * i`` for every ``i`` that keeps the point at or below
+    ``stop`` (to a relative 1e-9 of a step count, so ``stop`` itself is kept
+    despite rounding)."""
+    start, stop, step = config["start"], config["stop"], config["step"]
+    if start is None or stop is None:
         raise ValidationError("fields 'start' and 'stop' are required for sweeps")
-    return np.arange(float(config["start"]),
-                     float(config["stop"]) + 1e-12, float(config["step"]))
+    if stop < start:
+        raise ValidationError(f"field 'stop' must be >= start = {start}, got {stop}")
+    steps = (stop - start) / step
+    if not steps < MAX_GRID_POINTS:
+        raise ValidationError(f"field 'step' gives more than {MAX_GRID_POINTS} "
+                              f"points from start to stop, got {step}")
+    count = math.floor(steps + 1e-9 * max(1.0, steps)) + 1
+    return start + step * np.arange(count)
 
 
 def _sizes(config: dict) -> list[int]:
     try:
-        lo, hi, st = (int(x) for x in str(config["sizes"]).split(":"))
-        return list(range(lo, hi + 1, st))
+        lo, hi, st = (int(x) for x in config["sizes"].split(":"))
+        sizes = list(range(lo, hi + 1, st))
     except ValueError:  # also a zero step
         raise ValidationError("field 'sizes' must be three integers start:stop:step "
                               f"with a nonzero step, got {config['sizes']!r}") from None
+    if any(n < 2 or n % 2 for n in sizes):
+        raise ValidationError("field 'sizes' must give even chain sizes >= 2, "
+                              f"got {config['sizes']!r}")
+    return sizes
 
 
 def _lengths(config: dict) -> list[int]:
@@ -220,7 +284,7 @@ def run_task(config: dict) -> dict:
         write_csv(out, ["k", "h_y", "h_z", "gapless"],
                   zip(tr.k, tr.hy, tr.hz, tr.gapless))
     elif task == "mzm":
-        modes = zero_modes(spec, config["n"], tol=float(config["tol"]))
+        modes = zero_modes(spec, config["n"], tol=config["tol"])
         header = ["site"]
         cols = []
         for i, mode in enumerate(modes):
@@ -266,30 +330,28 @@ def run_task(config: dict) -> dict:
         name = config["param"]
         if config["quantity"] == "s":
             vals = sweep_de_density(spec, name, grid, config["n"])
-        elif config["quantity"] == "E":
-            vals = sweep_global_entanglement(spec, name, grid)
         else:
-            raise ValidationError("field 'quantity' must be 's' or 'E'")
+            vals = sweep_global_entanglement(spec, name, grid)
         write_csv(out, [name, config["quantity"]], zip(grid, vals))
     elif task == "critical-scan":
         grid = _grid(config)
         name = config["param"]
         vals = sweep_de_density(spec, name, grid, config["n"])
         curve = susceptibility(name, grid, vals)
-        report = detect_critical_points(curve, kappa=float(config["kappa"]),
+        report = detect_critical_points(curve, kappa=config["kappa"],
                                         channel="chi_s")
         chi = np.full(grid.size, np.nan)
         chi[1:-1] = curve.chi
         flagged = np.zeros(grid.size, dtype=bool)
         for pt in report.points:
-            flagged |= np.abs(grid - pt.location) <= 0.51 * float(config["step"])
+            flagged |= np.abs(grid - pt.location) <= 0.51 * config["step"]
         write_csv(out, [name, "s", "chi_s", "flagged"],
                   zip(grid, vals, chi, flagged))
         results = {"critical_points": [asdict(p) for p in report.points],
                    "threshold": report.threshold}
     elif task == "compare":
         grid = _grid(config)
-        channels = [c.strip() for c in str(config["channels"]).split(",") if c.strip()]
+        channels = [c.strip() for c in config["channels"].split(",") if c.strip()]
         table = comparative_scan(spec, config["param"], grid,
                                  channels=channels, basis=config["basis"],
                                  lengths=_lengths(config),
@@ -323,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-min", dest="l_min", type=int)
     p.add_argument("--l-max", dest="l_max", type=int)
     p.add_argument("--basis", choices=("z", "x"))
-    p.add_argument("--param", choices=("mu", "delta", "j", "alpha", "beta"))
+    p.add_argument("--param", choices=_SWEEPABLE)
     p.add_argument("--start", type=float)
     p.add_argument("--stop", type=float)
     p.add_argument("--step", type=float)
@@ -355,6 +417,9 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: field 'config': {exc}", file=sys.stderr)
             return 1
+        if not isinstance(file_values, dict):
+            print("error: field 'config' must hold a JSON object", file=sys.stderr)
+            return 1
     try:
         config = resolve_config(file_values, overrides)
     except ValidationError as exc:
@@ -362,13 +427,13 @@ def main(argv=None) -> int:
         return 1
     try:
         results = run_task(config)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        _sidecar(config["out"], config, results)
     except KitaevDEError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    _sidecar(config["out"], config, results)
+    except OSError as exc:
+        print(f"error: field 'out': {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -5,7 +5,11 @@ Correlation sources
 * :class:`CorrelatorKernel` -- translation-invariant chains.  ``g[R]`` holds
   ``G_R = (1/N) sum_k exp(i R k) exp(-2 i theta_k)``, which is real because
   ``theta_{-k} = -theta_k``, and equals ``<A_a B_{a+R}>`` with
-  ``A = c^dag + c``, ``B = c^dag - c``.
+  ``A = c^dag + c``, ``B = c^dag - c``.  On the sorted antiperiodic grid
+  ``k_j = -pi + 2 pi (j + 1/2) / N`` the phase factors as
+  ``exp(i R k_j) = (-1)^R exp(i pi R / N) exp(2 pi i R j / N)``, so the whole
+  table is one inverse FFT: ``G_R = (-1)^R exp(i pi R / N) ifft(q)[R mod N]``
+  with ``q_j = exp(-2 i theta_{k_j})``.
 * :class:`DenseCorrelations` -- open chains; the full matrix ``m[a, b] =
   <A_a B_b>``.  In these operators the open chain reads
   ``H = -(1/2) sum_{ab} K_{ab} A_a B_b`` with the real coupling matrix K of
@@ -68,18 +72,23 @@ def correlator_kernel(spec: ModelSpec, n: int = DEFAULT_GRID,
                       l_max: int = 32) -> CorrelatorKernel:
     """Tabulate ``G_R`` by the discrete momentum sum over the n-point grid.
 
+    The sum is evaluated for every ``R = -l_max .. l_max`` at once by one
+    length-n inverse FFT of ``q = exp(-2 i theta)`` over the sorted grid,
+    ``G_R = (-1)^R exp(i pi R / n) ifft(q)[R mod n]`` (see the module
+    docstring), in O(n log n).
+
     Requires ``l_max < n/4`` for kernel accuracy and a gapped spectrum
     (minimum grid gap above 1e-8), otherwise the integrand is discontinuous.
     """
     if not l_max < n / 4:
         raise ValueError(f"l_max={l_max} must be < n/4 = {n / 4}")
-    k, y, z = grid_numerators(spec, n)
+    _, y, z = grid_numerators(spec, n)
     eps = np.hypot(y, z)
     if eps.min() <= GAP_TOL:
         raise GaplessSpecError(f"min grid gap {eps.min():.3e} <= {GAP_TOL}")
     q = (-z - 1j * y) / eps  # exp(-2 i theta)
     r = np.arange(-l_max, l_max + 1)
-    g = np.exp(1j * np.multiply.outer(r.astype(float), k)) @ q / n
+    g = (-1.0) ** r * np.exp(1j * np.pi * r / n) * np.fft.ifft(q)[r % n]
     if np.abs(g.imag).max() > KERNEL_IMAG_TOL:
         raise GaplessSpecError(
             f"kernel imaginary part {np.abs(g.imag).max():.3e} exceeds tolerance")

@@ -141,21 +141,10 @@ def momentum_grid(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _closed_weights(alpha: float, n: int) -> np.ndarray:
-    """Ring weights ``w_l = d_l^(-alpha)`` for ``l = 1..n-1``; single-term at inf."""
-    l = np.arange(1, n)
-    if math.isinf(alpha):
-        w = (l == 1).astype(float)
-    else:
-        d = np.minimum(l, n - l).astype(float)
-        w = d ** (-alpha)
-    w.flags.writeable = False
-    return w
-
-
-@lru_cache(maxsize=128)
 def _range_weights(exponent: float, r: int, n: int) -> np.ndarray:
-    """Weights ``d_l^(-exponent)`` for ``l = 1..r`` on an n-site ring."""
+    """Weights ``d_l^(-exponent)`` for ``l = 1..r`` on an n-site ring, with
+    the ring distance ``d_l = min(l, n - l)``; single-term at inf.  The
+    pairing-only variant uses every range, ``r = n - 1``."""
     l = np.arange(1, r + 1)
     if math.isinf(exponent):
         w = (l == 1).astype(float)
@@ -183,7 +172,7 @@ def _grid_harmonics(key) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if n < 2 or n % 2:
         raise ValueError(f"need an even chain length >= 2, got {n}")
     if kind == "pairing":
-        w = _closed_weights(a, n)
+        w = _range_weights(a, n - 1, n)
         ws, wc = w, None
     else:
         ws = _range_weights(a, r, n)  # sine (pairing) sum decays with alpha
@@ -230,7 +219,7 @@ def numerators_at(spec: ModelSpec, k, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``(y, z)`` at arbitrary momenta (direct sums; same weights as the grid)."""
     k = np.asarray(k, dtype=float)
     if spec.variant is Variant.LONG_RANGE_PAIRING:
-        f = _harmonic_sum(_closed_weights(spec.alpha, n), k).imag
+        f = _harmonic_sum(_range_weights(spec.alpha, n - 1, n), k).imag
         y = 0.5 * spec.delta * f
         z = spec.j * np.cos(k) + spec.mu
     else:

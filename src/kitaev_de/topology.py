@@ -11,6 +11,7 @@ cross-checked in the tests against an independent axis-crossing count.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -77,11 +78,23 @@ def _even_samples(samples: int) -> int:
 
 
 def _accumulated_turns(y: np.ndarray, z: np.ndarray) -> float:
-    """Total angle swept by the numerator trajectory, in turns."""
-    y2, z2 = np.roll(y, -1), np.roll(z, -1)
-    cross = z * y2 - y * z2
-    dot = y * y2 + z * z2
-    return float(np.arctan2(cross, dot).sum() / (2.0 * np.pi))
+    """Total angle swept by the numerator trajectory, in turns.
+
+    If the products overflow (couplings near the top of the float range),
+    ``(y, z)`` are scaled by a power of two, which is exact and leaves every
+    angle unchanged, and the sum is taken again.
+    """
+    for _ in range(2):
+        y2, z2 = np.roll(y, -1), np.roll(z, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = z * y2 - y * z2
+            dot = y * y2 + z * z2
+        turns = float(np.arctan2(cross, dot).sum() / (2.0 * np.pi))
+        if math.isfinite(turns):
+            break
+        _, exp = np.frexp(max(np.abs(y).max(), np.abs(z).max()))
+        y, z = np.ldexp(y, -exp), np.ldexp(z, -exp)
+    return turns
 
 
 def snap_winding(nu_raw: float) -> float:

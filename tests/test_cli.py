@@ -1,14 +1,18 @@
 """Command-line interface: validation, outputs, determinism, exit codes."""
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import kitaev_de
-from kitaev_de.cli import main
+from kitaev_de.cli import DEFAULTS, _grid, main, resolve_config
 
 
 def run_cli(args):
@@ -51,11 +55,49 @@ class TestValidation:
          "'step'"),
         (["--task", "fit-volume", "--sizes", "200:abc:2"], "'sizes'"),
         (["--task", "mzm", "--variant", "2", "--r", "3", "--beta", "0",
-          "--alpha", "0", "--n", "6"], "'n'")])
+          "--alpha", "0", "--n", "6"], "'n'"),
+        (["--task", "sweep", "--start", "nan", "--stop", "1"], "'start'"),
+        (["--task", "sweep", "--start", "0", "--stop", "inf"], "'stop'"),
+        (["--task", "sweep", "--start", "0", "--stop", "1", "--step", "1e-300"],
+         "'step'"),
+        (["--task", "sweep", "--param", "alpha", "--start", "-1", "--stop", "1"],
+         "'alpha'"),
+        (["--task", "ge", "--n", "7"], "'n'"),
+        (["--task", "de-block", "--l", "8", "--n", "32"], "'n'"),
+        (["--task", "winding", "--samples", "10"], "'samples'")])
     def test_bad_value_names_field(self, tmp_path, capsys, flags, message):
         code = run_cli([*flags, "--out", str(tmp_path / "o.csv")])
         assert code == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values,field", [
+        ({"task": "ge", "n": "abc"}, "'n'"),
+        ({"task": "sweep", "start": 0, "stop": 1, "step": "x"}, "'step'"),
+        ({"task": "critical-scan", "start": 0, "stop": 1, "kappa": "x"},
+         "'kappa'"),
+        ({"task": "ge", "mu": "abc"}, "'mu'"),
+        ({"task": "ge", "n": True}, "'n'"),
+        ({"task": "ge", "n": 2.5}, "'n'"),
+        ({"task": "ge", "alpha": [1]}, "'alpha'"),
+        ({"task": "ge", "j": None}, "'j'"),
+        ({"task": "sweep", "start": 0, "stop": 1, "param": "x"}, "'param'"),
+        ({"task": "ge", "out": 5}, "'out'")])
+    def test_bad_config_value_names_field(self, tmp_path, capsys, values, field):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / "o.csv"), **values}))
+        assert run_cli(["--config", str(cfg)]) == 1
+        assert field in capsys.readouterr().err
+
+    def test_config_must_be_object(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text("[1, 2]")
+        assert run_cli(["--config", str(cfg)]) == 1
+        assert "'config'" in capsys.readouterr().err
+
+    def test_unwritable_out_names_field(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "o.csv"
+        assert run_cli(["--task", "winding", "--out", str(out)]) == 1
+        assert "'out'" in capsys.readouterr().err
 
     def test_numerical_failure_exit_2(self, tmp_path, capsys):
         # spec whose gap closes exactly on a sampled momentum
@@ -65,6 +107,26 @@ class TestValidation:
                         "--mu", repr(spec.mu), "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "GaplessSpecError" in capsys.readouterr().err
+
+
+class TestGrid:
+    @pytest.mark.parametrize("start,stop,step,count", [
+        (-2.0, 0.5, 0.01, 251), (-1.5, 1.5, 0.01, 301), (-0.6, -0.2, 0.01, 41),
+        (1.2, 1.4, 0.05, 5), (0.0, 1e5, 0.1, 1000001), (0.0, 0.95, 0.1, 10),
+        (0.3, 0.3, 0.1, 1)])
+    def test_point_count_keeps_stop(self, start, stop, step, count):
+        grid = _grid({"start": start, "stop": stop, "step": step})
+        assert grid.size == count
+        assert grid[0] == start
+        assert grid[-1] <= stop + 1e-9 * step * count
+        assert np.allclose(np.diff(grid), step)
+
+    @pytest.mark.parametrize("name,count", [("critical_scan_j-0.8", 251),
+                                            ("ge_sweep_mu0", 301)])
+    def test_checked_in_scans(self, name, count):
+        path = Path(__file__).parent.parent / "configs" / f"{name}.json"
+        config = resolve_config(json.loads(path.read_text()), {})
+        assert _grid(config).size == count
 
 
 class TestOutputs:
@@ -200,3 +262,63 @@ class TestEntryPoint:
             env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert out.exists()
+
+
+_FIELD_NAMED = re.compile(r"'(\w+)'|invalid model: (\w+)")
+_JUNK = st.sampled_from(["nan", "inf", "-inf", "abc", "", "1e999", "1e-300",
+                         "-1", "0", "3.5"])
+_REAL = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, 1e300, -1e300]))
+_SMALL_INT = st.integers(-4, 600)
+# field -> values that are valid, out of range, non-finite or not numbers;
+# valid draws stay small enough that every run takes milliseconds
+_FUZZ_FIELDS = {
+    "variant": st.one_of(st.integers(0, 3), _JUNK),
+    "j": st.one_of(_REAL, _JUNK), "delta": st.one_of(_REAL, _JUNK),
+    "mu": st.one_of(_REAL, _JUNK), "alpha": st.one_of(_REAL, _JUNK),
+    "beta": st.one_of(_REAL, _JUNK), "r": st.one_of(st.integers(-2, 12), _JUNK),
+    "n": st.one_of(_SMALL_INT, _JUNK), "samples": st.one_of(_SMALL_INT, _JUNK),
+    "l": st.one_of(st.integers(-2, 20), _JUNK),
+    "basis": st.sampled_from(["z", "x", "y"]),
+    "param": st.sampled_from(["mu", "delta", "j", "alpha", "beta", "r"]),
+    "start": st.one_of(_REAL, _JUNK), "stop": st.one_of(_REAL, _JUNK),
+    "step": st.one_of(st.sampled_from([0.5, 1.0, 0.0, -0.5, 1e-300, 1e300]), _JUNK),
+    "quantity": st.sampled_from(["s", "E", "q"]),
+    "tol": st.one_of(st.sampled_from([1e-8, 0.0, -1.0]), _JUNK),
+}
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(task=st.sampled_from(["winding", "ge", "sweep", "de-block"]),
+           values=st.lists(st.sampled_from(sorted(_FUZZ_FIELDS)), max_size=6,
+                           unique=True).flatmap(lambda keys: st.fixed_dictionaries(
+                               {k: _FUZZ_FIELDS[k] for k in keys})),
+           as_flags=st.booleans(), retype=st.integers(-1, 5),
+           extra=st.sampled_from([None, True, [1], {"a": 1}]))
+    def test_exit_code_contract(self, tmp_path, capsys, task, values, as_flags,
+                                retype, extra):
+        # every input exits 0, 1 (naming a field) or 2 (naming the library
+        # error or, from argparse, the flag); an uncaught exception fails here
+        out = str(tmp_path / "o.csv")
+        if task == "sweep":
+            values = {"start": -1.0, "stop": 1.0, "step": 0.5, **values}
+        if as_flags:
+            argv = ["--task", task, "--out", out]
+            for key, val in values.items():
+                argv += ["--" + key.replace("_", "-"), str(val)]
+        else:
+            if values and retype >= 0:  # a JSON value of the wrong type
+                values[sorted(values)[retype % len(values)]] = extra
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"task": task, "out": out, **values}))
+            argv = ["--config", str(cfg)]
+        try:
+            code = run_cli(argv)
+        except SystemExit as exc:  # argparse rejects a malformed flag
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), err
+        if code == 1:
+            named = {a or b for a, b in _FIELD_NAMED.findall(err)}
+            assert named & (set(DEFAULTS) | {"config"}), err

@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 
 from kitaev_de import (DegenerateGroundStateError, GaplessSpecError, ModelSpec,
-                       OddDimensionError, correlator_kernel,
+                       OddDimensionError, correlator_kernel, minimum_gap,
                        open_chain_correlations, pair_correlation, pfaffian,
                        sigma_x_correlator, sigma_z_correlator)
+from kitaev_de.model import grid_numerators
 from kitaev_de.oracle import (ed_ground_state, ed_pair_correlator,
                               ed_sigma_x_product, ed_sigma_z_product)
 
@@ -47,6 +48,30 @@ class TestKernel:
         assert ker.g.dtype == np.float64
         assert ker.value(2) != pytest.approx(ker.value(-2), abs=1e-6)
         assert np.abs(ker.g).max() <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("n", [10, 64, 2048, 8192])
+    def test_matches_direct_momentum_sum(self, rng, n):
+        # reference: G_R = (1/n) sum_k exp(i R k) q_k term by term at both
+        # ends of the table and 100 random lags, for random specs including a
+        # pairing+hopping chain with alpha != beta
+        unequal = None
+        while unequal is None or minimum_gap(unequal, n) <= 0.05:
+            unequal = ModelSpec.pairing_hopping(
+                j=float(rng.uniform(0.2, 0.5)), delta=float(rng.uniform(0.5, 1.2)),
+                mu=float(rng.uniform(-2.0, 1.0)), alpha=float(rng.uniform(0.0, 2.0)),
+                beta=float(rng.uniform(0.0, 2.0)), r=int(rng.integers(1, 5)))
+        l_max = (n - 1) // 4
+        lags = np.unique(np.r_[-l_max, 0, l_max,
+                               rng.integers(-l_max, l_max + 1, 100)])
+        for spec in (random_gapped_spec(rng, n=n), random_gapped_spec(rng, n=n),
+                     unequal):
+            k, y, z = grid_numerators(spec, n)
+            q = (-z - 1j * y) / np.hypot(y, z)
+            want = np.exp(1j * np.multiply.outer(lags, k)) @ q / n
+            assert np.abs(want.imag).max() < 1e-10
+            got = correlator_kernel(spec, n=n, l_max=l_max)
+            assert got.g.shape == (2 * l_max + 1,)
+            assert np.abs(got.g[lags + l_max] - want.real).max() < 1e-13
 
     def test_gapless_raises(self):
         from conftest import grid_gapless_spec

@@ -1,6 +1,7 @@
 """Winding numbers: reference phases, refinement stability, independent
 crossing-count check, scans."""
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,6 +56,18 @@ class TestWindingNumber:
         # pairing-only chain at alpha=inf: nu = +1 inside (-1, 1), 0 outside
         assert winding_number(ModelSpec.pairing(1.0, 1.0, 0.9)).nu == 1.0
         assert winding_number(ModelSpec.pairing(1.0, 1.0, 1.1)).nu == 0.0
+
+    def test_scale_invariant_near_float_max(self):
+        # nu depends only on the direction of (y, z); at couplings of 1e300
+        # the products in the accumulated angle overflow and are rescaled
+        for spec in (ModelSpec.pairing(j=1.0, delta=1.0, mu=0.5),
+                     ModelSpec.pairing_hopping(j=-0.8, mu=-0.6)):
+            big = winding_number(replace(spec, j=1e300 * spec.j,
+                                         delta=1e300 * spec.delta,
+                                         mu=1e300 * spec.mu))
+            small = winding_number(spec)
+            assert big.nu == small.nu
+            assert big.nu_raw == pytest.approx(small.nu_raw, abs=1e-9)
 
     def test_mirror_in_delta(self, rng):
         # nu(mu, delta) = -nu(mu, -delta) for the pairing-only chain
