@@ -45,9 +45,8 @@ def main():
     lengths = list(range(4, 15))
     block_rows = []
     for name, spec in specs:
-        kernel = kd.correlator_kernel(spec, n=8192, l_max=max(lengths))
-        vals = [kd.block_diagonal_entropy(kernel, l, "z").value for l in lengths]
-        fit = kd.fit_block_law(lengths, vals)
+        fit = kd.block_coefficients(spec, "z", lengths, n=8192)
+        vals = [value for _, value in fit.points]
         a, b, c = fit.params
         print(f"  {name:42s} a={a:+.4f} b={b:+.4f} c={c:+.4f} "
               f"residual {fit.residual_rms:.1e} bits")

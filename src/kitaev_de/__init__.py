@@ -22,7 +22,8 @@ from .errors import (DegenerateGroundStateError, GaplessSpecError,
                      IllConditionedError, InsufficientPointsError,
                      KitaevDEError, NonUniformGridError,
                      NormalizationFailureError, NumericalWindingWarning,
-                     OddDimensionError, TolAmbiguousError, ZeroVectorError)
+                     OddDimensionError, SpectrumOverflowError,
+                     TolAmbiguousError, ZeroVectorError)
 from .gaussian import (CorrelatorKernel, DenseCorrelations, correlator_kernel,
                        open_chain_correlations, pair_correlation, pfaffian,
                        sigma_x_correlator, sigma_z_correlator)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import (block_diagonal_entropy, de_density, global_entanglement,
+from .entropy import (_block_entropies, de_density, global_entanglement,
                       pure_state_diagonal_entropy)
 from .errors import (GaplessSpecError, IllConditionedError,
                      InsufficientPointsError, NonUniformGridError)
@@ -189,11 +189,11 @@ def sweep_global_entanglement(spec: ModelSpec, name: str, values,
 def block_coefficients(spec: ModelSpec, basis: str = "z",
                        lengths=DEFAULT_BLOCK_RANGE,
                        n: int = DEFAULT_GRID) -> ScalingFit:
-    """Fit of the block law at one parameter point."""
+    """Fit of the block law at one parameter point; every block entropy
+    comes from one chain-rule pass over the longest block."""
     lengths = list(lengths)
     kernel = correlator_kernel(spec, n=n, l_max=max(lengths))
-    values = [block_diagonal_entropy(kernel, l, basis).value for l in lengths]
-    return fit_block_law(lengths, values)
+    return fit_block_law(lengths, _block_entropies(kernel, lengths, basis))
 
 
 def sweep_block_coefficients(spec: ModelSpec, name: str, values,

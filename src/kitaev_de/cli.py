@@ -21,8 +21,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .analysis import (comparative_scan, detect_critical_points,
-                       fit_block_law, fit_volume_law, susceptibility,
+from .analysis import (block_coefficients, comparative_scan,
+                       detect_critical_points, fit_volume_law, susceptibility,
                        sweep_block_coefficients, sweep_de_density,
                        sweep_global_entanglement)
 from .entropy import (MAX_BLOCK, block_diagonal_entropy, de_density,
@@ -317,12 +317,9 @@ def run_task(config: dict) -> dict:
         write_csv(out, ["n", "entropy_bits"], zip(sizes, values))
         results = {"s": fit.params[0], "residual_rms": fit.residual_rms}
     elif task == "fit-block":
-        lengths = _lengths(config)
-        kernel = correlator_kernel(spec, n=config["n"], l_max=max(lengths))
-        values = [block_diagonal_entropy(kernel, l, config["basis"]).value
-                  for l in lengths]
-        fit = fit_block_law(lengths, values)
-        write_csv(out, ["l", "entropy_bits"], zip(lengths, values))
+        fit = block_coefficients(spec, config["basis"], _lengths(config),
+                                 config["n"])
+        write_csv(out, ["l", "entropy_bits"], fit.points)
         results = {"a": fit.params[0], "b": fit.params[1], "c": fit.params[2],
                    "residual_rms": fit.residual_rms}
     elif task == "sweep":

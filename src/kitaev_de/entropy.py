@@ -15,18 +15,23 @@ with probability ``(1 + s m_11) / 2`` and leaves a Gaussian state whose
 contraction matrix on the remaining sites is the Schur complement
 ``m_rest - s u v^T / (1 + s m_11)`` (``u``, ``v`` the first column and row of
 ``m`` without ``m_11``).  Running this site by site over all outcome
-branches gives every joint probability in O(2^L) total work.
+branches gives every joint probability in O(2^L) total work.  After j
+levels the probabilities are the joint distribution of the first j sites,
+i.e. the j-site block distribution, so one pass over the longest block gives
+every block entropy ``S_1 .. S_L``.
 
 The X basis is the same problem on bonds: ``X_m X_{m+1} = B_m A_{m+1}``
 (Jordan-Wigner bond duality), so the L - 1 bond outcomes of an L-site block
 follow from the chain rule on the bond contraction matrix.  A site outcome
 string ``x`` fixes the bond string ``x XOR (x >> 1)`` (top bit dropped), and
 ``x`` and its complement share it with equal weight by fermion parity, so
-``p_X(x) = p_bond(x XOR (x >> 1)) / 2``.
+``p_X(x) = p_bond(x XOR (x >> 1)) / 2`` and ``S_X(L) = S_bond(L - 1) + 1``
+bit exactly (``S_X(1) = 1``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.special import xlogy
@@ -109,31 +114,53 @@ def global_entanglement(spec: ModelSpec, n: int = DEFAULT_GRID) -> float:
 _SIGNS = np.array([[1.0], [-1.0]])  # outcome bit 0 -> s = +1, bit 1 -> s = -1
 
 
-def _chain_rule(m: np.ndarray) -> np.ndarray:
-    """Joint outcome probabilities of ``A_j B_j`` on every row of ``m``.
+def _chain_rule(m: np.ndarray):
+    """Yield the joint outcome probabilities of ``A_j B_j`` on the first j
+    rows of ``m``, for j = 1 .. rows.
 
-    ``m`` is an A-B contraction matrix; bit ``a`` of the returned index is the
+    ``m`` is an A-B contraction matrix; bit ``a`` of a level's index is the
     outcome of row ``a`` (1 means ``s = -1``).  Each level splits every branch
     by the outcome of its first remaining site and passes the Schur complement
-    on.  A joint probability below ``-CLAMP_TOL`` raises; branches of zero
-    weight keep an undivided complement, which their zero weight makes moot.
+    on.  A joint probability below ``-CLAMP_TOL`` or a level total off 1 by
+    more than ``NORM_TOL`` raises, and so does NaN; branches of zero weight
+    keep an undivided complement, which their zero weight makes moot.
     """
     p = np.ones(1)
     mats = m[None, :, :]
-    while mats.shape[1]:
+    for k in range(m.shape[0] - 1, -1, -1):
         denom = 1.0 + _SIGNS * mats[:, 0, 0]  # (outcome, branch)
         p = 0.5 * p * denom
-        if p.min() < -CLAMP_TOL:
+        if not p.min() >= -CLAMP_TOL:
             raise NormalizationFailureError(
                 f"probability {p.min():.3e} < -{CLAMP_TOL}")
         p = np.clip(p, 0.0, None)
+        if not abs(p.sum() - 1.0) <= NORM_TOL:
+            raise NormalizationFailureError(f"probabilities sum to {p.sum()!r}")
+        yield p.reshape(-1)
+        if not k:
+            return
         scale = _SIGNS / np.where(p > 0.0, denom, 1.0)
         uv = mats[:, 1:, :1] * mats[:, :1, 1:]
-        k = mats.shape[1] - 1
         p = p.reshape(-1)
         mats = (mats[None, :, 1:, 1:]
                 - scale[:, :, None, None] * uv).reshape(p.size, k, k)
-    return p
+
+
+def _block_levels(source: CorrelationSource, lengths, basis: str, start: int):
+    """One chain-rule pass over the block of ``max(lengths)`` sites at
+    ``start``: the joint distribution of its first j sites (basis ``z``) or of
+    their j - 1 bonds (basis ``x``) for j = 1, 2, ..."""
+    l = max(lengths)
+    if not 1 <= min(lengths) <= l <= MAX_BLOCK:
+        raise ValueError(f"block lengths must be in 1..{MAX_BLOCK}, got {lengths}")
+    if isinstance(source, CorrelatorKernel) and l - 1 > source.l_max:
+        raise ValueError(f"kernel tabulated to l_max={source.l_max} < L-1={l - 1}")
+    sites = np.arange(start, start + l)
+    if basis == "z":
+        return _chain_rule(_pair_matrix(source, sites, sites))
+    if basis == "x":
+        return chain([np.ones(1)], _chain_rule(_bond_matrix(source, sites[:-1])))
+    raise ValueError(f"unknown basis {basis!r}")
 
 
 def block_diagonal_distribution(source: CorrelationSource, l: int,
@@ -147,29 +174,26 @@ def block_diagonal_distribution(source: CorrelationSource, l: int,
     rule is more than 1e-12 negative or the total deviates from 1 by more
     than 1e-6, both of which signal a convention bug upstream.
     """
-    if not 1 <= l <= MAX_BLOCK:
-        raise ValueError(f"block length must be in 1..{MAX_BLOCK}, got {l}")
-    if isinstance(source, CorrelatorKernel) and l - 1 > source.l_max:
-        raise ValueError(f"kernel tabulated to l_max={source.l_max} < L-1={l - 1}")
-    sites = np.arange(start, start + l)
     basis = basis.lower()
-    if basis == "z":
-        p = _chain_rule(_pair_matrix(source, sites, sites))
-    elif basis == "x":
-        p_bond = _chain_rule(_bond_matrix(source, sites[:-1]))
+    *_, p = _block_levels(source, [l], basis, start)
+    if basis == "x":
         x = np.arange(1 << l)
-        p = 0.5 * p_bond[(x ^ (x >> 1)) % (1 << (l - 1))]
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    total = p.sum()
-    if abs(total - 1.0) > NORM_TOL:
-        raise NormalizationFailureError(f"probabilities sum to {total!r}")
+        p = 0.5 * p[(x ^ (x >> 1)) % (1 << (l - 1))]
     return DiagonalDistribution(basis=basis, l=l, p=p)
+
+
+def _block_entropies(source: CorrelationSource, lengths, basis: str = "z",
+                     start: int = 0) -> list[float]:
+    """Entropies (bits) of the blocks of each length in ``lengths``, all read
+    off one chain-rule pass over the longest block."""
+    basis = basis.lower()
+    levels = enumerate(_block_levels(source, lengths, basis, start), 1)
+    s = {l: float(-xlogy(p, p).sum() / _LN2) for l, p in levels if l in lengths}
+    return [s[l] + 1.0 if basis == "x" else s[l] for l in lengths]
 
 
 def block_diagonal_entropy(source: CorrelationSource, l: int,
                            basis: str = "z", start: int = 0) -> EntropyReport:
     """Shannon entropy (bits) of the block diagonal distribution."""
-    dist = block_diagonal_distribution(source, l, basis, start)
-    value = float(-xlogy(dist.p, dist.p).sum() / _LN2)
-    return EntropyReport(value=value, basis=dist.basis, size=l)
+    value, = _block_entropies(source, [l], basis, start)
+    return EntropyReport(value=value, basis=basis.lower(), size=l)

@@ -13,6 +13,11 @@ class GaplessSpecError(KitaevDEError):
     """The operation needs a gapped spectrum but min_k eps_k is below tolerance."""
 
 
+class SpectrumOverflowError(KitaevDEError):
+    """The couplings are so large that the closed chain's numerators and
+    energies, or the open chain's coupling matrix, could overflow."""
+
+
 class TolAmbiguousError(KitaevDEError):
     """A singular value sits within a factor of ten of the null-space cutoff,
     so the zero-mode count is unreliable at this tolerance."""
@@ -20,8 +25,8 @@ class TolAmbiguousError(KitaevDEError):
 
 class NormalizationFailureError(KitaevDEError):
     """A diagonal distribution failed to normalise: a joint probability of
-    the chain rule fell below -1e-12 or the total left 1 by more than 1e-6.
-    Signals a convention bug in the contraction matrix it was given."""
+    the chain rule fell below -1e-12 or a level's total left 1 by more than
+    1e-6 (NaN fails both).  Signals a bad contraction matrix."""
 
 
 class DegenerateGroundStateError(KitaevDEError):

@@ -89,7 +89,7 @@ def correlator_kernel(spec: ModelSpec, n: int = DEFAULT_GRID,
     q = (-z - 1j * y) / eps  # exp(-2 i theta)
     r = np.arange(-l_max, l_max + 1)
     g = (-1.0) ** r * np.exp(1j * np.pi * r / n) * np.fft.ifft(q)[r % n]
-    if np.abs(g.imag).max() > KERNEL_IMAG_TOL:
+    if not np.abs(g.imag).max() <= KERNEL_IMAG_TOL:
         raise GaplessSpecError(
             f"kernel imaginary part {np.abs(g.imag).max():.3e} exceeds tolerance")
     real = np.ascontiguousarray(g.real)

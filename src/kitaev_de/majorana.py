@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import GaplessSpecError, TolAmbiguousError
+from .errors import GaplessSpecError, SpectrumOverflowError, TolAmbiguousError
 from .model import GAP_TOL, ModelSpec, Variant, minimum_gap, open_chain_weights
 
 DEFAULT_TOL = 1e-8
@@ -47,9 +47,15 @@ def build_coupling(spec: ModelSpec, n: int) -> np.ndarray:
 
     ``K_{jj} = -mu``; per range l the hopping/pairing strengths enter as
     ``K_{j, j+l} = pair_l - hop_l`` and ``K_{j+l, j} = -pair_l - hop_l``.
-    The bandwidth is max(1, r) for the respective variant.
+    The bandwidth is max(1, r) for the respective variant.  Raises
+    :class:`SpectrumOverflowError` when the bound on the row and column sums
+    of ``|K|`` (and so on its singular values) overflows.
     """
     hop, pair = open_chain_weights(spec, n)
+    with np.errstate(over="ignore"):
+        bound = abs(spec.mu) + np.sum(np.abs(pair - hop) + np.abs(pair + hop))
+    if not np.isfinite(bound):
+        raise SpectrumOverflowError("the couplings overflow the coupling matrix")
     k = np.zeros((n, n))
     np.fill_diagonal(k, -spec.mu)
     for l in range(1, n):

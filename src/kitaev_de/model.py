@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ZeroVectorError
+from .errors import SpectrumOverflowError, ZeroVectorError
 
 ZERO_TOL = 1e-14  # both numerators below this -> gap closes at that momentum
 GAP_TOL = 1e-8  # quasiparticle energies at or below this count as gapless
@@ -162,11 +162,11 @@ def _harmonic_sum(weights: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _grid_harmonics(key) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _grid_harmonics(key):
     """Sorted grid plus the harmonic sums entering (y, z) on the full grid.
 
-    Returns ``(k_sorted, sin_sum, cos_sum)`` where the sums carry the model's
-    distance weights.  Evaluated with one FFT over the antiperiodic grid.
+    Returns ``(k_sorted, sin_sum, cos_sum, peaks)``: the sums carry the model's
+    distance weights, ``peaks`` their largest magnitudes.  One FFT each.
     """
     kind, n, a, b, r = key
     if n < 2 or n % 2:
@@ -194,7 +194,8 @@ def _grid_harmonics(key) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cos_sum = np.ascontiguousarray(c.real) if c is not None else np.cos(k_sorted)
     for arr in (k_sorted, sin_sum, cos_sum):
         arr.flags.writeable = False
-    return k_sorted, sin_sum, cos_sum
+    peaks = (float(np.abs(sin_sum).max()), float(np.abs(cos_sum).max()))
+    return k_sorted, sin_sum, cos_sum, peaks
 
 
 def _spec_key(spec: ModelSpec, n: int):
@@ -204,15 +205,17 @@ def _spec_key(spec: ModelSpec, n: int):
 
 
 def grid_numerators(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Anderson-vector numerators ``(k, y, z)`` on the full antiperiodic grid."""
-    k, sin_sum, cos_sum = _grid_harmonics(_spec_key(spec, n))
+    """Anderson-vector numerators ``(k, y, z)`` on the full antiperiodic grid;
+    :class:`SpectrumOverflowError` when the peak harmonic sums bound
+    ``hypot(y, z)`` by more than the float range."""
+    k, sin_sum, cos_sum, (sin_peak, cos_peak) = _grid_harmonics(_spec_key(spec, n))
     if spec.variant is Variant.LONG_RANGE_PAIRING:
-        y = 0.5 * spec.delta * sin_sum
-        z = spec.j * cos_sum + spec.mu
+        cy, cz, c0 = 0.5 * spec.delta, spec.j, spec.mu
     else:
-        y = spec.delta * sin_sum
-        z = 0.5 * spec.mu + spec.j * cos_sum
-    return k, y, z
+        cy, cz, c0 = spec.delta, spec.j, 0.5 * spec.mu
+    if not math.isfinite(math.hypot(abs(cy) * sin_peak, abs(cz) * cos_peak + abs(c0))):
+        raise SpectrumOverflowError("the couplings overflow hypot(y, z)")
+    return k, cy * sin_sum, cz * cos_sum + c0
 
 
 def numerators_at(spec: ModelSpec, k, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -109,6 +109,24 @@ class TestValidation:
         assert "GaplessSpecError" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flags", [
+        ["--task", "winding", "--delta", "1e308", "--alpha", "0"],
+        ["--task", "winding", "--mu", "1e308", "--j", "1e308"],
+        ["--task", "de-block", "--mu", "1e308", "--j", "1e308"],
+        ["--task", "de-pure", "--mu", "1e308", "--j", "1e308"],
+        ["--task", "ge", "--mu", "1e308", "--j", "1e308"],
+        ["--task", "fit-block", "--basis", "x", "--mu", "1e308", "--j", "1e308"],
+        ["--task", "mzm", "--n", "20", "--mu", "1e308", "--j", "1e308"],
+        ["--task", "mzm", "--n", "20", "--variant", "2", "--r", "1", "--alpha",
+         "inf", "--beta", "inf", "--j", "1e308", "--delta=-1e308"],
+    ])
+    def test_overflowing_couplings_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "o.csv"
+        assert run_cli(flags + ["--out", str(out)]) == 2
+        assert "SpectrumOverflowError" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestGrid:
     @pytest.mark.parametrize("start,stop,step,count", [
         (-2.0, 0.5, 0.01, 251), (-1.5, 1.5, 0.01, 301), (-0.6, -0.2, 0.01, 41),
@@ -267,7 +285,9 @@ class TestEntryPoint:
 _FIELD_NAMED = re.compile(r"'(\w+)'|invalid model: (\w+)")
 _JUNK = st.sampled_from(["nan", "inf", "-inf", "abc", "", "1e999", "1e-300",
                          "-1", "0", "3.5"])
-_REAL = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, 1e300, -1e300]))
+_REAL = st.one_of(st.floats(-3.0, 3.0), st.floats(-1.8e308, 1.8e308),
+                  st.sampled_from([0.0, 1e300, -1e300, 1e308, -1.7976931348623157e308,
+                                   5e-324, -2.2e-308]))
 _SMALL_INT = st.integers(-4, 600)
 # field -> values that are valid, out of range, non-finite or not numbers;
 # valid draws stay small enough that every run takes milliseconds
@@ -278,6 +298,8 @@ _FUZZ_FIELDS = {
     "beta": st.one_of(_REAL, _JUNK), "r": st.one_of(st.integers(-2, 12), _JUNK),
     "n": st.one_of(_SMALL_INT, _JUNK), "samples": st.one_of(_SMALL_INT, _JUNK),
     "l": st.one_of(st.integers(-2, 20), _JUNK),
+    "l_min": st.one_of(st.integers(-2, 20), _JUNK),
+    "l_max": st.one_of(st.integers(-2, 20), _JUNK),
     "basis": st.sampled_from(["z", "x", "y"]),
     "param": st.sampled_from(["mu", "delta", "j", "alpha", "beta", "r"]),
     "start": st.one_of(_REAL, _JUNK), "stop": st.one_of(_REAL, _JUNK),
@@ -288,9 +310,10 @@ _FUZZ_FIELDS = {
 
 
 class TestFuzz:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(task=st.sampled_from(["winding", "ge", "sweep", "de-block"]),
+    @given(task=st.sampled_from(["winding", "ge", "sweep", "de-block",
+                                 "fit-block", "mzm"]),
            values=st.lists(st.sampled_from(sorted(_FUZZ_FIELDS)), max_size=6,
                            unique=True).flatmap(lambda keys: st.fixed_dictionaries(
                                {k: _FUZZ_FIELDS[k] for k in keys})),
@@ -303,6 +326,8 @@ class TestFuzz:
         out = str(tmp_path / "o.csv")
         if task == "sweep":
             values = {"start": -1.0, "stop": 1.0, "step": 0.5, **values}
+        if task == "mzm":  # a small chain keeps the SVD cheap
+            values = {"n": 20, **values}
         if as_flags:
             argv = ["--task", task, "--out", out]
             for key, val in values.items():

@@ -5,12 +5,12 @@ import pytest
 from scipy.special import xlogy
 
 from kitaev_de import (DenseCorrelations, GaplessSpecError, ModelSpec,
-                       NormalizationFailureError, block_diagonal_distribution,
-                       block_diagonal_entropy, correlator_kernel, de_density,
-                       global_entanglement, open_chain_correlations,
-                       pure_state_diagonal_entropy, sigma_x_correlator,
-                       sigma_z_correlator)
-from kitaev_de.entropy import _binary_entropy_bits
+                       NormalizationFailureError, analysis, block_coefficients,
+                       block_diagonal_distribution, block_diagonal_entropy,
+                       correlator_kernel, de_density, global_entanglement,
+                       open_chain_correlations, pure_state_diagonal_entropy,
+                       sigma_x_correlator, sigma_z_correlator)
+from kitaev_de.entropy import _binary_entropy_bits, _block_entropies, _chain_rule
 from kitaev_de.oracle import ed_diagonal_marginal, ed_ground_state
 
 from conftest import random_gapped_spec
@@ -61,6 +61,13 @@ class TestPureStateDE:
             pure_state_diagonal_entropy(grid_gapless_spec(512), 512)
 
 
+def _dense_copy(ker):
+    """The kernel as the dense matrix ``m[a, b] = G_{b-a}`` on l_max + 1 sites."""
+    a = np.arange(ker.l_max + 1)
+    return DenseCorrelations(m=ker.g[a[None, :] - a[:, None] + ker.l_max],
+                             energy=np.nan, eps_min=np.nan)
+
+
 class TestBlockDistribution:
     def test_single_site_z(self, rng):
         spec = random_gapped_spec(rng, trivial=True)
@@ -99,9 +106,7 @@ class TestBlockDistribution:
         # indexing of both accessors, rows and columns, in both bases
         spec = ModelSpec.pairing(j=1.0, delta=0.7, mu=1.4, alpha=1.7)
         ker = correlator_kernel(spec, n=2048, l_max=10)
-        a = np.arange(11)
-        dense = DenseCorrelations(m=ker.g[a[None, :] - a[:, None] + 10],
-                                  energy=np.nan, eps_min=np.nan)
+        dense = _dense_copy(ker)
         for basis in ("z", "x"):
             want = block_diagonal_distribution(ker, 10, basis).p
             got = block_diagonal_distribution(dense, 10, basis, start=1).p
@@ -181,6 +186,84 @@ class TestBlockEntropy:
         for basis in ("z", "x"):
             rep = block_diagonal_entropy(ker, 6, basis)
             assert 0.0 <= rep.value <= 6.0
+
+
+def _shannon_bits(dist):
+    return float(-xlogy(dist.p, dist.p).sum() / np.log(2.0))
+
+
+class TestSinglePass:
+    # every entropy of the one chain-rule pass equals the entropy of the
+    # per-length distribution: bit for bit in Z, within 1e-13 in X (where the
+    # pass uses S_X(L) = S_bond(L - 1) + 1)
+    SPECS = (ModelSpec.pairing(j=1.0, delta=0.7, mu=1.4, alpha=1.7),
+             ModelSpec.pairing_hopping(j=-0.8, delta=1.0, mu=-0.42))
+    TOL = {"z": 0.0, "x": 1e-13}
+
+    @pytest.mark.parametrize("basis", ["z", "x"])
+    def test_entropy_matches_distribution(self, basis):
+        for spec in self.SPECS:
+            ker = correlator_kernel(spec, n=8192, l_max=14)
+            dense = _dense_copy(ker)
+            for l in range(1, 15):
+                want = _shannon_bits(block_diagonal_distribution(ker, l, basis))
+                got = block_diagonal_entropy(ker, l, basis).value
+                assert abs(got - want) <= self.TOL[basis]
+                got = block_diagonal_entropy(dense, l, basis, start=1).value
+                assert abs(got - want) <= self.TOL[basis]
+
+    @pytest.mark.parametrize("basis", ["z", "x"])
+    @pytest.mark.parametrize("lengths", [range(1, 15), [9, 2, 14, 5, 3, 12]])
+    def test_block_coefficients_points(self, basis, lengths):
+        for spec in self.SPECS:
+            fit = block_coefficients(spec, basis, lengths)
+            ker = correlator_kernel(spec, n=8192, l_max=max(lengths))
+            assert [l for l, _ in fit.points] == list(lengths)
+            for l, value in fit.points:
+                want = _shannon_bits(block_diagonal_distribution(ker, int(l), basis))
+                assert abs(value - want) <= self.TOL[basis]
+
+    @pytest.mark.parametrize("basis", ["z", "x"])
+    def test_non_contiguous_lengths_of_one_pass(self, basis):
+        ker = correlator_kernel(self.SPECS[1], n=8192, l_max=9)
+        want = [_shannon_bits(block_diagonal_distribution(ker, l, basis))
+                for l in (2, 5, 9)]
+        for src, start in ((ker, 0), (_dense_copy(ker), 1)):
+            got = _block_entropies(src, [2, 5, 9], basis, start)
+            assert np.abs(np.subtract(got, want)).max() <= self.TOL[basis]
+
+    def test_single_site_x_is_one_bit(self):
+        for spec in self.SPECS:
+            ker = correlator_kernel(spec, n=2048, l_max=4)
+            assert block_diagonal_entropy(ker, 1, "X").value == 1.0
+            assert block_diagonal_entropy(_dense_copy(ker), 1, "x", 2).value == 1.0
+
+    def test_basis_checked(self):
+        ker = correlator_kernel(self.SPECS[0], n=2048, l_max=4)
+        assert block_diagonal_entropy(ker, 3, "Z").basis == "z"
+        with pytest.raises(ValueError):
+            block_diagonal_entropy(ker, 3, "y")
+        with pytest.raises(ValueError):
+            block_diagonal_entropy(ker, 6, "z")  # beyond kernel range
+        with pytest.raises(ValueError):
+            block_diagonal_entropy(ker, 0, "z")
+
+
+class TestNaNGuards:
+    def test_chain_rule_rejects_nan(self):
+        with pytest.raises(NormalizationFailureError):
+            list(_chain_rule(np.full((4, 4), np.nan)))
+
+    @pytest.mark.parametrize("basis", ["z", "x"])
+    def test_nan_kernel_raises(self, monkeypatch, basis):
+        spec = ModelSpec.pairing(j=1.0, delta=0.7, mu=1.4, alpha=1.7)
+        ker = correlator_kernel(spec, n=1024, l_max=14)
+        bad = type(ker)(g=np.full_like(ker.g, np.nan), l_max=ker.l_max, n=ker.n)
+        with pytest.raises(NormalizationFailureError):
+            block_diagonal_entropy(bad, 4, basis)
+        monkeypatch.setattr(analysis, "correlator_kernel", lambda *a, **k: bad)
+        with pytest.raises(NormalizationFailureError):
+            block_coefficients(spec, basis)
 
 
 class TestGlobalEntanglement:

@@ -6,6 +6,7 @@ from kitaev_de import (DegenerateGroundStateError, GaplessSpecError, ModelSpec,
                        OddDimensionError, correlator_kernel, minimum_gap,
                        open_chain_correlations, pair_correlation, pfaffian,
                        sigma_x_correlator, sigma_z_correlator)
+from kitaev_de import gaussian
 from kitaev_de.model import grid_numerators
 from kitaev_de.oracle import (ed_ground_state, ed_pair_correlator,
                               ed_sigma_x_product, ed_sigma_z_product)
@@ -81,6 +82,15 @@ class TestKernel:
     def test_l_max_precondition(self):
         with pytest.raises(ValueError):
             correlator_kernel(ModelSpec.pairing(mu=2.0), n=64, l_max=16)
+
+    def test_nan_numerators_fail_imaginary_guard(self, monkeypatch):
+        spec = ModelSpec.pairing(mu=2.0)
+        k, y, z = grid_numerators(spec, 64)
+        monkeypatch.setattr(gaussian, "grid_numerators",
+                            lambda s, n: (k, np.full_like(y, np.nan), z))
+        with pytest.raises(GaplessSpecError, match="imaginary"), \
+                np.errstate(invalid="ignore"):
+            correlator_kernel(spec, n=64, l_max=4)
 
 
 class TestOpenChain:

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from kitaev_de import (GaplessSpecError, ModelSpec, Side, TolAmbiguousError,
-                       build_coupling, mode_count, winding_number, zero_modes)
+from kitaev_de import (GaplessSpecError, ModelSpec, Side, SpectrumOverflowError,
+                       TolAmbiguousError, build_coupling, mode_count,
+                       winding_number, zero_modes)
 from kitaev_de.model import open_chain_weights
 
 from conftest import random_gapped_spec
@@ -39,6 +40,19 @@ def analytic_pair_count(spec):
 
 
 class TestCoupling:
+    def test_overflowing_couplings_rejected(self):
+        # the closed-chain bound holds (|y|, |z| <= 1e308) but the open chain's
+        # K_{j,j+1} = pair - hop = -2e308 overflows
+        spec = ModelSpec.pairing_hopping(j=1e308, delta=-1e308, mu=1.0,
+                                         alpha=np.inf, beta=np.inf, r=1)
+        with pytest.raises(SpectrumOverflowError):
+            build_coupling(spec, 20)
+        with pytest.raises(SpectrumOverflowError):
+            zero_modes(spec, 20)
+        big = ModelSpec.pairing(j=1.5e308, delta=-1.5e308, mu=0.1)
+        assert np.isfinite(build_coupling(big, 20)).all()
+        assert mode_count(big, 20) == abs(winding_number(big).nu) == 1
+
     def test_variant1_structure(self):
         k = build_coupling(ModelSpec.pairing(j=1.0, delta=1.0, mu=0.7), 8)
         assert np.allclose(np.diag(k), -0.7)

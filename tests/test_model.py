@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from kitaev_de import (ModelSpec, Variant, ZeroVectorError, dispersion,
-                       momentum_grid, solve_chain, spin_couplings)
+from kitaev_de import (ModelSpec, SpectrumOverflowError, Variant,
+                       ZeroVectorError, dispersion, momentum_grid, solve_chain,
+                       spin_couplings)
 from kitaev_de.model import grid_numerators, numerators_at, open_chain_weights
 
 from conftest import random_gapped_spec
@@ -149,6 +150,26 @@ class TestHarmonicSums:
             y2, z2 = numerators_at(spec, k, 128)
             assert np.allclose(y, y2, atol=1e-11)
             assert np.allclose(z, z2, atol=1e-11)
+
+
+class TestOverflowGuard:
+    @pytest.mark.parametrize("spec", [
+        ModelSpec.pairing(j=1e308, mu=1e308),
+        ModelSpec.pairing(delta=1e308, alpha=0.0),  # sine sum ~ n / pi
+        ModelSpec.pairing_hopping(j=1e308, mu=1.7e308),
+        ModelSpec.pairing_hopping(delta=1e308, alpha=0.0),
+    ])
+    def test_overflowing_numerators_rejected(self, spec):
+        with pytest.raises(SpectrumOverflowError):
+            grid_numerators(spec, 4096)
+
+    def test_large_finite_couplings_kept(self):
+        for spec in (ModelSpec.pairing(j=1e300, delta=1e300, mu=5e299, alpha=0.0),
+                     ModelSpec.pairing(j=1e308, delta=1e-300, mu=-1e307),
+                     ModelSpec.pairing_hopping(j=-8e299, delta=1e300, mu=-6e299),
+                     ModelSpec.pairing(j=5e-324, delta=5e-324, mu=5e-324)):
+            _, y, z = grid_numerators(spec, 4096)
+            assert np.isfinite(np.hypot(y, z)).all()
 
 
 class TestSpinCouplings:
