@@ -78,7 +78,7 @@ def _binary_entropy_bits(p: np.ndarray) -> np.ndarray:
 def _occupations(spec: ModelSpec, n: int):
     _, y, z = grid_numerators(spec, n)
     eps = np.hypot(y, z)
-    if eps.min() <= GAP_TOL:
+    if not eps.min() > GAP_TOL:
         raise GaplessSpecError(f"min grid gap {eps.min():.3e} <= {GAP_TOL}")
     return _, y, z, eps
 

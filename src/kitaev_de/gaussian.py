@@ -16,7 +16,9 @@ Correlation sources
   :mod:`kitaev_de.majorana`, so ``<H> = -tr(K^T m) / 2``.  Over orthogonal
   contraction matrices this is lowest at the polar factor of K, ``m = u v^T``
   for ``K = u diag(s) v^T``, with ground energy ``-sum(s) / 2`` (Lieb,
-  Schultz & Mattis, Ann. Phys. 16, 407, 1961).
+  Schultz & Mattis, Ann. Phys. 16, 407, 1961).  K is persymmetric, so with
+  ``K P = W diag(lam) W^T`` (P the site reversal) the polar factor is
+  ``m = W sign(lam) W^T P`` and ``s = |lam|``: one symmetric eigensolve.
 
 With these contractions, ``sigma_z = A_j B_j = 1 - 2 n_j`` and every subset
 expectation ``< prod_{j in S} sigma_z_j >`` is the determinant of the A-B
@@ -35,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateGroundStateError, GaplessSpecError,
-                     OddDimensionError)
-from .majorana import build_coupling
+                     OddDimensionError, SpectrumOverflowError)
+from .majorana import _reflected_eigh
 from .model import DEFAULT_GRID, GAP_TOL, ModelSpec, grid_numerators
 
 KERNEL_IMAG_TOL = 1e-10
@@ -84,7 +86,7 @@ def correlator_kernel(spec: ModelSpec, n: int = DEFAULT_GRID,
         raise ValueError(f"l_max={l_max} must be < n/4 = {n / 4}")
     _, y, z = grid_numerators(spec, n)
     eps = np.hypot(y, z)
-    if eps.min() <= GAP_TOL:
+    if not eps.min() > GAP_TOL:
         raise GaplessSpecError(f"min grid gap {eps.min():.3e} <= {GAP_TOL}")
     q = (-z - 1j * y) / eps  # exp(-2 i theta)
     r = np.arange(-l_max, l_max + 1)
@@ -98,23 +100,31 @@ def correlator_kernel(spec: ModelSpec, n: int = DEFAULT_GRID,
 
 
 def open_chain_correlations(spec: ModelSpec, n: int) -> DenseCorrelations:
-    """Pair correlations of the open-chain ground state from one SVD of K.
+    """Pair correlations of the open-chain ground state from one eigensolve.
 
-    With ``K = u diag(s) v^T`` the coupling matrix of
-    :func:`~kitaev_de.majorana.build_coupling`, ``m`` is the polar factor
-    ``u v^T``, the quasiparticle energies are ``s`` and the ground energy is
-    ``-sum(s) / 2`` (see the module docstring).  Raises
-    :class:`DegenerateGroundStateError` when the smallest quasiparticle
-    energy is below 1e-10 (the ground state correlators are then
-    ill-defined).
+    With ``K P = W diag(lam) W^T`` for the coupling matrix K of
+    :func:`~kitaev_de.majorana.build_coupling` and the site reversal P,
+    ``m`` is the polar factor ``W sign(lam) W^T P`` of K, the quasiparticle
+    energies are ``|lam|`` and the ground energy is ``-sum(|lam|) / 2`` (see
+    the module docstring).  Raises :class:`SpectrumOverflowError` when that
+    sum is not finite and :class:`DegenerateGroundStateError` when the
+    smallest quasiparticle energy is below 1e-10 (the ground state
+    correlators are then ill-defined).
     """
     if n > 2000:
         raise ValueError(f"open-chain solve limited to n <= 2000, got {n}")
-    u, s, vt = np.linalg.svd(build_coupling(spec, n))
-    eps_min = float(s[-1])
+    lam, w = _reflected_eigh(spec, n)
+    s = np.abs(lam)
+    with np.errstate(over="ignore"):
+        total = float(s.sum())
+    if not np.isfinite(total):
+        raise SpectrumOverflowError("the quasiparticle energies overflow the "
+                                    "ground energy")
+    eps_min = float(s.min())
     if eps_min < 1e-10:
         raise DegenerateGroundStateError(f"smallest quasiparticle energy {eps_min:.3e}")
-    return DenseCorrelations(m=u @ vt, energy=-0.5 * float(s.sum()), eps_min=eps_min)
+    m = (w * np.sign(lam)) @ w[::-1].T
+    return DenseCorrelations(m=m, energy=-0.5 * total, eps_min=eps_min)
 
 
 def pair_correlation(source: CorrelationSource, a: int, b: int) -> float:

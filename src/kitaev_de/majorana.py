@@ -4,11 +4,17 @@ With ``a_j = (c^dag_j + c_j)/sqrt(2)`` and ``b_j = i (c^dag_j - c_j)/sqrt(2)``
 the open-chain Hamiltonian takes the form ``H = i sum_{jl} K_{jl} a_j b_l``
 up to a constant, with a real banded K.  A left zero mode
 ``sum_j m_j a_j`` commutes with H exactly when ``m^T K = 0``; right modes
-``sum_j n_j b_j`` satisfy ``K n = 0``.  Null spaces are found with a full
-singular value decomposition: exact finite-size zero modes do not generally
-exist, but the relevant singular values decay exponentially with the chain
-length in the topological phases, so a relative cutoff counts mode pairs
-robustly.
+``sum_j n_j b_j`` satisfy ``K n = 0``.  Exact finite-size zero modes do not
+generally exist, but the relevant singular values of K decay exponentially
+with the chain length in the topological phases, so a relative cutoff counts
+mode pairs robustly.
+
+K is Toeplitz and so persymmetric, ``P K P = K^T`` with P the site reversal.
+Hence ``S = K P`` (K with its columns reversed) is a symmetric Hankel matrix,
+and one symmetric eigendecomposition ``S = W diag(lam) W^T`` gives the whole
+singular value decomposition ``K = S P = W diag(|lam|) (P W sign(lam))^T``:
+the singular values are ``|lam|``, the left vectors the columns of W and the
+right vectors the reversed columns of W, up to sign.
 """
 from __future__ import annotations
 
@@ -67,24 +73,35 @@ def build_coupling(spec: ModelSpec, n: int) -> np.ndarray:
     return k
 
 
+def _reflected_eigh(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs ``lam, W`` of the symmetric ``S = K P``.
+
+    ``|lam|`` are the singular values of K, the columns of W its left
+    singular vectors and ``W[::-1]`` its right ones up to sign (see the
+    module docstring).  Toeplitz K makes ``K[:, ::-1]`` bit-exactly
+    symmetric, so reading one triangle loses nothing.
+    """
+    return np.linalg.eigh(build_coupling(spec, n)[:, ::-1])
+
+
 def zero_modes(spec: ModelSpec, n: int, tol: float = DEFAULT_TOL) -> list[ZeroMode]:
     """Left/right zero modes below the relative singular-value cutoff.
 
     Requires a gapped bulk (checked on the closed-chain grid).  Raises
     :class:`TolAmbiguousError` when any singular value falls within a factor
     of 10 of the cutoff, making the count unreliable.  Modes come out
-    orthonormal (SVD), ordered by localization centre, with left modes first
-    within each pair.  The pairing+hopping variant needs ``n > 2r`` so that
-    the two edges do not overlap.
+    orthonormal (eigenvectors of ``K P``), ordered by localization centre,
+    with left modes first within each pair.  The pairing+hopping variant
+    needs ``n > 2r`` so that the two edges do not overlap.
     """
     if spec.variant is Variant.LONG_RANGE_PAIRING_HOPPING and n <= 2 * spec.r:
         raise ValueError(f"need n > 2r = {2 * spec.r}, got {n}")
     gap = minimum_gap(spec, GAP_SAMPLES)
-    if gap <= GAP_TOL:
+    if not gap > GAP_TOL:
         raise GaplessSpecError(f"bulk gap {gap:.3e} <= {GAP_TOL}")
-    k = build_coupling(spec, n)
-    u, s, vt = np.linalg.svd(k)
-    cutoff = tol * s[0]
+    lam, w = _reflected_eigh(spec, n)
+    s = np.abs(lam)
+    cutoff = tol * s.max()
     if np.any((s > cutoff / 10.0) & (s < cutoff * 10.0)):
         raise TolAmbiguousError(
             f"singular values within a factor 10 of cutoff {cutoff:.3e}")
@@ -92,8 +109,8 @@ def zero_modes(spec: ModelSpec, n: int, tol: float = DEFAULT_TOL) -> list[ZeroMo
     sites = np.arange(n)
     modes = []
     for i in null:
-        left = u[:, i]          # m^T K = 0  (left-singular vector of K)
-        right = vt[i, :]        # K n  = 0  (right-singular vector)
+        left = w[:, i]          # m^T K = 0  (left-singular vector of K)
+        right = w[::-1, i]      # K n  = 0  (right-singular vector, up to sign)
         for side, vec in ((Side.LEFT, left), (Side.RIGHT, right)):
             vec = vec / np.linalg.norm(vec)
             if vec[np.argmax(np.abs(vec))] < 0:

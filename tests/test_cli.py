@@ -306,14 +306,20 @@ _FUZZ_FIELDS = {
     "step": st.one_of(st.sampled_from([0.5, 1.0, 0.0, -0.5, 1e-300, 1e300]), _JUNK),
     "quantity": st.sampled_from(["s", "E", "q"]),
     "tol": st.one_of(st.sampled_from([1e-8, 0.0, -1.0]), _JUNK),
+    "kappa": st.one_of(st.sampled_from([10.0, 0.0, -1.0]), _JUNK),
+    "channels": st.sampled_from(["s,nu", "E", "a,b,c", "", "s,q", " nu , s "]),
+    "sizes": st.sampled_from(["20:60:20", "40:20:-10", "2:2:1", "20:60:0",
+                              "3:9:2", "a:b:c", "20:60", ""]),
 }
+_GRID_TASKS = ("sweep", "critical-scan", "compare")
 
 
 class TestFuzz:
-    @settings(max_examples=250, deadline=None, derandomize=True, database=None,
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(task=st.sampled_from(["winding", "ge", "sweep", "de-block",
-                                 "fit-block", "mzm"]),
+    @given(task=st.sampled_from(["winding", "trajectory", "mzm", "de-pure",
+                                 "de-block", "ge", "fit-volume", "fit-block",
+                                 "sweep", "critical-scan", "compare"]),
            values=st.lists(st.sampled_from(sorted(_FUZZ_FIELDS)), max_size=6,
                            unique=True).flatmap(lambda keys: st.fixed_dictionaries(
                                {k: _FUZZ_FIELDS[k] for k in keys})),
@@ -324,10 +330,12 @@ class TestFuzz:
         # every input exits 0, 1 (naming a field) or 2 (naming the library
         # error or, from argparse, the flag); an uncaught exception fails here
         out = str(tmp_path / "o.csv")
-        if task == "sweep":
-            values = {"start": -1.0, "stop": 1.0, "step": 0.5, **values}
-        if task == "mzm":  # a small chain keeps the SVD cheap
+        if task in _GRID_TASKS:  # 13 points: enough for critical-scan's chi
+            values = {"start": -3.0, "stop": 3.0, "step": 0.5, **values}
+        if task == "mzm":  # a small chain keeps the eigensolve cheap
             values = {"n": 20, **values}
+        if task == "fit-volume":  # small chains keep the fit cheap
+            values = {"sizes": "20:60:20", **values}
         if as_flags:
             argv = ["--task", task, "--out", out]
             for key, val in values.items():

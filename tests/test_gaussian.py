@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 
 from kitaev_de import (DegenerateGroundStateError, GaplessSpecError, ModelSpec,
-                       OddDimensionError, correlator_kernel, minimum_gap,
-                       open_chain_correlations, pair_correlation, pfaffian,
-                       sigma_x_correlator, sigma_z_correlator)
+                       OddDimensionError, SpectrumOverflowError, build_coupling,
+                       correlator_kernel, minimum_gap, open_chain_correlations,
+                       pair_correlation, pfaffian, sigma_x_correlator,
+                       sigma_z_correlator)
 from kitaev_de import gaussian
 from kitaev_de.model import grid_numerators
 from kitaev_de.oracle import (ed_ground_state, ed_pair_correlator,
@@ -84,10 +85,12 @@ class TestKernel:
             correlator_kernel(ModelSpec.pairing(mu=2.0), n=64, l_max=16)
 
     def test_nan_numerators_fail_imaginary_guard(self, monkeypatch):
+        # an infinite numerator passes the gap guard (eps = inf) but makes
+        # q = exp(-2 i theta) NaN, which the imaginary-part guard must catch
         spec = ModelSpec.pairing(mu=2.0)
         k, y, z = grid_numerators(spec, 64)
         monkeypatch.setattr(gaussian, "grid_numerators",
-                            lambda s, n: (k, np.full_like(y, np.nan), z))
+                            lambda s, n: (k, np.full_like(y, np.inf), z))
         with pytest.raises(GaplessSpecError, match="imaginary"), \
                 np.errstate(invalid="ignore"):
             correlator_kernel(spec, n=64, l_max=4)
@@ -119,6 +122,27 @@ class TestOpenChain:
         spec = random_gapped_spec(rng, trivial=True)
         src = open_chain_correlations(spec, 10)
         assert src.m[0, 0] != pytest.approx(src.m[5, 5], abs=1e-6)
+
+    def test_matches_svd_polar_factor(self, rng):
+        # reference: the polar factor u v^T, energy -sum(s)/2 and smallest
+        # singular value from a full SVD of K
+        for n in (4, 10, 40, 300):
+            for _ in range(3):
+                spec = random_gapped_spec(rng, trivial=True)
+                u, s, vt = np.linalg.svd(build_coupling(spec, n))
+                got = open_chain_correlations(spec, n)
+                assert np.abs(got.m - u @ vt).max() < 1e-12
+                assert got.energy == pytest.approx(-0.5 * s.sum(), abs=1e-10)
+                assert got.eps_min == pytest.approx(s[-1], abs=1e-10)
+
+    def test_energy_overflow_raises(self):
+        # every entry of K is finite, but the sum of the n quasiparticle
+        # energies is not
+        spec = ModelSpec.pairing_hopping(j=1e307, delta=0.0, mu=-1.5e307,
+                                         alpha=np.inf, beta=np.inf, r=1)
+        assert np.isfinite(build_coupling(spec, 40)).all()
+        with pytest.raises(SpectrumOverflowError):
+            open_chain_correlations(spec, 40)
 
     def test_degenerate_raises(self):
         spec = ModelSpec.pairing(j=1.0, delta=1.0, mu=0.0)

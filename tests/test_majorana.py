@@ -124,11 +124,24 @@ class TestZeroModes:
             assert res / scale < 10 * tol
 
     def test_singular_values_of_k_and_kt_coincide(self, rng):
-        spec = random_gapped_spec(rng, trivial=True)
-        k = build_coupling(spec, 40)
-        s1 = np.linalg.svd(k, compute_uv=False)
-        s2 = np.linalg.svd(k.T, compute_uv=False)
-        assert np.allclose(s1, s2, rtol=1e-12, atol=1e-12)
+        # K is Toeplitz, so K P = K[:, ::-1] is bit-exactly symmetric (eigh
+        # reads one triangle) and |eig(K P)| are the singular values of K
+        specs = [random_gapped_spec(rng, trivial=True),
+                 ModelSpec.pairing(j=1.0, delta=1.0, mu=-0.5),
+                 ModelSpec.pairing(j=1.0, delta=0.7, mu=0.4, alpha=1.7),
+                 ModelSpec.pairing_hopping(j=0.8, delta=1.0, mu=0.6),
+                 ModelSpec.pairing_hopping(j=-0.8, delta=1.0, mu=-1.0,
+                                           alpha=0.0, beta=0.5, r=3)]
+        for spec in specs:
+            for n in (4, 7, 40):
+                k = build_coupling(spec, n)
+                reflected = k[:, ::-1]
+                assert np.array_equal(reflected, reflected.T)
+                s1 = np.linalg.svd(k, compute_uv=False)
+                s2 = np.linalg.svd(k.T, compute_uv=False)
+                s3 = np.sort(np.abs(np.linalg.eigvalsh(reflected)))[::-1]
+                assert np.allclose(s1, s2, rtol=1e-12, atol=1e-12)
+                assert np.allclose(s3, s1, rtol=1e-12, atol=1e-12)
 
     def test_gapless_rejected(self):
         from conftest import grid_gapless_spec
@@ -195,8 +208,9 @@ class TestModeCount:
         assert analytic_pair_count(spec) == abs(winding_number(spec).nu) == 3
 
     def test_svd_count_matches_analytic(self, rng):
-        # the SVD cutoff resolves every pair once the slowest decay root is
-        # well inside the unit disk; N=400 suffices for |x| <= 0.9
+        # the singular-value cutoff resolves every pair once the slowest
+        # decay root is well inside the unit disk; N=400 suffices for
+        # |x| <= 0.9
         checked = 0
         while checked < 12:
             spec = self._random_banded_spec(rng)
