@@ -26,7 +26,7 @@ def main():
     e0 = kd.sweep_global_entanglement(kd.ModelSpec.pairing(1.0, 1.0, 0.0), "delta", ds)
     print(f"  E over Delta in [-0.5, 0.5]: min={e0.min():.12f} max={e0.max():.12f}")
     coef = kd.sweep_block_coefficients(kd.ModelSpec.pairing(1.0, 1.0, 0.0),
-                                       "delta", ds, threads=4)
+                                       "delta", ds)
     rep_a = kd.detect_critical_points(kd.susceptibility("delta", ds, coef[:, 0]),
                                       10.0, channel="chi_delta(a)")
     print(f"  chi_Delta(a) flags: {[f'{p.location:+.3f}' for p in rep_a.points]}"
@@ -37,7 +37,7 @@ def main():
         spec = kd.ModelSpec.pairing(1.0, 1.0, mu)
         e = kd.sweep_global_entanglement(spec, "delta", ds)
         rep_e = kd.detect_critical_points(kd.susceptibility("delta", ds, e), 10.0)
-        coef_mu = kd.sweep_block_coefficients(spec, "delta", ds, threads=4)
+        coef_mu = kd.sweep_block_coefficients(spec, "delta", ds)
         rep = kd.detect_critical_points(
             kd.susceptibility("delta", ds, coef_mu[:, 0]), 10.0)
         tag = "a transition" if critical else "no transition"

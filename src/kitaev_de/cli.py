@@ -21,10 +21,9 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .analysis import (block_coefficients, comparative_scan,
+from .analysis import (CHANNELS, block_coefficients, comparative_scan,
                        detect_critical_points, fit_volume_law, susceptibility,
-                       sweep_block_coefficients, sweep_de_density,
-                       sweep_global_entanglement)
+                       sweep_de_density, sweep_global_entanglement)
 from .entropy import (MAX_BLOCK, block_diagonal_entropy, de_density,
                       global_entanglement, pure_state_diagonal_entropy)
 from .errors import KitaevDEError
@@ -82,23 +81,20 @@ class ValidationError(Exception):
     pass
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return "nan"
-    return format(float(x), ".17g")
+# cell format by numpy dtype kind: booleans 1/0, integers as given, floats
+# %.17g (nan, inf, -0 included), strings unchanged
+_CELL = {"b": lambda v: "1" if v else "0", "i": str, "u": str,
+         "f": "%.17g".__mod__, "U": str}
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
+def write_csv(path: str, header: list[str], columns) -> None:
+    """One row per index of the equal-length ``columns``, each column
+    formatted once by its dtype."""
+    cells = [list(map(_CELL[col.dtype.kind], col.tolist()))
+             for col in map(np.asarray, columns)]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
 def _jsonable(obj):
@@ -163,8 +159,9 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
         if not isinstance(config[field], str):
             raise ValidationError(f"field '{field}' must be a string, "
                                   f"got {config[field]!r}")
-    if config["n"] is None:
-        config["n"] = _TASK_N[config["task"]]
+    if config["n"] is None:  # an E sweep runs on the kernel grid
+        config["n"] = (8192 if (config["task"], config["quantity"]) == ("sweep", "E")
+                       else _TASK_N[config["task"]])
     for field in _INT_FIELDS:
         config[field] = _coerce(field, config[field], int)
     for field in _FLOAT_FIELDS:
@@ -188,8 +185,11 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
             raise ValidationError(f"field '{field}' must be > 0, got {config[field]}")
     if config["samples"] < 256:
         raise ValidationError(f"field 'samples' must be >= 256, got {config['samples']}")
+    if config["threads"] < 1:
+        raise ValidationError(f"field 'threads' must be >= 1, got {config['threads']}")
     _check_n(config)
     _sizes(config)
+    _channels(config)
     try:
         spec = _spec(config)
     except ValueError as exc:
@@ -263,6 +263,14 @@ def _sizes(config: dict) -> list[int]:
     return sizes
 
 
+def _channels(config: dict) -> list[str]:
+    channels = [c.strip() for c in config["channels"].split(",") if c.strip()]
+    if not set(channels) <= set(CHANNELS) or len(set(channels)) < len(channels):
+        raise ValidationError(f"field 'channels' must list distinct names from "
+                              f"{CHANNELS}, got {config['channels']!r}")
+    return channels
+
+
 def _lengths(config: dict) -> list[int]:
     return list(range(config["l_min"], config["l_max"] + 1))
 
@@ -277,34 +285,32 @@ def run_task(config: dict) -> dict:
     if task == "winding":
         res = winding_number(spec, samples=config["samples"])
         write_csv(out, ["nu_raw", "nu", "gapped", "min_gap"],
-                  [[res.nu_raw, res.nu, res.gapped, res.min_gap]])
+                  [[res.nu_raw], [res.nu], [res.gapped], [res.min_gap]])
         results = {"nu": res.nu, "nu_raw": res.nu_raw, "min_gap": res.min_gap}
     elif task == "trajectory":
         tr = trajectory(spec, samples=config["samples"])
         write_csv(out, ["k", "h_y", "h_z", "gapless"],
-                  zip(tr.k, tr.hy, tr.hz, tr.gapless))
+                  [tr.k, tr.hy, tr.hz, tr.gapless])
     elif task == "mzm":
         modes = zero_modes(spec, config["n"], tol=config["tol"])
         header = ["site"]
-        cols = []
         for i, mode in enumerate(modes):
             side = "left" if mode.side is Side.LEFT else "right"
             header.append(f"p_{side}_{i // 2 + 1}")
-            cols.append(mode.probability)
-        rows = [[j + 1, *(c[j] for c in cols)] for j in range(config["n"])]
-        write_csv(out, header, rows)
+        write_csv(out, header, [np.arange(1, config["n"] + 1),
+                                *(m.probability for m in modes)])
         results = {"pairs": len(modes) // 2,
                    "singular_values": [m.singular_value for m in modes]}
     elif task == "de-pure":
         rep = pure_state_diagonal_entropy(spec, config["n"])
         write_csv(out, ["n", "s_total_bits", "s_density"],
-                  [[config["n"], rep.value, rep.value / config["n"]]])
+                  [[config["n"]], [rep.value], [rep.value / config["n"]]])
         results = {"entropy_bits": rep.value}
     elif task == "de-block":
         kernel = correlator_kernel(spec, n=config["n"], l_max=config["l"])
         rep = block_diagonal_entropy(kernel, config["l"], config["basis"])
         write_csv(out, ["l", "basis", "entropy_bits"],
-                  [[config["l"], config["basis"], rep.value]])
+                  [[config["l"]], [config["basis"]], [rep.value]])
         results = {"entropy_bits": rep.value}
     elif task == "ge":
         e = global_entanglement(spec, config["n"])
@@ -314,12 +320,12 @@ def run_task(config: dict) -> dict:
         sizes = _sizes(config)
         values = [pure_state_diagonal_entropy(spec, n).value for n in sizes]
         fit = fit_volume_law(sizes, values)
-        write_csv(out, ["n", "entropy_bits"], zip(sizes, values))
+        write_csv(out, ["n", "entropy_bits"], [sizes, values])
         results = {"s": fit.params[0], "residual_rms": fit.residual_rms}
     elif task == "fit-block":
         fit = block_coefficients(spec, config["basis"], _lengths(config),
                                  config["n"])
-        write_csv(out, ["l", "entropy_bits"], fit.points)
+        write_csv(out, ["l", "entropy_bits"], list(zip(*fit.points)))
         results = {"a": fit.params[0], "b": fit.params[1], "c": fit.params[2],
                    "residual_rms": fit.residual_rms}
     elif task == "sweep":
@@ -328,8 +334,8 @@ def run_task(config: dict) -> dict:
         if config["quantity"] == "s":
             vals = sweep_de_density(spec, name, grid, config["n"])
         else:
-            vals = sweep_global_entanglement(spec, name, grid)
-        write_csv(out, [name, config["quantity"]], zip(grid, vals))
+            vals = sweep_global_entanglement(spec, name, grid, config["n"])
+        write_csv(out, [name, config["quantity"]], [grid, vals])
     elif task == "critical-scan":
         grid = _grid(config)
         name = config["param"]
@@ -343,19 +349,18 @@ def run_task(config: dict) -> dict:
         for pt in report.points:
             flagged |= np.abs(grid - pt.location) <= 0.51 * config["step"]
         write_csv(out, [name, "s", "chi_s", "flagged"],
-                  zip(grid, vals, chi, flagged))
+                  [grid, vals, chi, flagged])
         results = {"critical_points": [asdict(p) for p in report.points],
                    "threshold": report.threshold}
     elif task == "compare":
         grid = _grid(config)
-        channels = [c.strip() for c in config["channels"].split(",") if c.strip()]
+        channels = _channels(config)
         table = comparative_scan(spec, config["param"], grid,
                                  channels=channels, basis=config["basis"],
                                  lengths=_lengths(config),
-                                 n_density=config["n"],
-                                 threads=config["threads"])
-        header = [config["param"]] + [c for c in channels if c in table]
-        write_csv(out, header, zip(*(table[h] for h in header)))
+                                 n_density=config["n"])
+        header = [config["param"], *channels]
+        write_csv(out, header, [table[h] for h in header])
     return results
 
 
@@ -367,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat JSON config file")
     p.add_argument("--out", help="output CSV path (JSON sidecar next to it)")
     p.add_argument("--threads", type=int,
-                   default=None, help="sweep parallelism; falls back to "
+                   default=None, help="recorded in the sidecar but has no "
+                   "effect (sweeps run serially); falls back to "
                    "KITAEV_DE_THREADS, then 1")
     p.add_argument("--variant", type=int, choices=(1, 2))
     p.add_argument("--mu", type=float)

@@ -93,6 +93,14 @@ def zero_modes(spec: ModelSpec, n: int, tol: float = DEFAULT_TOL) -> list[ZeroMo
     orthonormal (eigenvectors of ``K P``), ordered by localization centre,
     with left modes first within each pair.  The pairing+hopping variant
     needs ``n > 2r`` so that the two edges do not overlap.
+
+    When several null singular values are nearly equal, any orthonormal
+    basis of their space is a valid answer, so each mode's profile depends
+    on the basis LAPACK returns; only the sum of the probabilities over the
+    modes of one side (the diagonal of that side's null-space projector) is
+    basis-independent.  For the nu = 3 chain (J = 0.8, mu = 0.6, r = 3) at
+    n = 800 the three null values are 4.9e-16, 7.1e-12 and 7.3e-12, and
+    per-mode probabilities from two factorizations differ by up to 6.7e-6.
     """
     if spec.variant is Variant.LONG_RANGE_PAIRING_HOPPING and n <= 2 * spec.r:
         raise ValueError(f"need n > 2r = {2 * spec.r}, got {n}")

@@ -5,8 +5,11 @@ import pytest
 from kitaev_de import (IllConditionedError, InsufficientPointsError, ModelSpec,
                        NonUniformGridError, detect_critical_points,
                        fit_block_law, fit_volume_law, susceptibility,
-                       sweep_de_density)
+                       sweep_block_coefficients, sweep_de_density,
+                       sweep_global_entanglement)
 from kitaev_de.analysis import comparative_scan
+
+from conftest import grid_gapless_spec
 
 
 class TestVolumeFit:
@@ -137,13 +140,33 @@ class TestComparativeScan:
         assert set(table) == {"mu", "s", "E", "nu"}
         assert all(v.size == mus.size for v in table.values())
 
+    def test_gapless_points_are_nan(self):
+        # the gap closes on a momentum of the 256-point grid at the first
+        # point only; each sweep writes NaN there and a value at the second
+        spec = grid_gapless_spec(256)
+        mus = [spec.mu, 1.5]
+        s = sweep_de_density(spec, "mu", mus, 256)
+        e = sweep_global_entanglement(spec, "mu", mus, 256)
+        coef = sweep_block_coefficients(spec, "mu", mus, lengths=range(2, 8), n=256)
+        assert s.shape == e.shape == (2,) and coef.shape == (2, 3)
+        assert np.isnan(s[0]) and np.isnan(e[0]) and np.isnan(coef[0]).all()
+        assert np.isfinite(s[1]) and np.isfinite(e[1]) and np.isfinite(coef[1]).all()
+        table = comparative_scan(spec, "mu", mus, channels=("s", "a", "E"),
+                                 lengths=range(2, 8), n_density=256, n_kernel=256)
+        assert np.isnan([table[c][0] for c in ("s", "a", "E")]).all()
+
+    def test_unknown_channel_raises(self):
+        spec = ModelSpec.pairing(j=1.0, delta=1.0, mu=0.0)
+        with pytest.raises(ValueError, match="channels"):
+            comparative_scan(spec, "mu", [0.1, 0.2], channels=("s", "S"))
+
     def test_ge_blind_spot_vs_block_coefficient(self):
         # at mu=0 the a-channel flags the delta=0 transition while the
         # global-entanglement susceptibility stays continuous there
         spec = ModelSpec.pairing(j=1.0, delta=1.0, mu=0.0, alpha=0.0)
         ds = np.arange(-0.3, 0.31, 0.01)
         table = comparative_scan(spec, "delta", ds, channels=("a", "E"),
-                                 lengths=range(4, 11), threads=2)
+                                 lengths=range(4, 11))
         rep_e = detect_critical_points(susceptibility("delta", ds, table["E"]), 10.0)
         assert rep_e.points == ()
         rep = detect_critical_points(susceptibility("delta", ds, table["a"]), 10.0)

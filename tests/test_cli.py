@@ -1,5 +1,7 @@
 """Command-line interface: validation, outputs, determinism, exit codes."""
+import glob
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,7 +14,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kitaev_de
-from kitaev_de.cli import DEFAULTS, _grid, main, resolve_config
+from kitaev_de.cli import DEFAULTS, _grid, _spec, main, resolve_config, write_csv
+
+from test_acceptance import gap_closing_mus
+
+CONFIGS = sorted(glob.glob(str(Path(__file__).parent.parent / "configs" / "*.json")))
 
 
 def run_cli(args):
@@ -64,7 +70,13 @@ class TestValidation:
          "'alpha'"),
         (["--task", "ge", "--n", "7"], "'n'"),
         (["--task", "de-block", "--l", "8", "--n", "32"], "'n'"),
-        (["--task", "winding", "--samples", "10"], "'samples'")])
+        (["--task", "winding", "--samples", "10"], "'samples'"),
+        (["--task", "compare", "--start", "0", "--stop", "1", "--channels",
+          "foo,S"], "'channels'"),
+        (["--task", "compare", "--start", "0", "--stop", "1", "--channels",
+          "s,s"], "'channels'"),
+        (["--task", "winding", "--threads", "-3"], "'threads'"),
+        (["--task", "winding", "--threads", "0"], "'threads'")])
     def test_bad_value_names_field(self, tmp_path, capsys, flags, message):
         code = run_cli([*flags, "--out", str(tmp_path / "o.csv")])
         assert code == 1
@@ -247,6 +259,21 @@ class TestOutputs:
         assert lines[0] == "mu,s"
         assert len(lines) == 6
 
+    def test_e_sweep_uses_n(self, tmp_path):
+        args = ["--task", "sweep", "--variant", "1", "--mu", "0.5", "--param",
+                "delta", "--start", "0.5", "--stop", "0.7", "--step", "0.1",
+                "--quantity", "E"]
+        assert run_cli(args + ["--n", "40", "--out", str(tmp_path / "a.csv")]) == 0
+        assert run_cli(args + ["--out", str(tmp_path / "b.csv")]) == 0
+        spec = kitaev_de.ModelSpec.pairing(mu=0.5)
+        for name, n in (("a", 40), ("b", 8192)):
+            side = json.loads((tmp_path / f"{name}.json").read_text())
+            assert side["config"]["n"] == n
+            rows = (tmp_path / f"{name}.csv").read_text().strip().split("\n")[1:]
+            want = kitaev_de.sweep_global_entanglement(spec, "delta", [0.5, 0.6, 0.7], n)
+            assert [float(r.split(",")[1]) for r in rows] == want.tolist()
+        assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
+
     def test_compare_columns(self, tmp_path):
         out = tmp_path / "c.csv"
         assert run_cli(["--task", "compare", "--variant", "1", "--delta", "1",
@@ -257,13 +284,70 @@ class TestOutputs:
         assert lines[0] == "delta,s,E,nu"
         assert len(lines) == 4
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
+    def test_threads_env_fallback(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("KITAEV_DE_THREADS", "2")
         out = tmp_path / "ge.csv"
         assert run_cli(["--task", "ge", "--variant", "1", "--mu", "2.0",
                         "--n", "1024", "--out", str(out)]) == 0
         side = json.loads((tmp_path / "ge.json").read_text())
         assert side["config"]["threads"] == 2
+        monkeypatch.setenv("KITAEV_DE_THREADS", "-3")
+        assert run_cli(["--task", "ge", "--out", str(out)]) == 1
+        assert "'threads'" in capsys.readouterr().err
+
+
+def _fmt(x) -> str:
+    """Row-wise cell format the column writer must reproduce."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if x is None or (isinstance(x, float) and math.isnan(x)):
+        return "nan"
+    return format(float(x), ".17g")
+
+
+class TestWriter:
+    def test_columns_match_row_wise_format(self, tmp_path):
+        floats = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324,
+                           1.7976931348623157e308, 0.1, -1 / 3])
+        columns = [np.arange(floats.size) % 2 == 0, np.arange(-3, floats.size - 3),
+                   list("zxzxzxzxzx"), floats]
+        out = tmp_path / "w.csv"
+        write_csv(str(out), ["flag", "i", "basis", "x"], columns)
+        want = "flag,i,basis,x\n" + "".join(
+            ",".join(_fmt(x) for x in row) + "\n" for row in zip(*columns))
+        assert out.read_text() == want
+        assert want.splitlines()[2] == "0,-2,x,nan"
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(str(tmp_path / "w.csv"), ["a", "b"], [[1, 2], [1.0]])
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: Path(p).stem)
+def test_checked_in_config(tmp_path, path):
+    # exit 0, byte-identical rerun, and the results the datasets exist for
+    name = Path(path).stem
+    outs = [tmp_path / f"{name}_{i}.csv" for i in (1, 2)]
+    for out in outs:
+        assert run_cli(["--config", path, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    results = json.loads(outs[0].with_suffix(".json").read_text()).get("results", {})
+    config = resolve_config(json.loads(Path(path).read_text()), {})
+    want_pairs = {"mzm_single_pair": 1, "mzm_three_pairs": 3}.get(name)
+    if want_pairs is not None:
+        assert results["pairs"] == want_pairs
+    if config["task"] == "critical-scan":
+        mus = gap_closing_mus(_spec(config))
+        want = [m for m in mus if config["start"] <= m <= config["stop"]]
+        locs = [p["location"] for p in results["critical_points"]]
+        assert len(locs) == len(want) and want
+        assert all(abs(l - w) <= 0.02 for l, w in zip(locs, want))
+    if "residual_rms" in results:
+        assert results["residual_rms"] < 1e-3
 
 
 class TestEntryPoint:
