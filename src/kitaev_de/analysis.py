@@ -228,7 +228,7 @@ def comparative_scan(spec: ModelSpec, name: str, values,
         table["s"] = sweep_de_density(spec, name, values, n_density)
     if any(c in channels for c in "abc"):
         # not sweep_block_coefficients: the benchmark's tracer reads a
-        # `threads` argument from every span of that function
+        # pool-size argument, since removed, from every span of that function
         coeffs = _sweep(spec, name, values,
                         _coefficients(basis, lengths, n_kernel), 3)
         for i, c in enumerate("abc"):

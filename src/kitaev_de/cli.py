@@ -5,13 +5,15 @@ rows ordered by grid index) plus a JSON sidecar echoing the fully resolved
 configuration (defaults materialised) and the library version, so re-running
 a sidecar reproduces the CSV byte for byte.
 
-Configuration is a flat JSON object; command-line flags override file values.
-Exit codes: 1 for validation errors (the message names the offending field),
-2 for numerical failures (the message names the library error).
+Configuration is a flat JSON object. Flags ``--field value`` or
+``--field=value`` (``--l-min`` for ``l_min``) override its fields and are read
+as plain strings, checked exactly like config values. Exit codes: 1 for
+validation errors (the message names the offending field or unknown flag;
+a config or sidecar holding a field the CLI no longer has is unknown), 2 for
+numerical failures (the message names the library error).
 """
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -59,7 +61,6 @@ DEFAULTS = {
     "quantity": "s",      # sweep quantity: s | E
     "channels": "s,a,b,c,E,nu",
     "sizes": "200:2000:200",   # fit-volume chain sizes start:stop:step
-    "threads": 1,
     "out": "out.csv",
 }
 
@@ -67,7 +68,7 @@ _TASK_N = {"winding": 4096, "trajectory": 4096, "mzm": 100, "de-pure": 2000,
            "de-block": 8192, "ge": 8192, "fit-volume": 2000, "fit-block": 8192,
            "sweep": 2000, "critical-scan": 2000, "compare": 2000}
 
-_INT_FIELDS = ("variant", "r", "n", "samples", "l", "l_min", "l_max", "threads")
+_INT_FIELDS = ("variant", "r", "n", "samples", "l", "l_min", "l_max")
 _FLOAT_FIELDS = ("j", "delta", "mu", "alpha", "beta", "start", "stop", "step",
                  "kappa", "tol")
 _FINITE_FIELDS = ("start", "stop", "step", "kappa", "tol")
@@ -148,9 +149,7 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
         if key not in DEFAULTS:
             raise ValidationError(f"unknown config field '{key}'")
     config.update(file_values)
-    for key, val in overrides.items():
-        if val is not None:
-            config[key] = val
+    config.update(overrides)
     for field, allowed in _CHOICES.items():
         if config[field] not in allowed:
             raise ValidationError(f"field '{field}' must be one of {allowed}, "
@@ -185,8 +184,6 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
             raise ValidationError(f"field '{field}' must be > 0, got {config[field]}")
     if config["samples"] < 256:
         raise ValidationError(f"field 'samples' must be >= 256, got {config['samples']}")
-    if config["threads"] < 1:
-        raise ValidationError(f"field 'threads' must be >= 1, got {config['threads']}")
     _check_n(config)
     _sizes(config)
     _channels(config)
@@ -364,67 +361,63 @@ def run_task(config: dict) -> dict:
     return results
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="kitaev-de",
-        description="Diagonal-entropy analysis of extended Kitaev chains")
-    p.add_argument("--task", choices=TASKS)
-    p.add_argument("--config", help="flat JSON config file")
-    p.add_argument("--out", help="output CSV path (JSON sidecar next to it)")
-    p.add_argument("--threads", type=int,
-                   default=None, help="recorded in the sidecar but has no "
-                   "effect (sweeps run serially); falls back to "
-                   "KITAEV_DE_THREADS, then 1")
-    p.add_argument("--variant", type=int, choices=(1, 2))
-    p.add_argument("--mu", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--j", type=float)
-    p.add_argument("--alpha")
-    p.add_argument("--beta")
-    p.add_argument("--r", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--l-min", dest="l_min", type=int)
-    p.add_argument("--l-max", dest="l_max", type=int)
-    p.add_argument("--basis", choices=("z", "x"))
-    p.add_argument("--param", choices=_SWEEPABLE)
-    p.add_argument("--start", type=float)
-    p.add_argument("--stop", type=float)
-    p.add_argument("--step", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--quantity", choices=("s", "E"))
-    p.add_argument("--channels")
-    p.add_argument("--sizes")
-    return p
+# flag -> field: --config and every field, with "_" spelled "-"
+_FLAGS = {"--" + f.replace("_", "-"): f for f in ("config", *DEFAULTS)}
+_HELP = ("-h", "--help")
+
+
+def parse_flags(argv) -> dict | None:
+    """``{field: value}`` from ``--field value`` and ``--field=value``, each
+    value the string given (:func:`resolve_config` checks it), or ``None``
+    for ``-h``/``--help``. Names an unknown flag or a field without a value.
+    """
+    flags = {}
+    args = list(argv)
+    while args:
+        arg = args.pop(0)
+        if arg in _HELP:
+            return None
+        name, eq, value = arg.partition("=")
+        field = _FLAGS.get(name)
+        if field is None:
+            raise ValidationError(f"unknown flag {name!r}")
+        if not eq:
+            if not args or args[0] in _HELP or args[0].partition("=")[0] in _FLAGS:
+                raise ValidationError(f"field '{field}' needs a value")
+            value = args.pop(0)
+        flags[field] = value
+    return flags
+
+
+def _usage() -> str:
+    rows = ""
+    for flag, field in _FLAGS.items():
+        value = DEFAULTS.get(field)  # None: no default, or set by the task
+        rows += f"  {flag:<11} {'' if value is None else value}\n"
+    return ("usage: kitaev-de [--config FILE] [--FIELD VALUE | --FIELD=VALUE] ...\n"
+            "Flags override the JSON config file's fields and are checked like them.\n"
+            f"tasks: {', '.join(TASKS)}\nflags and defaults:\n{rows}")
+
+
+def _read_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            values = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # also not UTF-8, too deep
+        raise ValidationError(f"field 'config': {type(exc).__name__}: {exc}") from None
+    if not isinstance(values, dict):
+        raise ValidationError("field 'config' must hold a JSON object")
+    return values
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {k: v for k, v in vars(args).items() if k != "config"}
-    if overrides.get("threads") is None:
-        env = os.environ.get("KITAEV_DE_THREADS")
-        if env is not None:
-            try:
-                overrides["threads"] = int(env)
-            except ValueError:
-                print("error: field 'threads' (KITAEV_DE_THREADS) must be an "
-                      "integer", file=sys.stderr)
-                return 1
-    file_values = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: field 'config': {exc}", file=sys.stderr)
-            return 1
-        if not isinstance(file_values, dict):
-            print("error: field 'config' must hold a JSON object", file=sys.stderr)
-            return 1
     try:
-        config = resolve_config(file_values, overrides)
+        flags = parse_flags(sys.argv[1:] if argv is None else argv)
+        if flags is None:
+            print(_usage(), end="")
+            return 0
+        path = flags.pop("config", None)
+        config = resolve_config({} if path is None else _read_config(path), flags)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

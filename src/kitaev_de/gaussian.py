@@ -42,6 +42,7 @@ from .majorana import _reflected_eigh
 from .model import DEFAULT_GRID, GAP_TOL, ModelSpec, grid_numerators
 
 KERNEL_IMAG_TOL = 1e-10
+ANTISYM_TOL = 1e-12  # pfaffian: largest ||M + M^T|| relative to ||M||
 
 
 @dataclass(frozen=True)
@@ -181,11 +182,11 @@ def sigma_x_correlator(source: CorrelationSource, sites) -> float:
 # Pfaffian engine
 # ---------------------------------------------------------------------------
 
-def pfaffian(mat: np.ndarray, antisym_tol: float = 1e-12) -> float:
+def pfaffian(mat: np.ndarray) -> float:
     """Pfaffian of a real antisymmetric matrix (skew elimination, pivoting).
 
     Raises :class:`OddDimensionError` for odd dimension and ``ValueError``
-    when ``||M + M^T||`` exceeds ``antisym_tol`` relative to ``||M||``.
+    when ``||M + M^T||`` exceeds ``ANTISYM_TOL`` relative to ``||M||``.
     """
     mat = np.asarray(mat, dtype=float)
     n = mat.shape[0]
@@ -194,7 +195,7 @@ def pfaffian(mat: np.ndarray, antisym_tol: float = 1e-12) -> float:
     if n % 2 == 1:
         raise OddDimensionError(f"odd dimension {n}")
     scale = max(np.abs(mat).max(), 1.0)
-    if np.abs(mat + mat.T).max() > antisym_tol * scale:
+    if np.abs(mat + mat.T).max() > ANTISYM_TOL * scale:
         raise ValueError("matrix is not antisymmetric within tolerance")
     m = mat.copy()
     pf = 1.0

@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GaplessSpecError, NumericalWindingWarning
-from .model import GAP_TOL, ModelSpec, anderson_vector, grid_numerators
+from .model import (GAP_TOL, ModelSpec, anderson_vector, grid_numerators,
+                    minimum_gap)
 
 DEFAULT_SAMPLES = 4096
 SNAP_TOL = 0.05
@@ -106,20 +107,20 @@ def snap_winding(nu_raw: float) -> float:
     return nu
 
 
-def winding_number(spec: ModelSpec, samples: int = DEFAULT_SAMPLES,
-                   gap_tol: float = GAP_TOL) -> WindingResult:
+def winding_number(spec: ModelSpec, samples: int = DEFAULT_SAMPLES) -> WindingResult:
     """Snapped winding number of a gapped spec.
 
     Raises :class:`GaplessSpecError` when the minimal sampled gap is at or
-    below ``gap_tol`` (the winding is undefined at a transition).  Emits a
-    :class:`NumericalWindingWarning` when the accumulated value is farther
-    than 0.05 from every half-integer; the snapped value is still returned.
+    below ``GAP_TOL``, or NaN (the winding is undefined at a transition).
+    Emits a :class:`NumericalWindingWarning` when the accumulated value is
+    farther than 0.05 from every half-integer; the snapped value is still
+    returned.
     """
     samples = _even_samples(samples)
     _, y, z = grid_numerators(spec, samples)
     min_gap = float(np.hypot(y, z).min())
-    if min_gap <= gap_tol:
-        raise GaplessSpecError(f"min gap {min_gap:.3e} <= {gap_tol}; winding undefined")
+    if not min_gap > GAP_TOL:
+        raise GaplessSpecError(f"min gap {min_gap:.3e} <= {GAP_TOL}; winding undefined")
     nu_raw = _accumulated_turns(y, z)
     nu = snap_winding(nu_raw)
     return WindingResult(nu_raw=nu_raw, nu=nu, gapped=True, min_gap=min_gap)
@@ -145,8 +146,7 @@ def _with_param(spec: ModelSpec, name: str, value: float) -> ModelSpec:
 
 def phase_boundary_scan(spec: ModelSpec, x_name: str, x_values,
                         y_name: str | None = None, y_values=None,
-                        samples: int = 1024,
-                        gap_tol: float = GAP_TOL) -> PhaseScan:
+                        samples: int = 1024) -> PhaseScan:
     """Snapped winding number over a rectangular parameter grid.
 
     Gapless cells are kept (NaN) rather than raised; boundary cells are those
@@ -165,9 +165,8 @@ def phase_boundary_scan(spec: ModelSpec, x_name: str, x_values,
         for ix, xv in enumerate(x_values):
             cell = _with_param(base, x_name, xv)
             try:
-                res = winding_number(cell, samples=samples, gap_tol=gap_tol)
+                res = winding_number(cell, samples=samples)
             except GaplessSpecError:
-                from .model import minimum_gap
                 min_gap[iy, ix] = minimum_gap(cell, samples)
                 continue
             nu[iy, ix] = res.nu

@@ -75,12 +75,38 @@ class TestValidation:
           "foo,S"], "'channels'"),
         (["--task", "compare", "--start", "0", "--stop", "1", "--channels",
           "s,s"], "'channels'"),
-        (["--task", "winding", "--threads", "-3"], "'threads'"),
-        (["--task", "winding", "--threads", "0"], "'threads'")])
+        (["--task", "ge", "--n", "1.5"], "'n'"),
+        (["--task", "winding", "--variant", "3"], "'variant'"),
+        (["--task", "de-block", "--basis", "y"], "'basis'"),
+        (["--task", "sweep", "--param", "foo", "--start", "0", "--stop", "1"],
+         "'param'"),
+        (["--task", "sweep", "--quantity", "q", "--start", "0", "--stop", "1"],
+         "'quantity'"),
+        (["--task", "winding", "--samples", "abc"], "'samples'"),
+        (["--task", "winding", "--bogus", "1"], "'--bogus'"),
+        (["--task", "winding", "--mu", "--j", "1"], "'mu'"),
+        (["--task=winding", "--mu="], "'mu'")])
     def test_bad_value_names_field(self, tmp_path, capsys, flags, message):
         code = run_cli([*flags, "--out", str(tmp_path / "o.csv")])
         assert code == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--task", "winding", "--mu", "-1e-3"],
+        ["--task", "sweep", "--start", "-2e-1", "--stop", "0"],
+        ["--task", "winding", "--samples", "1e3"]])
+    def test_flags_read_like_config(self, tmp_path, flags):
+        # a flag value is the config value of the same string
+        values = dict(zip((f[2:] for f in flags[::2]), flags[1::2]))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(values))
+        sides = []
+        for name, argv in (("f", flags), ("c", ["--config", str(cfg)])):
+            assert run_cli([*argv, "--out", str(tmp_path / f"{name}.csv")]) == 0
+            sides.append(json.loads((tmp_path / f"{name}.json").read_text())["config"])
+            del sides[-1]["out"]
+        assert sides[0] == sides[1]
+        assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
 
     @pytest.mark.parametrize("values,field", [
         ({"task": "ge", "n": "abc"}, "'n'"),
@@ -103,6 +129,14 @@ class TestValidation:
     def test_config_must_be_object(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text("[1, 2]")
+        assert run_cli(["--config", str(cfg)]) == 1
+        assert "'config'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [b"\xff\xfe{}", b"{", b"[" * 100000],
+                             ids=["not-utf8", "truncated", "too-deep"])
+    def test_unreadable_config_names_field(self, tmp_path, capsys, data):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(data)
         assert run_cli(["--config", str(cfg)]) == 1
         assert "'config'" in capsys.readouterr().err
 
@@ -284,17 +318,6 @@ class TestOutputs:
         assert lines[0] == "delta,s,E,nu"
         assert len(lines) == 4
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("KITAEV_DE_THREADS", "2")
-        out = tmp_path / "ge.csv"
-        assert run_cli(["--task", "ge", "--variant", "1", "--mu", "2.0",
-                        "--n", "1024", "--out", str(out)]) == 0
-        side = json.loads((tmp_path / "ge.json").read_text())
-        assert side["config"]["threads"] == 2
-        monkeypatch.setenv("KITAEV_DE_THREADS", "-3")
-        assert run_cli(["--task", "ge", "--out", str(out)]) == 1
-        assert "'threads'" in capsys.readouterr().err
-
 
 def _fmt(x) -> str:
     """Row-wise cell format the column writer must reproduce."""
@@ -329,13 +352,18 @@ class TestWriter:
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: Path(p).stem)
 def test_checked_in_config(tmp_path, path):
-    # exit 0, byte-identical rerun, and the results the datasets exist for
+    # exit 0, byte-identical reruns of the config and of its sidecar's
+    # resolved config, and the results the datasets exist for
     name = Path(path).stem
-    outs = [tmp_path / f"{name}_{i}.csv" for i in (1, 2)]
-    for out in outs:
+    outs = [tmp_path / f"{name}_{i}.csv" for i in (1, 2, 3)]
+    for out in outs[:2]:
         assert run_cli(["--config", path, "--out", str(out)]) == 0
-    assert outs[0].read_bytes() == outs[1].read_bytes()
-    results = json.loads(outs[0].with_suffix(".json").read_text()).get("results", {})
+    side = json.loads(outs[0].with_suffix(".json").read_text())
+    resolved = tmp_path / "resolved.json"
+    resolved.write_text(json.dumps(side["config"]))
+    assert run_cli(["--config", str(resolved), "--out", str(outs[2])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+    results = side.get("results", {})
     config = resolve_config(json.loads(Path(path).read_text()), {})
     want_pairs = {"mzm_single_pair": 1, "mzm_three_pairs": 3}.get(name)
     if want_pairs is not None:
@@ -350,20 +378,34 @@ def test_checked_in_config(tmp_path, path):
         assert results["residual_rms"] < 1e-3
 
 
+def _run_module(*args):
+    # the child imports the same package as the tests, installed or not
+    src = str(Path(kitaev_de.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "kitaev_de.cli", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        # the child imports the same package as the tests, installed or not
         out = tmp_path / "w.csv"
-        src = str(Path(kitaev_de.__file__).parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "kitaev_de.cli", "--task", "winding",
-             "--variant", "1", "--delta", "1", "--mu", "-0.5",
-             "--out", str(out)],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path})
+        proc = _run_module("--task", "winding", "--variant", "1", "--delta", "1",
+                           "--mu", "-0.5", "--out", str(out))
         assert proc.returncode == 0
         assert out.exists()
+
+    def test_help_lists_fields(self):
+        proc = _run_module("--help")
+        assert proc.returncode == 0
+        listed = set(re.findall(r"^\s+(--[\w-]+)", proc.stdout, re.M))
+        assert listed == {"--config"} | {"--" + f.replace("_", "-") for f in DEFAULTS}
+        assert {"--l-min", "--l-max"} <= listed
+
+    def test_flag_without_value(self):
+        proc = _run_module("--task", "winding", "--mu")
+        assert proc.returncode == 1
+        assert "'mu'" in proc.stderr
 
 
 _FIELD_NAMED = re.compile(r"'(\w+)'|invalid model: (\w+)")
@@ -412,7 +454,7 @@ class TestFuzz:
     def test_exit_code_contract(self, tmp_path, capsys, task, values, as_flags,
                                 retype, extra):
         # every input exits 0, 1 (naming a field) or 2 (naming the library
-        # error or, from argparse, the flag); an uncaught exception fails here
+        # error); an uncaught exception, SystemExit included, fails here
         out = str(tmp_path / "o.csv")
         if task in _GRID_TASKS:  # 13 points: enough for critical-scan's chi
             values = {"start": -3.0, "stop": 3.0, "step": 0.5, **values}
@@ -430,10 +472,7 @@ class TestFuzz:
             cfg = tmp_path / "c.json"
             cfg.write_text(json.dumps({"task": task, "out": out, **values}))
             argv = ["--config", str(cfg)]
-        try:
-            code = run_cli(argv)
-        except SystemExit as exc:  # argparse rejects a malformed flag
-            code = exc.code
+        code = run_cli(argv)
         err = capsys.readouterr().err
         assert code in (0, 1, 2), err
         if code == 1:
