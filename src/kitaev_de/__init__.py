@@ -28,8 +28,8 @@ from .gaussian import (CorrelatorKernel, DenseCorrelations, correlator_kernel,
                        open_chain_correlations, pair_correlation, pfaffian,
                        sigma_x_correlator, sigma_z_correlator)
 from .majorana import Side, ZeroMode, build_coupling, mode_count, zero_modes
-from .model import (ModeData, ModelSpec, SpinCouplings, Variant, dispersion,
-                    minimum_gap, momentum_grid, solve_chain, spin_couplings)
+from .model import (ModeData, ModelSpec, Variant, dispersion, minimum_gap,
+                    momentum_grid, solve_chain)
 from .topology import (PhaseScan, Trajectory, WindingResult,
                        nu_change_locations, phase_boundary_scan, trajectory,
                        winding_number)

@@ -32,7 +32,8 @@ from .errors import KitaevDEError
 from .gaussian import correlator_kernel
 from .majorana import Side, zero_modes
 from .model import ModelSpec, Variant
-from .topology import _SWEEPABLE, _with_param, trajectory, winding_number
+from .topology import (DEFAULT_SAMPLES, _SWEEPABLE, _with_param, trajectory,
+                       winding_number)
 
 TASKS = ("winding", "trajectory", "mzm", "de-pure", "de-block", "ge",
          "fit-volume", "fit-block", "sweep", "critical-scan", "compare")
@@ -195,6 +196,10 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
             and config["n"] <= 2 * spec.r):
         raise ValidationError(f"field 'n' must be > 2r = {2 * spec.r} for mzm "
                               f"with variant 2, got {config['n']}")
+    ring = _closed_n(config)
+    if spec.variant is Variant.LONG_RANGE_PAIRING_HOPPING and not spec.r < ring:
+        raise ValidationError(f"field 'r' must be below the {ring} sites of "
+                              f"the task's closed chain, got {spec.r}")
     if config["task"] in _SWEEP_TASKS:
         grid = _grid(config)
         for value in (grid[0], grid[-1]):
@@ -218,6 +223,18 @@ def _check_n(config: dict) -> None:
     if block is not None and not n > 4 * block:
         raise ValidationError(f"field 'n' must be > 4 * {block} = {4 * block} "
                               f"for blocks up to L = {block}, got {n}")
+
+
+def _closed_n(config: dict) -> float:
+    """Sites of the smallest closed chain (momentum grid) the task builds."""
+    task = config["task"]
+    if task in ("winding", "trajectory"):
+        return config["samples"]
+    if task == "fit-volume":
+        return min(_sizes(config), default=math.inf)
+    if task == "compare":  # the nu channel winds on the default grid
+        return min(config["n"], DEFAULT_SAMPLES)
+    return config["n"]
 
 
 def _spec(config: dict) -> ModelSpec:

@@ -1,4 +1,4 @@
-"""Extended Kitaev chains: exact momentum-space solutions and spin couplings.
+"""Extended Kitaev chains: exact momentum-space solutions and coupling weights.
 
 Two chain families are supported:
 
@@ -111,20 +111,6 @@ class ModeData:
     gapless: bool = False
 
 
-@dataclass(frozen=True)
-class SpinCouplings:
-    """Per-range XX/YY couplings of the equivalent spin chain.
-
-    ``jx[l-1]``, ``jy[l-1]`` multiply ``X_j X_{j+l}`` and ``Y_j Y_{j+l}``
-    (each dressed with the intermediate-Z string); the field term is
-    ``(mu/2) sum_j Z_j`` with ``Z = 1 - 2 n``.
-    """
-
-    jx: np.ndarray
-    jy: np.ndarray
-    mu: float
-
-
 def momentum_grid(n: int) -> np.ndarray:
     """Antiperiodic grid ``k_n = (2*pi/N)(n + 1/2)`` mapped into (-pi, pi].
 
@@ -144,7 +130,10 @@ def momentum_grid(n: int) -> np.ndarray:
 def _range_weights(exponent: float, r: int, n: int) -> np.ndarray:
     """Weights ``d_l^(-exponent)`` for ``l = 1..r`` on an n-site ring, with
     the ring distance ``d_l = min(l, n - l)``; single-term at inf.  The
-    pairing-only variant uses every range, ``r = n - 1``."""
+    pairing-only variant uses every range, ``r = n - 1``.  A range that
+    reaches the ring's length (``r >= n``) has no ring distance."""
+    if r >= n:
+        raise ValueError(f"range r = {r} must be below the closed chain's n = {n}")
     l = np.arange(1, r + 1)
     if math.isinf(exponent):
         w = (l == 1).astype(float)
@@ -318,23 +307,3 @@ def open_chain_weights(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray]
                                   else (lr == 1.0).astype(float))
     return hop, pair
 
-
-def spin_couplings(spec: ModelSpec, l_max: int | None = None) -> SpinCouplings:
-    """XX/YY couplings of the Jordan-Wigner image of the open chain.
-
-    For every range ``l``: ``jx_l = -(hop_l + pair_l)/2`` and
-    ``jy_l = -(hop_l - pair_l)/2``, where ``hop_l`` and ``pair_l`` are the
-    open-chain strengths of :func:`open_chain_weights`.  Equivalently
-    ``jx_l + jy_l = -hop_l`` and ``jx_l - jy_l = -pair_l``.  The spin chain
-    built from these couplings is isospectral to the fermionic open chain,
-    which the oracle tests assert.
-    """
-    if l_max is None:
-        if spec.variant is Variant.LONG_RANGE_PAIRING_HOPPING:
-            l_max = spec.r
-        else:
-            raise ValueError("l_max is required for the pairing-only variant")
-    hop, pair = open_chain_weights(spec, l_max + 1)
-    jx = -(hop + pair) / 2.0
-    jy = -(hop - pair) / 2.0
-    return SpinCouplings(jx=jx, jy=jy, mu=spec.mu)

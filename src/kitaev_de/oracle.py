@@ -1,10 +1,13 @@
 """Brute-force exact diagonalization of small chains (N <= 12).
 
-Ground truth for correlators, diagonal distributions and entropies.  The
-Hamiltonian is assembled directly in the fermion occupation basis with exact
-sign bookkeeping; the spin picture (for sigma_x-basis marginals) is built from
-:func:`kitaev_de.model.spin_couplings` and is isospectral to the fermionic
-open chain, which the tests assert.
+Ground truth for correlators, diagonal distributions and entropies.  In the
+fermion occupation basis the chain *is* its Jordan-Wigner spin chain (Lieb,
+Schultz & Mattis 1961): with ``z = 1 - 2n`` per site, the bond ``(a, b)`` of
+hopping ``t`` and pairing ``d`` flips bits ``a`` and ``b`` with amplitude
+``prod_{a<m<b} z_m (jx - jy z_a z_b)``, ``jx = -(t + d)/2``,
+``jy = -(t - d)/2``, and the chemical potential is the diagonal
+``(mu/2) sum z``.  One builder assembles that matrix for open and closed
+chains, and X-basis marginals rotate the same ground state.
 
 Basis conventions
 -----------------
@@ -26,14 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DegenerateGroundStateError
-from .model import ModelSpec, Variant, open_chain_weights, spin_couplings
+from .model import ModelSpec, Variant, _range_weights, open_chain_weights
 
 MAX_SITES = 12
 DEGENERACY_TOL = 1e-10
@@ -50,95 +52,63 @@ class FockGroundState:
     boundary: str
 
 
-def _popcount_below(idx: np.ndarray, j: int) -> np.ndarray:
-    """Number of set bits of idx strictly below bit j."""
-    count = np.zeros_like(idx)
-    for m in range(j):
-        count += (idx >> m) & 1
-    return count
+def _spins(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Basis indices, ``z[i, j] = 1 - 2 n_j`` and the Jordan-Wigner strings
+    ``jw[i, k] = prod_{m<k} z[i, m]`` for ``k = 0..n``."""
+    idx = np.arange(1 << n)
+    z = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)) & 1)
+    jw = np.cumprod(np.column_stack([np.ones(idx.size), z]), axis=1)
+    return idx, z, jw
 
 
-@lru_cache(maxsize=16)
-def _annihilators(n: int) -> tuple:
-    """Sparse matrices of c_j (j = 0..n-1) in the occupation basis."""
-    dim = 1 << n
-    idx = np.arange(dim)
-    ops = []
-    for j in range(n):
-        occupied = ((idx >> j) & 1) == 1
-        src = idx[occupied]
-        dst = src - (1 << j)
-        sign = np.where(_popcount_below(src, j) % 2 == 0, 1.0, -1.0)
-        ops.append(sp.csr_matrix((sign, (dst, src)), shape=(dim, dim)))
-    return tuple(ops)
+def _bonds(spec: ModelSpec, n: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
+    """Upper-triangular hop ``t`` and pair ``d`` tables of
+    ``H = sum_{a<b} [-t_ab (c^dag_a c_b + h.c.) + d_ab (c_a c_b + h.c.)]
+    - mu sum_j (n_j - 1/2)``.
 
-
-def _assemble_hamiltonian(spec: ModelSpec, n: int, boundary: str) -> sp.csr_matrix:
-    c = _annihilators(n)
-    cd = [op.T.tocsr() for op in c]
-    dim = 1 << n
-    h = sp.csr_matrix((dim, dim))
-
-    def add_hop(a, b, coeff):
-        # -coeff would be folded by the caller; adds coeff*(c^dag_a c_b + h.c.)
-        nonlocal h
-        h = h + coeff * (cd[a] @ c[b] + cd[b] @ c[a])
-
-    def add_pair(a, b, coeff):
-        # adds coeff*(c_a c_b + c^dag_b c^dag_a)
-        nonlocal h
-        term = c[a] @ c[b]
-        h = h + coeff * (term + term.T)
-
-    # chemical potential: -mu * sum_j (n_j - 1/2)
-    for j in range(n):
-        h = h - spec.mu * (cd[j] @ c[j])
-    h = h + spec.mu * n / 2.0 * sp.identity(dim, format="csr")
-
+    Ring bonds ``(j, j + l)`` are folded onto ``a < b``: a bond that wraps
+    carries the antiperiodic -1, and a pair term ``c_j c_b`` with ``j > b``
+    flips sign.  Closed-chain weights are the momentum solution's.
+    """
     if boundary == "open":
         hop, pair = open_chain_weights(spec, n)
-        for l in range(1, n):
-            for j in range(0, n - l):
-                if hop[l - 1] != 0.0:
-                    add_hop(j, j + l, -hop[l - 1])
-                if pair[l - 1] != 0.0:
-                    add_pair(j, j + l, pair[l - 1])
+        wrapped = 0.0  # an open chain has no bond that wraps
     elif boundary == "antiperiodic":
-        def wrap(site):
-            return (site % n, -1.0 if site >= n else 1.0)
-
+        wrapped = -1.0  # c_{j+n} = -c_j
         if spec.variant is Variant.LONG_RANGE_PAIRING:
-            for j in range(n):
-                b, s = wrap(j + 1)
-                add_hop(j, b, -0.5 * spec.j * s)
-            # (Delta/4) * sum_{j, l=1..n-1} w_l (c_j c_{j+l} + h.c.): the ring
-            # sum covers each bond from both ends, reproducing the momentum
-            # form with y = (Delta/2) f_alpha(k) at every alpha.
-            l_arr = np.arange(1, n)
-            if math.isinf(spec.alpha):
-                w = (l_arr == 1).astype(float)
-            else:
-                w = np.minimum(l_arr, n - l_arr).astype(float) ** (-spec.alpha)
-            for l in range(1, n):
-                if w[l - 1] == 0.0:
-                    continue
-                for j in range(n):
-                    b, s = wrap(j + l)
-                    add_pair(j, b, 0.25 * spec.delta * w[l - 1] * s)
+            hop = np.zeros(n - 1)
+            hop[0] = 0.5 * spec.j
+            # each pairing bond is summed from both ends, hence Delta/4
+            pair = 0.25 * spec.delta * _range_weights(spec.alpha, n - 1, n)
         else:
-            for l in range(1, spec.r + 1):
-                d = float(min(l, n - l))
-                wj = d ** (-spec.beta) if not math.isinf(spec.beta) else float(l == 1)
-                wd = d ** (-spec.alpha) if not math.isinf(spec.alpha) else float(l == 1)
-                for j in range(n):
-                    b, s = wrap(j + l)
-                    if wj != 0.0:
-                        add_hop(j, b, -spec.j * wj * s)
-                    if wd != 0.0:
-                        add_pair(j, b, spec.delta * wd * s)
+            hop = spec.j * _range_weights(spec.beta, spec.r, n)
+            pair = spec.delta * _range_weights(spec.alpha, spec.r, n)
     else:
         raise ValueError(f"unknown boundary {boundary!r}")
-    return h.tocsr()
+    j = np.arange(n)
+    l = np.arange(1, len(hop) + 1)[:, None]
+    b = (j + l) % n
+    sign = np.where(j + l >= n, wrapped, 1.0)
+    lo, hi = np.minimum(j, b), np.maximum(j, b)
+    t, d = np.zeros((n, n)), np.zeros((n, n))
+    np.add.at(t, (lo, hi), hop[:, None] * sign)
+    np.add.at(d, (lo, hi), pair[:, None] * sign * np.where(j < b, 1.0, -1.0))
+    return t, d
+
+
+def _hamiltonian(spec: ModelSpec, n: int, boundary: str) -> sp.csr_matrix:
+    """Sparse many-body Hamiltonian: one signed bit flip per bond of
+    :func:`_bonds` plus the ``(mu/2) sum z`` diagonal (module docstring)."""
+    t, d = _bonds(spec, n, boundary)
+    a, b = np.nonzero((t != 0.0) | (d != 0.0))
+    jx, jy = -(t[a, b] + d[a, b]) / 2.0, -(t[a, b] - d[a, b]) / 2.0
+    idx, z, jw = _spins(n)
+    amp = jw[:, a + 1] * jw[:, b] * (jx - jy * z[:, a] * z[:, b])
+    rows = np.column_stack([idx, idx[:, None] ^ ((1 << a) | (1 << b))])
+    vals = np.column_stack([0.5 * spec.mu * z.sum(axis=1), amp])
+    cols = np.broadcast_to(idx[:, None], rows.shape)
+    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(idx.size, idx.size))
 
 
 def _lowest_two(h: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -160,8 +130,7 @@ def ed_ground_state(spec: ModelSpec, n: int, boundary: str = "open") -> FockGrou
     """
     if not 2 <= n <= MAX_SITES:
         raise ValueError(f"oracle supports 2 <= n <= {MAX_SITES}, got {n}")
-    h = _assemble_hamiltonian(spec, n, boundary)
-    vals, vec = _lowest_two(h)
+    vals, vec = _lowest_two(_hamiltonian(spec, n, boundary))
     if vals[1] - vals[0] < DEGENERACY_TOL:
         raise DegenerateGroundStateError(
             f"two lowest levels within {vals[1] - vals[0]:.3e}")
@@ -175,58 +144,19 @@ def ed_ground_state(spec: ModelSpec, n: int, boundary: str = "open") -> FockGrou
 
 def ed_spectrum(spec: ModelSpec, n: int, boundary: str = "open") -> np.ndarray:
     """Full many-body spectrum (dense; keep n small)."""
-    h = _assemble_hamiltonian(spec, n, boundary)
-    return np.linalg.eigvalsh(h.toarray())
+    return np.linalg.eigvalsh(_hamiltonian(spec, n, boundary).toarray())
 
 
 def eigen_residual(state: FockGroundState) -> float:
     """``||H psi - E psi||`` for a returned ground state."""
-    h = _assemble_hamiltonian(state.spec, state.n, state.boundary)
+    h = _hamiltonian(state.spec, state.n, state.boundary)
     return float(np.linalg.norm(h @ state.amplitudes - state.energy * state.amplitudes))
 
 
-# ---------------------------------------------------------------------------
-# spin picture (Jordan-Wigner image), used for sigma_x-basis references
-# ---------------------------------------------------------------------------
-
-def spin_hamiltonian(spec: ModelSpec, n: int) -> sp.csr_matrix:
-    """Sparse spin Hamiltonian equivalent to the open fermionic chain.
-
-    ``H = sum_l sum_j [jx_l X_j X_{j+l} + jy_l Y_j Y_{j+l}] * prod Z_mid
-    + (mu/2) sum_j Z_j`` with the couplings of
-    :func:`kitaev_de.model.spin_couplings`.  Each bond term is a signed bit
-    flip: it maps the basis state ``idx`` to ``idx ^ (1<<j | 1<<(j+l))`` with
-    amplitude ``prod z_mid * (jx_l - jy_l z_j z_{j+l})``, where ``z = +-1``
-    are the ``sigma_z`` values of ``idx`` (``Y Y = -z z`` on a flip).
-    """
-    coup = spin_couplings(spec, l_max=n - 1)
-    dim = 1 << n
-    idx = np.arange(dim)
-    z = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)) & 1)  # z[idx, site]
-    rows, cols, vals = [idx], [idx], [0.5 * coup.mu * z.sum(axis=1)]
-    for l in range(1, n):
-        jx, jy = coup.jx[l - 1], coup.jy[l - 1]
-        if jx == 0.0 and jy == 0.0:
-            continue
-        for j in range(0, n - l):
-            amp = z[:, j + 1:j + l].prod(axis=1) * (jx - jy * z[:, j] * z[:, j + l])
-            rows.append(idx ^ (1 << j | 1 << (j + l)))
-            cols.append(idx)
-            vals.append(amp)
-    return sp.csr_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(dim, dim))
-
-
 def spin_ground_state(spec: ModelSpec, n: int) -> tuple[np.ndarray, float]:
-    """Ground state of the spin picture (open chain only)."""
-    vals, vec = _lowest_two(spin_hamiltonian(spec, n))
-    if vals[1] - vals[0] < DEGENERACY_TOL:
-        raise DegenerateGroundStateError(
-            f"two lowest spin levels within {vals[1] - vals[0]:.3e}")
-    if vec[np.argmax(np.abs(vec))] < 0:
-        vec = -vec
-    return vec, float(vals[0])
+    """``(amplitudes, energy)`` of the open chain, which is its spin chain."""
+    state = ed_ground_state(spec, n, "open")
+    return state.amplitudes, state.energy
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +195,8 @@ def ed_diagonal_marginal(state: FockGroundState, sites, basis: str = "z") -> np.
     """Diagonal (measurement) distribution of the selected sites.
 
     Z basis: probabilities over occupation bitstrings of ``sites``.
-    X basis: distribution of joint ``sigma_x`` outcomes, computed in the spin
-    picture (open chains only); outcome bit 1 means ``sigma_x = -1``.
+    X basis: distribution of joint ``sigma_x`` outcomes of the same state read
+    as a spin state (open chains only); outcome bit 1 means ``sigma_x = -1``.
     """
     basis = basis.lower()
     if basis == "z":
@@ -274,20 +204,15 @@ def ed_diagonal_marginal(state: FockGroundState, sites, basis: str = "z") -> np.
     if basis == "x":
         if state.boundary != "open":
             raise ValueError("sigma_x marginals are defined for open chains only")
-        amps, _ = spin_ground_state(state.spec, state.n)
-        rotated = _hadamard_rotate(amps, state.n, sites)
+        rotated = _hadamard_rotate(state.amplitudes, state.n, sites)
         return _marginal_from_probs(np.abs(rotated) ** 2, state.n, sites)
     raise ValueError(f"unknown basis {basis!r}")
 
 
 def ed_sigma_z_product(state: FockGroundState, sites) -> float:
     """``< prod_{j in sites} sigma_z_j >`` with ``sigma_z = 1 - 2 n``."""
-    probs = np.abs(state.amplitudes) ** 2
-    idx = np.arange(probs.size)
-    signs = np.ones(probs.size)
-    for s in sites:
-        signs *= 1.0 - 2.0 * ((idx >> s) & 1)
-    return float(np.dot(probs, signs))
+    _, z, _ = _spins(state.n)
+    return float(np.dot(np.abs(state.amplitudes) ** 2, z[:, list(sites)].prod(axis=1)))
 
 
 def ed_sigma_x_product(spec: ModelSpec, n: int, sites) -> float:
@@ -301,9 +226,14 @@ def ed_sigma_x_product(spec: ModelSpec, n: int, sites) -> float:
 
 
 def ed_pair_correlator(state: FockGroundState, a: int, b: int) -> float:
-    """``<A_a B_b>`` with ``A = c^dag + c`` and ``B = c^dag - c``."""
-    c = _annihilators(state.n)
-    amat = (c[a].T + c[a]).toarray()
-    bmat = (c[b].T - c[b]).toarray()
+    """``<A_a B_b>`` with ``A = c^dag + c`` and ``B = c^dag - c``.
+
+    Both are signed bit flips: ``A_a`` with the Jordan-Wigner sign
+    ``prod_{m<a} z_m``, ``B_b`` with ``prod_{m<b} z_m z_b``.  ``A`` is
+    Hermitian, so ``<A_a B_b> = (A_a v).(B_b v)``.
+    """
     v = state.amplitudes
-    return float(v @ (amat @ (bmat @ v)))
+    idx, z, jw = _spins(state.n)
+    av = (jw[:, a] * v)[idx ^ (1 << a)]
+    bv = (jw[:, b] * z[:, b] * v)[idx ^ (1 << b)]
+    return float(av @ bv)

@@ -91,6 +91,32 @@ class TestValidation:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,ring", [
+        (["--task", "de-pure", "--n", "4", "--r", "4"], 4),
+        (["--task", "ge", "--n", "8", "--r", "9"], 8),
+        (["--task", "winding", "--samples", "256", "--r", "300"], 256),
+        (["--task", "trajectory", "--samples", "256", "--r", "256"], 256),
+        (["--task", "fit-volume", "--sizes", "60:0:-20", "--r", "20"], 20),
+        (["--task", "critical-scan", "--n", "10", "--r", "10", "--start", "-3",
+          "--stop", "-2"], 10),
+        (["--task", "compare", "--n", "8000", "--r", "5000", "--start", "-3",
+          "--stop", "-2.9", "--step", "0.1"], 4096)])
+    def test_range_beyond_closed_chain_names_r(self, tmp_path, capsys, flags, ring):
+        # a range r >= n has ring distance min(l, n - l) = 0 on the closed chain
+        code = run_cli([*flags, "--variant", "2", "--beta", "0.2", "--mu", "-3",
+                        "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'r'" in err and f"below the {ring} sites" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--task", "de-pure", "--n", "4", "--r", "3"],
+        ["--task", "winding", "--samples", "256", "--r", "255"]])
+    def test_longest_range_on_closed_chain(self, tmp_path, flags):
+        code = run_cli([*flags, "--variant", "2", "--beta", "0.2", "--mu", "-3",
+                        "--out", str(tmp_path / "o.csv")])
+        assert code == 0
+
     @pytest.mark.parametrize("flags", [
         ["--task", "winding", "--mu", "-1e-3"],
         ["--task", "sweep", "--start", "-2e-1", "--stop", "0"],

@@ -1,12 +1,11 @@
-"""Momentum-space solutions, grid conventions and spin couplings."""
+"""Momentum-space solutions, grid conventions and open-chain weights."""
 import math
 
 import numpy as np
 import pytest
 
 from kitaev_de import (ModelSpec, SpectrumOverflowError, Variant,
-                       ZeroVectorError, dispersion, momentum_grid, solve_chain,
-                       spin_couplings)
+                       ZeroVectorError, dispersion, momentum_grid, solve_chain)
 from kitaev_de.model import grid_numerators, numerators_at, open_chain_weights
 
 from conftest import random_gapped_spec
@@ -172,40 +171,51 @@ class TestOverflowGuard:
             assert np.isfinite(np.hypot(y, z)).all()
 
 
-class TestSpinCouplings:
+class TestOpenChainWeights:
     def test_pairing_hopping_identities(self, rng):
-        # jx + jy = -J/d^beta and jx - jy = -Delta/d^alpha per range
+        # hop = J/l^beta and pair = Delta/l^alpha per range, zero beyond r
         for _ in range(50):
             spec = random_gapped_spec(rng)
             if spec.variant is not Variant.LONG_RANGE_PAIRING_HOPPING:
                 continue
-            coup = spin_couplings(spec)
+            hop, pair = open_chain_weights(spec, spec.r + 3)
             l = np.arange(1, spec.r + 1, dtype=float)
-            assert np.allclose(coup.jx + coup.jy, -spec.j * l ** (-spec.beta),
+            assert np.allclose(hop[:spec.r], spec.j * l ** (-spec.beta), atol=1e-13)
+            assert np.allclose(pair[:spec.r], spec.delta * l ** (-spec.alpha),
                                atol=1e-13)
-            assert np.allclose(coup.jx - coup.jy, -spec.delta * l ** (-spec.alpha),
-                               atol=1e-13)
+            assert np.all(hop[spec.r:] == 0.0) and np.all(pair[spec.r:] == 0.0)
 
     def test_pairing_only_values(self):
         # l = 1 carries hopping and pairing; l >= 2 pairing only with the
         # (Delta/2) d^-alpha open-chain strength
         spec = ModelSpec.pairing(j=1.0, delta=1.0, mu=0.3, alpha=0.0)
-        coup = spin_couplings(spec, l_max=4)
-        assert coup.jx[0] == pytest.approx(-(0.5 + 0.5) / 2)
-        assert coup.jy[0] == pytest.approx(-(0.5 - 0.5) / 2)
-        assert coup.jx[1] == pytest.approx(-0.25)
-        assert coup.jy[1] == pytest.approx(0.25)
-        assert coup.mu == 0.3
+        hop, pair = open_chain_weights(spec, 5)
+        assert hop[0] == pytest.approx(0.5)
+        assert pair[0] == pytest.approx(0.5)
+        assert hop[1] == 0.0
+        assert pair[1] == pytest.approx(0.5)
 
     def test_delta_zero_kills_long_range(self):
         spec = ModelSpec.pairing(j=1.0, delta=0.0, mu=0.1, alpha=1.0)
-        coup = spin_couplings(spec, l_max=6)
-        assert np.all(coup.jx[1:] == 0.0)
-        assert np.all(coup.jy[1:] == 0.0)
+        hop, pair = open_chain_weights(spec, 7)
+        assert np.all(hop[1:] == 0.0)
+        assert np.all(pair == 0.0)
 
-    def test_requires_l_max_for_pairing_only(self):
-        with pytest.raises(ValueError):
-            spin_couplings(ModelSpec.pairing())
+
+class TestRangeOnRing:
+    @pytest.mark.parametrize("r,n", [(4, 4), (5, 4), (300, 256)])
+    def test_range_reaching_the_ring_raises(self, r, n):
+        # the ring distance min(l, n - l) would reach 0
+        spec = ModelSpec.pairing_hopping(mu=-3.0, beta=0.2, r=r)
+        with pytest.raises(ValueError, match=f"r = {r}"):
+            grid_numerators(spec, n)
+        with pytest.raises(ValueError, match=f"r = {r}"):
+            numerators_at(spec, 0.3, n)
+
+    def test_longest_range_kept(self):
+        spec = ModelSpec.pairing_hopping(mu=-3.0, beta=0.2, r=3)
+        _, y, z = grid_numerators(spec, 4)
+        assert np.isfinite(y).all() and np.isfinite(z).all()
 
 
 class TestModelSpecValidation:

@@ -1,16 +1,93 @@
 """Exact-diagonalization oracle self-checks and energy identities."""
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kitaev_de import DegenerateGroundStateError, ModelSpec
-from kitaev_de.model import grid_numerators
-from kitaev_de.oracle import (ed_diagonal_marginal, ed_ground_state,
-                              ed_sigma_z_product, ed_spectrum, eigen_residual,
-                              spin_ground_state, spin_hamiltonian)
+from kitaev_de.model import Variant, grid_numerators, open_chain_weights
+from kitaev_de.oracle import (_hamiltonian, ed_diagonal_marginal,
+                              ed_ground_state, ed_pair_correlator,
+                              ed_sigma_z_product, ed_spectrum,
+                              eigen_residual, spin_ground_state)
 
 from conftest import random_gapped_spec
+
+V1, V2 = ModelSpec.pairing, ModelSpec.pairing_hopping
+
+# both variants, alpha != beta, finite-alpha variant 1, ranges 2, 3 and 5
+BUILDER_SPECS = [V1(j=0.8, delta=1.3, mu=0.45),
+                 V1(j=0.7, delta=-0.8, mu=-1.2, alpha=1.5),
+                 V1(j=0.7, delta=0.8, mu=0.3, alpha=0.0),
+                 V2(j=0.4, delta=0.8, mu=-3.2, alpha=0.0, beta=0.5, r=3),
+                 V2(j=-0.8, delta=1.0, mu=-1.0, alpha=0.3, beta=0.3, r=2),
+                 V2(j=0.8, delta=1.0, mu=0.6, alpha=2.0, beta=0.1, r=5),
+                 V2(j=0.8, delta=1.0, mu=0.6, alpha=math.inf, beta=0.7, r=3),
+                 V2(j=0.5, delta=-0.9, mu=0.2, alpha=0.2, beta=math.inf, r=3)]
+
+
+@functools.lru_cache(maxsize=None)
+def _annihilators(n):
+    """Sparse matrices of c_j (j = 0..n-1) in the occupation basis, with the
+    Jordan-Wigner sign (-1)**(occupied sites below j)."""
+    dim = 1 << n
+    idx = np.arange(dim)
+    ops = []
+    for j in range(n):
+        src = idx[((idx >> j) & 1) == 1]
+        sign = 1.0 - 2.0 * (np.bitwise_count(src & ((1 << j) - 1)) % 2)
+        ops.append(sp.csr_matrix((sign, (src - (1 << j), src)), shape=(dim, dim)))
+    return tuple(ops)
+
+
+@functools.lru_cache(maxsize=None)
+def _bond_ops(n, a, b):
+    """``c^dag_a c_b + h.c.`` and ``c_a c_b + h.c.`` as COO matrices."""
+    c = _annihilators(n)
+    hop, pair = c[a].T @ c[b], c[a] @ c[b]
+    return (hop + hop.T).tocoo(), (pair + pair.T).tocoo()
+
+
+def reference_hamiltonian(spec, n, boundary):
+    """The chain assembled from products of c_j matrices: an independent
+    reference for the oracle's bit-flip builder."""
+    c = _annihilators(n)
+    # -mu sum_j (n_j - 1/2)
+    terms = [(-spec.mu, (cd @ cj - 0.5 * sp.identity(1 << n)).tocoo())
+             for cd, cj in ((cj.T, cj) for cj in c)]
+
+    def bond(a, b, hop, pair):  # -hop (c^dag_a c_b + h.c.) + pair (c_a c_b + h.c.)
+        terms.extend(zip((-hop, pair), _bond_ops(n, a, b)))
+
+    if boundary == "open":
+        hop, pair = open_chain_weights(spec, n)
+        for l in range(1, n):
+            for j in range(n - l):
+                bond(j, j + l, hop[l - 1], pair[l - 1])
+    else:
+        def ring(exponent, r):  # ring distance min(l, n - l), one term at inf
+            l = np.arange(1, r + 1)
+            if math.isinf(exponent):
+                return (l == 1).astype(float)
+            return np.minimum(l, n - l).astype(float) ** (-exponent)
+
+        if spec.variant is Variant.LONG_RANGE_PAIRING:
+            hop = np.zeros(n - 1)
+            hop[0] = 0.5 * spec.j
+            pair = 0.25 * spec.delta * ring(spec.alpha, n - 1)
+        else:
+            hop = spec.j * ring(spec.beta, spec.r)
+            pair = spec.delta * ring(spec.alpha, spec.r)
+        for l in range(1, len(hop) + 1):
+            for j in range(n):  # c_{j+n} = -c_j
+                s = -1.0 if j + l >= n else 1.0
+                bond(j, (j + l) % n, hop[l - 1] * s, pair[l - 1] * s)
+    return sp.csr_matrix((np.concatenate([w * m.data for w, m in terms]),
+                          (np.concatenate([m.row for _, m in terms]),
+                           np.concatenate([m.col for _, m in terms]))),
+                         shape=(1 << n, 1 << n))
 
 
 def momentum_ground_energy(spec, n):
@@ -46,6 +123,14 @@ class TestGroundState:
         state = ed_ground_state(spec, 8, "open")
         assert eigen_residual(state) < 1e-10
         assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("boundary", ["open", "antiperiodic"])
+    def test_spectrum_starts_at_ground_energy(self, boundary):
+        spec = BUILDER_SPECS[3]
+        levels = ed_spectrum(spec, 6, boundary)
+        assert levels.size == 64 and np.all(np.diff(levels) >= 0)
+        assert levels[0] == pytest.approx(ed_ground_state(spec, 6, boundary).energy,
+                                          abs=1e-12)
 
     def test_atomic_limit(self):
         spec = ModelSpec.pairing(j=1.0, delta=1.0, mu=-1e6)
@@ -90,14 +175,42 @@ class TestEnergyIdentities:
         assert abs(state.energy + eps.sum()) > 1.0  # full-grid sum is wrong
 
 
+class TestBuilder:
+    @pytest.mark.parametrize("boundary", ["open", "antiperiodic"])
+    def test_matches_cj_reference(self, boundary):
+        for spec in BUILDER_SPECS:
+            for n in range(2, 11):
+                if spec.r is not None and spec.r >= n:
+                    continue
+                want = reference_hamiltonian(spec, n, boundary).toarray()
+                got = _hamiltonian(spec, n, boundary).toarray()
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("boundary", ["open", "antiperiodic"])
+    def test_pair_correlator_matches_reference(self, boundary):
+        spec = BUILDER_SPECS[3]
+        c = _annihilators(6)
+        state = ed_ground_state(spec, 6, boundary)
+        v = state.amplitudes
+        for a in range(6):
+            for b in range(6):
+                amat, bmat = c[a].T + c[a], c[b].T - c[b]
+                want = v @ (amat @ (bmat @ v))
+                assert abs(ed_pair_correlator(state, a, b) - want) < 1e-14
+
+    def test_range_must_fit_the_ring(self):
+        with pytest.raises(ValueError, match="r = 3"):
+            ed_ground_state(V2(r=3, mu=-3.0), 2, "antiperiodic")
+        ed_ground_state(V2(r=3, mu=-3.0), 2, "open")  # open chains truncate
+
+
 class TestSpinPicture:
-    @pytest.mark.parametrize("n", [4, 6, 8])
-    def test_isospectral_to_fermions(self, rng, n):
-        for _ in range(4):
-            spec = random_gapped_spec(rng, trivial=True)
-            fermi = ed_spectrum(spec, n, "open")
-            spin = np.linalg.eigvalsh(spin_hamiltonian(spec, n).toarray())
-            assert np.abs(fermi - spin).max() < 1e-9
+    def test_spin_ground_state_is_open_state(self, rng):
+        spec = random_gapped_spec(rng, trivial=True)
+        state = ed_ground_state(spec, 8, "open")
+        amps, energy = spin_ground_state(spec, 8)
+        assert np.array_equal(amps, state.amplitudes)
+        assert energy == state.energy
 
     def test_spin_ground_energy(self, rng):
         spec = random_gapped_spec(rng, trivial=True)
