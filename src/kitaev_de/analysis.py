@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import _block_entropies, de_density, global_entanglement
-from .errors import (GaplessSpecError, IllConditionedError,
-                     InsufficientPointsError, NonUniformGridError)
+from .errors import (IllConditionedError, InsufficientPointsError,
+                     NonUniformGridError)
 from .gaussian import correlator_kernel
 from .model import DEFAULT_GRID, ModelSpec
-from .topology import _with_param, winding_number
+from .topology import _sweep, winding_number
 
 DEFAULT_KAPPA = 10.0
 DEFAULT_STEP = 0.01
@@ -133,47 +133,24 @@ def detect_critical_points(curve: SusceptibilityCurve,
     floor = 1e-12 * max(float(np.abs(curve.chi).max()), 1.0)
     threshold = kappa * max(med, floor)
     flagged = np.nonzero(jumps > threshold)[0]
+    h = curve.grid[1] - curve.grid[0]
+    gaps = np.nonzero(np.abs(np.diff(mids[flagged])) > 1.5 * abs(h))[0] + 1
     points = []
-    raw = [float(mids[i]) for i in flagged]
-
-    def close(cluster):
-        cluster = np.asarray(cluster)
+    for cluster in np.split(flagged, gaps) if flagged.size else []:
         kept = cluster[jumps[cluster] >= 0.5 * jumps[cluster].max()]
         w = jumps[kept]
         half = np.nonzero(np.cumsum(w) >= 0.5 * w.sum())[0][0]
         points.append(CriticalPoint(location=float(mids[kept[half]]),
                                     jump=float(jumps[cluster].max()),
                                     channel=channel or curve.name))
-
-    if flagged.size:
-        h = curve.grid[1] - curve.grid[0]
-        cluster = [int(flagged[0])]
-        for i in flagged[1:].tolist() + [-1]:
-            if i >= 0 and mids[i] - mids[cluster[-1]] <= 1.5 * h:
-                cluster.append(i)
-            else:
-                close(cluster)
-                cluster = [i]
-    return CriticalPointReport(points=tuple(points), raw_flags=tuple(raw),
+    return CriticalPointReport(points=tuple(points),
+                               raw_flags=tuple(mids[flagged].tolist()),
                                threshold=threshold)
 
 
 # ---------------------------------------------------------------------------
 # sweep drivers
 # ---------------------------------------------------------------------------
-
-def _sweep(spec: ModelSpec, name: str, values, fn, width: int = 1) -> np.ndarray:
-    """``fn(spec with name = v)`` for each v, in one pass over ``values``;
-    NaN where the grid gap closes.  ``width`` > 1 gives one row of that many
-    values per point, ``width`` = 1 a flat array."""
-    out = np.full((len(values), width) if width > 1 else len(values), np.nan)
-    for i, v in enumerate(values):
-        try:
-            out[i] = fn(_with_param(spec, name, v))
-        except GaplessSpecError:
-            pass
-    return out
-
 
 def sweep_de_density(spec: ModelSpec, name: str, values,
                      n: int = DEFAULT_N_DENSITY) -> np.ndarray:

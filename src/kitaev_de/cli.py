@@ -48,7 +48,6 @@ DEFAULTS = {
     "beta": None,
     "r": None,
     "n": None,            # task-specific default materialised below
-    "samples": 4096,
     "l": 8,               # de-block block length
     "l_min": 4,
     "l_max": 14,
@@ -69,7 +68,7 @@ _TASK_N = {"winding": 4096, "trajectory": 4096, "mzm": 100, "de-pure": 2000,
            "de-block": 8192, "ge": 8192, "fit-volume": 2000, "fit-block": 8192,
            "sweep": 2000, "critical-scan": 2000, "compare": 2000}
 
-_INT_FIELDS = ("variant", "r", "n", "samples", "l", "l_min", "l_max")
+_INT_FIELDS = ("variant", "r", "n", "l", "l_min", "l_max")
 _FLOAT_FIELDS = ("j", "delta", "mu", "alpha", "beta", "start", "stop", "step",
                  "kappa", "tol")
 _FINITE_FIELDS = ("start", "stop", "step", "kappa", "tol")
@@ -183,8 +182,6 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
     for field in ("step", "tol"):
         if not config[field] > 0:
             raise ValidationError(f"field '{field}' must be > 0, got {config[field]}")
-    if config["samples"] < 256:
-        raise ValidationError(f"field 'samples' must be >= 256, got {config['samples']}")
     _check_n(config)
     _sizes(config)
     _channels(config)
@@ -212,13 +209,16 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
 
 
 def _check_n(config: dict) -> None:
-    """Closed chains need an even grid; block tasks need ``l_max < n/4``."""
+    """Closed chains need an even grid, windings at least 256 samples of it;
+    block tasks need ``l_max < n/4``."""
     n, task = config["n"], config["task"]
     if task == "mzm":
         if n < 2:
             raise ValidationError(f"field 'n' must be >= 2, got {n}")
     elif n < 2 or n % 2:
         raise ValidationError(f"field 'n' must be an even integer >= 2, got {n}")
+    if task in ("winding", "trajectory") and n < 256:
+        raise ValidationError(f"field 'n' must be >= 256 for {task}, got {n}")
     block = {"de-block": config["l"], "fit-block": config["l_max"]}.get(task)
     if block is not None and not n > 4 * block:
         raise ValidationError(f"field 'n' must be > 4 * {block} = {4 * block} "
@@ -228,8 +228,6 @@ def _check_n(config: dict) -> None:
 def _closed_n(config: dict) -> float:
     """Sites of the smallest closed chain (momentum grid) the task builds."""
     task = config["task"]
-    if task in ("winding", "trajectory"):
-        return config["samples"]
     if task == "fit-volume":
         return min(_sizes(config), default=math.inf)
     if task == "compare":  # the nu channel winds on the default grid
@@ -297,22 +295,22 @@ def run_task(config: dict) -> dict:
     results: dict = {}
 
     if task == "winding":
-        res = winding_number(spec, samples=config["samples"])
+        res = winding_number(spec, samples=config["n"])
         write_csv(out, ["nu_raw", "nu", "gapped", "min_gap"],
                   [[res.nu_raw], [res.nu], [res.gapped], [res.min_gap]])
         results = {"nu": res.nu, "nu_raw": res.nu_raw, "min_gap": res.min_gap}
     elif task == "trajectory":
-        tr = trajectory(spec, samples=config["samples"])
+        tr = trajectory(spec, samples=config["n"])
         write_csv(out, ["k", "h_y", "h_z", "gapless"],
                   [tr.k, tr.hy, tr.hz, tr.gapless])
     elif task == "mzm":
         modes = zero_modes(spec, config["n"], tol=config["tol"])
-        header = ["site"]
-        for i, mode in enumerate(modes):
-            side = "left" if mode.side is Side.LEFT else "right"
-            header.append(f"p_{side}_{i // 2 + 1}")
-        write_csv(out, header, [np.arange(1, config["n"] + 1),
-                                *(m.probability for m in modes)])
+        # per side, the diagonal of the null-space projector: unlike each
+        # mode's profile, it does not depend on the basis LAPACK returns
+        p = {side: sum((m.probability for m in modes if m.side is side),
+                       np.zeros(config["n"])) for side in Side}
+        write_csv(out, ["site", "p_left", "p_right"],
+                  [np.arange(1, config["n"] + 1), p[Side.LEFT], p[Side.RIGHT]])
         results = {"pairs": len(modes) // 2,
                    "singular_values": [m.singular_value for m in modes]}
     elif task == "de-pure":

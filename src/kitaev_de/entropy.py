@@ -37,8 +37,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .errors import GaplessSpecError, NormalizationFailureError
-from .gaussian import (CorrelationSource, CorrelatorKernel, _bond_matrix,
-                       _pair_matrix)
+from .gaussian import CorrelationSource, _bond_matrix, _pair_matrix
 from .model import DEFAULT_GRID, GAP_TOL, ModelSpec, grid_numerators
 
 MAX_BLOCK = 16
@@ -153,8 +152,6 @@ def _block_levels(source: CorrelationSource, lengths, basis: str, start: int):
     l = max(lengths)
     if not 1 <= min(lengths) <= l <= MAX_BLOCK:
         raise ValueError(f"block lengths must be in 1..{MAX_BLOCK}, got {lengths}")
-    if isinstance(source, CorrelatorKernel) and l - 1 > source.l_max:
-        raise ValueError(f"kernel tabulated to l_max={source.l_max} < L-1={l - 1}")
     sites = np.arange(start, start + l)
     if basis == "z":
         return _chain_rule(_pair_matrix(source, sites, sites))

@@ -158,11 +158,9 @@ def _grid_harmonics(key):
     distance weights, ``peaks`` their largest magnitudes.  One FFT each.
     """
     kind, n, a, b, r = key
-    if n < 2 or n % 2:
-        raise ValueError(f"need an even chain length >= 2, got {n}")
+    k_sorted = momentum_grid(n)
     if kind == "pairing":
-        w = _range_weights(a, n - 1, n)
-        ws, wc = w, None
+        ws, wc = _range_weights(a, n - 1, n), None
     else:
         ws = _range_weights(a, r, n)  # sine (pairing) sum decays with alpha
         wc = _range_weights(b, r, n)  # cosine (hopping) sum decays with beta
@@ -171,16 +169,12 @@ def _grid_harmonics(key):
         u = np.zeros(n, dtype=complex)
         l = np.arange(1, len(weights) + 1)
         u[l % n] += weights * np.exp(1j * np.pi * l / n)
-        # value at k_m = 2*pi*(m + 1/2)/n is sum_l u_l e^{2*pi*i*m*l/n}
-        return n * np.fft.ifft(u)
+        # value at k_m = 2*pi*(m + 1/2)/n is sum_l u_l e^{2*pi*i*m*l/n};
+        # the shift moves m >= n/2 (k > pi, mapped below 0) to the front
+        return np.fft.fftshift(n * np.fft.ifft(u))
 
-    k_raw = (2.0 * np.pi / n) * (np.arange(n) + 0.5)
-    order = np.argsort(np.where(k_raw > np.pi, k_raw - 2 * np.pi, k_raw))
-    k_sorted = np.where(k_raw > np.pi, k_raw - 2 * np.pi, k_raw)[order]
-    s = grid_sum(ws)[order]
-    c = grid_sum(wc)[order] if wc is not None else None
-    sin_sum = np.ascontiguousarray(s.imag)
-    cos_sum = np.ascontiguousarray(c.real) if c is not None else np.cos(k_sorted)
+    sin_sum = np.ascontiguousarray(grid_sum(ws).imag)
+    cos_sum = np.ascontiguousarray(grid_sum(wc).real) if wc is not None else np.cos(k_sorted)
     for arr in (k_sorted, sin_sum, cos_sum):
         arr.flags.writeable = False
     peaks = (float(np.abs(sin_sum).max()), float(np.abs(cos_sum).max()))

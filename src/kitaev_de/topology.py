@@ -18,8 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GaplessSpecError, NumericalWindingWarning
-from .model import (GAP_TOL, ModelSpec, anderson_vector, grid_numerators,
-                    minimum_gap)
+from .model import GAP_TOL, ModelSpec, anderson_vector, grid_numerators
 
 DEFAULT_SAMPLES = 4096
 SNAP_TOL = 0.05
@@ -144,48 +143,46 @@ def _with_param(spec: ModelSpec, name: str, value: float) -> ModelSpec:
     return replace(spec, **{name: float(value)})
 
 
+def _sweep(spec: ModelSpec, name: str, values, fn, width: int = 1) -> np.ndarray:
+    """``fn(spec with name = v)`` for each v, in one pass over ``values``;
+    NaN where the grid gap closes.  ``width`` > 1 gives one row of that many
+    values per point, ``width`` = 1 a flat array."""
+    out = np.full((len(values), width) if width > 1 else len(values), np.nan)
+    for i, v in enumerate(values):
+        try:
+            out[i] = fn(_with_param(spec, name, v))
+        except GaplessSpecError:
+            pass
+    return out
+
+
 def phase_boundary_scan(spec: ModelSpec, x_name: str, x_values,
                         y_name: str | None = None, y_values=None,
                         samples: int = 1024) -> PhaseScan:
     """Snapped winding number over a rectangular parameter grid.
 
-    Gapless cells are kept (NaN) rather than raised; boundary cells are those
-    where nu changes between neighbours or the gap closed.
+    Gapless cells are kept (NaN in every field) rather than raised; boundary
+    cells are those where nu changes between neighbours or the gap closed.
     """
+    def cell(sp):
+        res = winding_number(sp, samples=samples)
+        return res.nu, res.nu_raw, res.min_gap
+
     x_values = np.asarray(x_values, dtype=float)
-    if y_name is None:
-        y_values = np.asarray([np.nan])
-    else:
-        y_values = np.asarray(y_values, dtype=float)
-    nu = np.full((y_values.size, x_values.size), np.nan)
-    nu_raw = np.full_like(nu, np.nan)
-    min_gap = np.zeros_like(nu)
-    for iy, yv in enumerate(y_values):
-        base = spec if y_name is None else _with_param(spec, y_name, yv)
-        for ix, xv in enumerate(x_values):
-            cell = _with_param(base, x_name, xv)
-            try:
-                res = winding_number(cell, samples=samples)
-            except GaplessSpecError:
-                min_gap[iy, ix] = minimum_gap(cell, samples)
-                continue
-            nu[iy, ix] = res.nu
-            nu_raw[iy, ix] = res.nu_raw
-            min_gap[iy, ix] = res.min_gap
+    y_values = None if y_name is None else np.asarray(y_values, dtype=float)
+    rows = [spec] if y_name is None else [_with_param(spec, y_name, y) for y in y_values]
+    grid = np.array([_sweep(row, x_name, x_values, cell, 3) for row in rows])
+    grid = grid.reshape(len(rows), x_values.size, 3)  # also for no rows
     return PhaseScan(x_name=x_name, x_values=x_values, y_name=y_name,
-                     y_values=None if y_name is None else y_values,
-                     nu=nu, nu_raw=nu_raw, min_gap=min_gap)
+                     y_values=y_values, nu=grid[..., 0], nu_raw=grid[..., 1],
+                     min_gap=grid[..., 2])
 
 
 def nu_change_locations(spec: ModelSpec, name: str, values,
                         samples: int = 1024) -> list[float]:
     """Midpoints of a 1D sweep where the snapped nu changes (or gap closes)."""
-    scan = phase_boundary_scan(spec, name, values, samples=samples)
-    nu = scan.nu[0]
-    xs = scan.x_values
-    out = []
-    for i in range(len(xs) - 1):
-        a, b = nu[i], nu[i + 1]
-        if np.isnan(a) != np.isnan(b) or (not np.isnan(a) and a != b):
-            out.append(0.5 * (xs[i] + xs[i + 1]))
-    return out
+    xs = np.asarray(values, dtype=float)
+    nu = _sweep(spec, name, xs, lambda sp: winding_number(sp, samples=samples).nu)
+    gapless = np.isnan(nu)
+    changed = (nu[:-1] != nu[1:]) & ~(gapless[:-1] & gapless[1:])
+    return (0.5 * (xs[:-1] + xs[1:]))[changed].tolist()

@@ -103,6 +103,15 @@ class TestDetector:
         assert len(rep.points) == 1
         assert abs(rep.points[0].location - 0.203) < 0.011
 
+    def test_reversed_grid_merges_cluster(self):
+        # a descending grid has a negative step; one kink is still one point
+        x = np.arange(1, -1.001, -0.01)
+        q = np.where(x < 0.203, 1.0 * x, 3.0 * x - 0.406)
+        rep = detect_critical_points(susceptibility("x", x, q), 10.0)
+        assert len(rep.raw_flags) > 1
+        assert len(rep.points) == 1
+        assert abs(rep.points[0].location - 0.203) < 0.011
+
     def test_needs_enough_points(self):
         x = np.arange(0, 0.08, 0.01)
         with pytest.raises(InsufficientPointsError):

@@ -70,7 +70,7 @@ class TestValidation:
          "'alpha'"),
         (["--task", "ge", "--n", "7"], "'n'"),
         (["--task", "de-block", "--l", "8", "--n", "32"], "'n'"),
-        (["--task", "winding", "--samples", "10"], "'samples'"),
+        (["--task", "winding", "--n", "10"], "'n'"),
         (["--task", "compare", "--start", "0", "--stop", "1", "--channels",
           "foo,S"], "'channels'"),
         (["--task", "compare", "--start", "0", "--stop", "1", "--channels",
@@ -82,10 +82,11 @@ class TestValidation:
          "'param'"),
         (["--task", "sweep", "--quantity", "q", "--start", "0", "--stop", "1"],
          "'quantity'"),
-        (["--task", "winding", "--samples", "abc"], "'samples'"),
+        (["--task", "winding", "--n", "abc"], "'n'"),
         (["--task", "winding", "--bogus", "1"], "'--bogus'"),
         (["--task", "winding", "--mu", "--j", "1"], "'mu'"),
-        (["--task=winding", "--mu="], "'mu'")])
+        (["--task=winding", "--mu="], "'mu'"),
+        (["--task", "trajectory", "--n", "257"], "'n'")])
     def test_bad_value_names_field(self, tmp_path, capsys, flags, message):
         code = run_cli([*flags, "--out", str(tmp_path / "o.csv")])
         assert code == 1
@@ -94,8 +95,8 @@ class TestValidation:
     @pytest.mark.parametrize("flags,ring", [
         (["--task", "de-pure", "--n", "4", "--r", "4"], 4),
         (["--task", "ge", "--n", "8", "--r", "9"], 8),
-        (["--task", "winding", "--samples", "256", "--r", "300"], 256),
-        (["--task", "trajectory", "--samples", "256", "--r", "256"], 256),
+        (["--task", "winding", "--n", "256", "--r", "300"], 256),
+        (["--task", "trajectory", "--n", "256", "--r", "256"], 256),
         (["--task", "fit-volume", "--sizes", "60:0:-20", "--r", "20"], 20),
         (["--task", "critical-scan", "--n", "10", "--r", "10", "--start", "-3",
           "--stop", "-2"], 10),
@@ -111,7 +112,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("flags", [
         ["--task", "de-pure", "--n", "4", "--r", "3"],
-        ["--task", "winding", "--samples", "256", "--r", "255"]])
+        ["--task", "winding", "--n", "256", "--r", "255"]])
     def test_longest_range_on_closed_chain(self, tmp_path, flags):
         code = run_cli([*flags, "--variant", "2", "--beta", "0.2", "--mu", "-3",
                         "--out", str(tmp_path / "o.csv")])
@@ -120,7 +121,7 @@ class TestValidation:
     @pytest.mark.parametrize("flags", [
         ["--task", "winding", "--mu", "-1e-3"],
         ["--task", "sweep", "--start", "-2e-1", "--stop", "0"],
-        ["--task", "winding", "--samples", "1e3"]])
+        ["--task", "winding", "--n", "1e3"]])
     def test_flags_read_like_config(self, tmp_path, flags):
         # a flag value is the config value of the same string
         values = dict(zip((f[2:] for f in flags[::2]), flags[1::2]))
@@ -269,7 +270,7 @@ class TestOutputs:
     def test_trajectory_rows(self, tmp_path):
         out = tmp_path / "tr.csv"
         assert run_cli(["--task", "trajectory", "--variant", "1",
-                        "--samples", "256", "--mu", "-1.5", "--delta", "-1",
+                        "--n", "256", "--mu", "-1.5", "--delta", "-1",
                         "--out", str(out)]) == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "k,h_y,h_z,gapless"
@@ -282,8 +283,24 @@ class TestOutputs:
         side = json.loads((tmp_path / "mzm.json").read_text())
         assert side["results"]["pairs"] == 1
         lines = out.read_text().strip().split("\n")
-        assert lines[0] == "site,p_left_1,p_right_1"
+        assert lines[0] == "site,p_left,p_right"
         assert len(lines) == 61
+
+    def test_mzm_sides_match_null_projector(self, tmp_path):
+        # each side's column is the diagonal of the projector onto that side's
+        # null space of K, taken here from an independent SVD
+        path = next(p for p in CONFIGS if Path(p).stem == "mzm_three_pairs")
+        out = tmp_path / "mzm.csv"
+        assert run_cli(["--config", path, "--out", str(out)]) == 0
+        config = json.loads(out.with_suffix(".json").read_text())["config"]
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        u, s, vt = np.linalg.svd(kitaev_de.build_coupling(_spec(config), config["n"]))
+        null = s < config["tol"] * s.max()
+        assert null.sum() == 3
+        np.testing.assert_allclose(table[:, 1], (u[:, null] ** 2).sum(axis=1),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(table[:, 2], (vt[null] ** 2).sum(axis=0),
+                                   rtol=0, atol=1e-12)
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -333,6 +350,18 @@ class TestOutputs:
             want = kitaev_de.sweep_global_entanglement(spec, "delta", [0.5, 0.6, 0.7], n)
             assert [float(r.split(",")[1]) for r in rows] == want.tolist()
         assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
+
+    def test_winding_uses_n(self, tmp_path):
+        spec = kitaev_de.ModelSpec.pairing(mu=-0.5)
+        gaps = []
+        for n in (512, 4096):
+            out = tmp_path / f"w{n}.csv"
+            assert run_cli(["--task", "winding", "--variant", "1", "--mu", "-0.5",
+                            "--n", str(n), "--out", str(out)]) == 0
+            gaps.append(json.loads(out.with_suffix(".json").read_text())
+                        ["results"]["min_gap"])
+            assert gaps[-1] == kitaev_de.winding_number(spec, samples=n).min_gap
+        assert gaps[0] != gaps[1]
 
     def test_compare_columns(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -448,7 +477,7 @@ _FUZZ_FIELDS = {
     "j": st.one_of(_REAL, _JUNK), "delta": st.one_of(_REAL, _JUNK),
     "mu": st.one_of(_REAL, _JUNK), "alpha": st.one_of(_REAL, _JUNK),
     "beta": st.one_of(_REAL, _JUNK), "r": st.one_of(st.integers(-2, 12), _JUNK),
-    "n": st.one_of(_SMALL_INT, _JUNK), "samples": st.one_of(_SMALL_INT, _JUNK),
+    "n": st.one_of(_SMALL_INT, _JUNK),
     "l": st.one_of(st.integers(-2, 20), _JUNK),
     "l_min": st.one_of(st.integers(-2, 20), _JUNK),
     "l_max": st.one_of(st.integers(-2, 20), _JUNK),

@@ -193,3 +193,15 @@ class TestPhaseScan:
         scan = phase_boundary_scan(base, "mu", [base.mu, 2.0], samples=1024)
         assert np.isnan(scan.nu[0, 0])
         assert scan.nu[0, 1] == 0.0
+
+    def test_gapless_cells_nan_in_every_field(self):
+        from conftest import grid_gapless_spec
+        deltas = [-0.5, 0.0, 0.0, 0.5]
+        base = grid_gapless_spec(1024)
+        scan = phase_boundary_scan(base, "delta", deltas, samples=1024)
+        np.testing.assert_array_equal(scan.nu, [[-1.0, np.nan, np.nan, 1.0]])
+        for field in (scan.nu_raw, scan.min_gap):
+            assert np.isnan(field[0, 1:3]).all()
+            assert np.isfinite(field[0, [0, 3]]).all()
+        # a NaN next to a number is a change; two NaN cells are not
+        assert nu_change_locations(base, "delta", deltas, samples=1024) == [-0.25, 0.25]
