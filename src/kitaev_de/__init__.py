@@ -1,12 +1,13 @@
 """Diagonal entropy and topological transitions in extended Kitaev chains.
 
-A numpy/scipy library for the exact momentum-space solution of extended
+A numpy library for the exact momentum-space solution of extended
 Kitaev chains (variable-range pairing, optionally variable-range hopping),
 their winding numbers and Majorana zero modes, diagonal-entropy scaling laws
 in the Z and X measurement bases, global entanglement, and
 susceptibility-based detection of topological phase transitions.  A small
-exact-diagonalization oracle (N <= 12) ships with the library and anchors
-every sign convention in the test suite.
+exact-diagonalization oracle (N <= 12, on scipy.sparse) ships with the
+library and anchors every sign convention in the test suite; importing the
+library does not load scipy.
 """
 
 from .analysis import (CriticalPointReport, ScalingFit, SusceptibilityCurve,

@@ -87,9 +87,11 @@ def fit_block_law(lengths, values) -> ScalingFit:
     if np.unique(lengths[lengths >= 2]).size < 5:
         raise InsufficientPointsError("need >= 5 distinct block lengths >= 2")
     design = np.column_stack([lengths, np.log2(lengths), np.ones_like(lengths)])
-    if np.linalg.cond(design) > COND_LIMIT:
+    if not np.isfinite(design).all():  # LAPACK's least squares may not return
+        raise IllConditionedError("block-law design matrix is not finite")
+    coef, _, _, sv = np.linalg.lstsq(design, values, rcond=None)
+    if not sv[0] <= COND_LIMIT * sv[-1]:  # 2-norm condition number; NaN fails
         raise IllConditionedError("block-law design matrix is ill conditioned")
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
     resid = values - design @ coef
     return ScalingFit(kind="block", params=tuple(float(c) for c in coef),
                       residual_rms=float(np.sqrt(np.mean(resid ** 2))),

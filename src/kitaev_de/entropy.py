@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import GaplessSpecError, NormalizationFailureError
 from .gaussian import CorrelationSource, _bond_matrix, _pair_matrix
@@ -69,9 +68,17 @@ class EntropyReport:
     spec: ModelSpec | None = None
 
 
+def _xlogx(p: np.ndarray) -> np.ndarray:
+    """``p ln p`` elementwise, 0 at ``p = 0`` and NaN at NaN."""
+    out = np.where(p > 0, p, 1.0)
+    np.log(out, out=out)
+    out *= p
+    return out
+
+
 def _binary_entropy_bits(p: np.ndarray) -> np.ndarray:
     q = 1.0 - p
-    return -(xlogy(p, p) + xlogy(q, q)) / _LN2
+    return -(_xlogx(p) + _xlogx(q)) / _LN2
 
 
 def _occupations(spec: ModelSpec, n: int):
@@ -120,29 +127,37 @@ def _chain_rule(m: np.ndarray):
     ``m`` is an A-B contraction matrix; bit ``a`` of a level's index is the
     outcome of row ``a`` (1 means ``s = -1``).  Each level splits every branch
     by the outcome of its first remaining site and passes the Schur complement
-    on.  A joint probability below ``-CLAMP_TOL`` or a level total off 1 by
-    more than ``NORM_TOL`` raises, and so does NaN; branches of zero weight
-    keep an undivided complement, which their zero weight makes moot.
+    on.  The complements are stored ``(row, col, branch)``, branch innermost,
+    so each update is one contiguous pass over all branches even when the
+    matrices are 1x1 to 3x3; branch ``outcome * b + branch`` of the next level
+    comes from ``branch`` of the b current ones.  A joint probability below
+    ``-CLAMP_TOL`` or a level total off 1 by more than ``NORM_TOL`` raises,
+    and so does NaN; branches of zero weight keep an undivided complement,
+    which their zero weight makes moot.
     """
     p = np.ones(1)
-    mats = m[None, :, :]
+    mats = m[:, :, None]
     for k in range(m.shape[0] - 1, -1, -1):
-        denom = 1.0 + _SIGNS * mats[:, 0, 0]  # (outcome, branch)
+        denom = 1.0 + _SIGNS * mats[0, 0]  # (outcome, branch)
         p = 0.5 * p * denom
-        if not p.min() >= -CLAMP_TOL:
-            raise NormalizationFailureError(
-                f"probability {p.min():.3e} < -{CLAMP_TOL}")
-        p = np.clip(p, 0.0, None)
+        low = p.min()
+        if not low >= -CLAMP_TOL:
+            raise NormalizationFailureError(f"probability {low:.3e} < -{CLAMP_TOL}")
+        if low < 0.0:
+            np.maximum(p, 0.0, out=p)
         if not abs(p.sum() - 1.0) <= NORM_TOL:
             raise NormalizationFailureError(f"probabilities sum to {p.sum()!r}")
         yield p.reshape(-1)
         if not k:
             return
-        scale = _SIGNS / np.where(p > 0.0, denom, 1.0)
-        uv = mats[:, 1:, :1] * mats[:, :1, 1:]
+        denom[p == 0.0] = 1.0
+        scale = np.divide(-_SIGNS, denom, out=denom)  # -s / (1 + s m_11)
+        uv = mats[1:, :1] * mats[:1, 1:]
+        nxt = uv[:, :, None, :] * scale
+        del uv, scale, denom  # freed early, so malloc reuses their pages
+        nxt += mats[1:, 1:, None, :]
         p = p.reshape(-1)
-        mats = (mats[None, :, 1:, 1:]
-                - scale[:, :, None, None] * uv).reshape(p.size, k, k)
+        mats = nxt.reshape(k, k, p.size)
 
 
 def _block_levels(source: CorrelationSource, lengths, basis: str, start: int):
@@ -185,7 +200,7 @@ def _block_entropies(source: CorrelationSource, lengths, basis: str = "z",
     off one chain-rule pass over the longest block."""
     basis = basis.lower()
     levels = enumerate(_block_levels(source, lengths, basis, start), 1)
-    s = {l: float(-xlogy(p, p).sum() / _LN2) for l, p in levels if l in lengths}
+    s = {l: float(-_xlogx(p).sum() / _LN2) for l, p in levels if l in lengths}
     return [s[l] + 1.0 if basis == "x" else s[l] for l in lengths]
 
 

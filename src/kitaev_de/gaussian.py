@@ -85,13 +85,18 @@ def correlator_kernel(spec: ModelSpec, n: int = DEFAULT_GRID,
     """
     if not l_max < n / 4:
         raise ValueError(f"l_max={l_max} must be < n/4 = {n / 4}")
-    _, y, z = grid_numerators(spec, n)
-    eps = np.hypot(y, z)
+    # q is built, scaled and transformed in place and eps is freed before the
+    # FFT: with few and small temporaries malloc keeps reusing its pages
+    # instead of returning them to the OS and faulting them in on every call.
+    q = np.empty(n, complex)
+    _, q.imag, q.real = grid_numerators(spec, n)
+    eps = np.hypot(q.imag, q.real)
     if not eps.min() > GAP_TOL:
         raise GaplessSpecError(f"min grid gap {eps.min():.3e} <= {GAP_TOL}")
-    q = (-z - 1j * y) / eps  # exp(-2 i theta)
+    q /= -eps  # exp(-2 i theta)
+    del eps
     r = np.arange(-l_max, l_max + 1)
-    g = (-1.0) ** r * np.exp(1j * np.pi * r / n) * np.fft.ifft(q)[r % n]
+    g = (-1.0) ** r * np.exp(1j * np.pi * r / n) * np.fft.ifft(q, out=q)[r % n]
     if not np.abs(g.imag).max() <= KERNEL_IMAG_TOL:
         raise GaplessSpecError(
             f"kernel imaginary part {np.abs(g.imag).max():.3e} exceeds tolerance")

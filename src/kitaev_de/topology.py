@@ -71,10 +71,11 @@ class PhaseScan:
         return out | diff_x | diff_y
 
 
-def _even_samples(samples: int) -> int:
+def _check_samples(samples: int) -> None:
+    """At least 256 samples; :func:`~kitaev_de.model.momentum_grid` rejects
+    an odd count like every other closed-chain grid."""
     if samples < 256:
         raise ValueError(f"need samples >= 256, got {samples}")
-    return samples + (samples % 2)
 
 
 def _accumulated_turns(y: np.ndarray, z: np.ndarray) -> float:
@@ -115,7 +116,7 @@ def winding_number(spec: ModelSpec, samples: int = DEFAULT_SAMPLES) -> WindingRe
     farther than 0.05 from every half-integer; the snapped value is still
     returned.
     """
-    samples = _even_samples(samples)
+    _check_samples(samples)
     _, y, z = grid_numerators(spec, samples)
     min_gap = float(np.hypot(y, z).min())
     if not min_gap > GAP_TOL:
@@ -127,7 +128,7 @@ def winding_number(spec: ModelSpec, samples: int = DEFAULT_SAMPLES) -> WindingRe
 
 def trajectory(spec: ModelSpec, samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Densely sampled unit Anderson vector, exported for plotting."""
-    samples = _even_samples(samples)
+    _check_samples(samples)
     k, y, z = grid_numerators(spec, samples)
     eps = np.hypot(y, z)
     gapless = eps <= GAP_TOL

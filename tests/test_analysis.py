@@ -60,6 +60,20 @@ class TestBlockFit:
         with pytest.raises((IllConditionedError, InsufficientPointsError)):
             fit_block_law(ls, np.ones(6))
 
+    def test_condition_number_from_the_fit(self):
+        # six distinct lengths near 1e8 make the design's columns nearly
+        # parallel; the lstsq singular values must catch it
+        ls = 1e8 + np.arange(6.0)
+        with pytest.raises(IllConditionedError, match="ill conditioned"):
+            fit_block_law(ls, np.ones(6))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_length_raises_before_solving(self, bad):
+        # LAPACK's least squares need not return on a non-finite matrix
+        ls = np.append(np.arange(4.0, 15.0), bad)
+        with pytest.raises(IllConditionedError, match="not finite"):
+            fit_block_law(ls, np.ones(ls.size))
+
     def test_base_change_rescales_coefficients(self):
         # switching entropy units multiplies (a, b, c) by one constant and
         # cannot move detected kink locations

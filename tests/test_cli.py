@@ -433,13 +433,25 @@ def test_checked_in_config(tmp_path, path):
         assert results["residual_rms"] < 1e-3
 
 
-def _run_module(*args):
+def _child_env():
     # the child imports the same package as the tests, installed or not
     src = str(Path(kitaev_de.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _run_module(*args):
     return subprocess.run([sys.executable, "-m", "kitaev_de.cli", *args],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, env=_child_env())
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only the ED oracle; the library and the CLI load without it
+    code = ("import sys, kitaev_de, kitaev_de.cli; print(sorted(m for m in "
+            "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=_child_env(), check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestEntryPoint:

@@ -251,6 +251,58 @@ class TestSinglePass:
             block_diagonal_entropy(ker, 0, "z")
 
 
+def _branch_major_chain_rule(m):
+    """The chain rule with its complements stored ``(branch, row, col)``:
+    the reference for the ``(row, col, branch)`` layout of ``_chain_rule``."""
+    signs = np.array([[1.0], [-1.0]])
+    p = np.ones(1)
+    mats = m[None, :, :]
+    for k in range(m.shape[0] - 1, -1, -1):
+        denom = 1.0 + signs * mats[:, 0, 0]
+        p = np.clip(0.5 * p * denom, 0.0, None)
+        yield p.reshape(-1)
+        if not k:
+            return
+        scale = signs / np.where(p > 0.0, denom, 1.0)
+        uv = mats[:, 1:, :1] * mats[:, :1, 1:]
+        p = p.reshape(-1)
+        mats = (mats[None, :, 1:, 1:]
+                - scale[:, :, None, None] * uv).reshape(p.size, k, k)
+
+
+class TestChainRuleLayout:
+    # the branch-innermost pass does the same float operations in the same
+    # order as the branch-major one, so every level is bit-identical
+    SPEC = ModelSpec.pairing_hopping(j=-0.8, delta=1.0, mu=-0.42)
+
+    @staticmethod
+    def _assert_same_levels(m):
+        got = list(_chain_rule(m))
+        want = list(_branch_major_chain_rule(m))
+        assert len(got) == len(want) == m.shape[0]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_z_kernel_l14(self):
+        ker = correlator_kernel(self.SPEC, n=8192, l_max=14)
+        sites = np.arange(14)
+        self._assert_same_levels(gaussian._pair_matrix(ker, sites, sites))
+
+    def test_x_13_bonds(self):
+        ker = correlator_kernel(self.SPEC, n=8192, l_max=14)
+        self._assert_same_levels(gaussian._bond_matrix(ker, np.arange(13)))
+
+    def test_dense_source_at_start_2(self):
+        dense = open_chain_correlations(
+            ModelSpec.pairing(j=1.0, delta=0.7, mu=1.4, alpha=1.7), 20)
+        sites = np.arange(2, 16)
+        self._assert_same_levels(gaussian._pair_matrix(dense, sites, sites))
+
+    def test_xlogx(self):
+        got = entropy._xlogx(np.array([0.0, 1.0, 0.5, np.nan]))
+        np.testing.assert_array_equal(got, [0.0, 0.0, 0.5 * np.log(0.5), np.nan])
+
+
 class TestNaNGuards:
     def test_chain_rule_rejects_nan(self):
         with pytest.raises(NormalizationFailureError):

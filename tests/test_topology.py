@@ -134,6 +134,14 @@ class TestWindingNumber:
         with pytest.raises(ValueError):
             winding_number(ModelSpec.pairing(mu=2.0), samples=64)
 
+    def test_odd_samples_raise(self):
+        # an odd grid has an unpaired mode at pi, like every closed chain
+        spec = ModelSpec.pairing(mu=2.0)
+        with pytest.raises(ValueError):
+            winding_number(spec, 257)
+        with pytest.raises(ValueError):
+            trajectory(spec, samples=257)
+
 
 class TestTrajectory:
     def test_unit_norm_points(self):
