@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import GaplessSpecError, NormalizationFailureError
 from .gaussian import CorrelationSource, _bond_matrix, _pair_matrix
-from .model import DEFAULT_GRID, GAP_TOL, ModelSpec, grid_numerators
+from .model import DEFAULT_GRID, GAP_TOL, ModelSpec, _energies, grid_numerators
 
 MAX_BLOCK = 16
 CLAMP_TOL = 1e-12
@@ -83,7 +83,7 @@ def _binary_entropy_bits(p: np.ndarray) -> np.ndarray:
 
 def _occupations(spec: ModelSpec, n: int):
     _, y, z = grid_numerators(spec, n)
-    eps = np.hypot(y, z)
+    eps = _energies(y, z)
     if not eps.min() > GAP_TOL:
         raise GaplessSpecError(f"min grid gap {eps.min():.3e} <= {GAP_TOL}")
     return _, y, z, eps

@@ -90,7 +90,7 @@ def correlator_kernel(spec: ModelSpec, n: int = DEFAULT_GRID,
     # instead of returning them to the OS and faulting them in on every call.
     q = np.empty(n, complex)
     _, q.imag, q.real = grid_numerators(spec, n)
-    eps = np.hypot(q.imag, q.real)
+    eps = np.abs(q)  # |z + i y|, as model._energies
     if not eps.min() > GAP_TOL:
         raise GaplessSpecError(f"min grid gap {eps.min():.3e} <= {GAP_TOL}")
     q /= -eps  # exp(-2 i theta)

@@ -14,7 +14,7 @@ open-chain helpers elsewhere in the package use ``d_l = l``.
 Conventions
 -----------
 Every mode is described by the numerator pair ``(y, z)`` of the Anderson
-vector, with ``eps = hypot(y, z)`` the (positive-branch) quasiparticle energy:
+vector, with ``eps = |z + i y|`` the (positive-branch) quasiparticle energy:
 
 * pairing-only variant:    ``y = (Delta/2) f_alpha(k)``, ``z = J cos k + mu``
 * pairing+hopping variant: ``y = Delta sum_l sin(kl) d_l^(-alpha)``,
@@ -201,6 +201,18 @@ def grid_numerators(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray, np
     return k, cy * sin_sum, cz * cos_sum + c0
 
 
+def _energies(y, z) -> np.ndarray:
+    """Quasiparticle energies ``eps = |z + i y|`` of numerator arrays.
+
+    numpy's complex modulus scales like ``hypot``, so it overflows only where
+    the energy itself exceeds the float range, and it runs vectorised where
+    the real ``hypot`` ufunc makes one libm call per element.
+    """
+    w = np.empty(np.shape(y), complex)
+    w.real, w.imag = z, y
+    return np.abs(w)
+
+
 def numerators_at(spec: ModelSpec, k, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``(y, z)`` at arbitrary momenta (direct sums; same weights as the grid)."""
     k = np.asarray(k, dtype=float)
@@ -255,7 +267,7 @@ def solve_chain(spec: ModelSpec, n: int) -> list[ModeData]:
     ``gapless=True`` and NaN angle/vector.
     """
     k, y, z = grid_numerators(spec, n)
-    eps = np.hypot(y, z)
+    eps = _energies(y, z)
     gapless = (np.abs(y) < ZERO_TOL) & (np.abs(z) < ZERO_TOL)
     theta = bogoliubov_theta(y, z)
     hy, hz = anderson_vector(spec, y, z, np.where(gapless, 1.0, eps))
@@ -273,7 +285,7 @@ def solve_chain(spec: ModelSpec, n: int) -> list[ModeData]:
 def minimum_gap(spec: ModelSpec, n: int) -> float:
     """``min_k eps_k`` over the antiperiodic grid of n momenta."""
     _, y, z = grid_numerators(spec, n)
-    return float(np.min(np.hypot(y, z)))
+    return float(_energies(y, z).min())
 
 
 def open_chain_weights(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GaplessSpecError, NumericalWindingWarning
-from .model import GAP_TOL, ModelSpec, anderson_vector, grid_numerators
+from .model import GAP_TOL, ModelSpec, _energies, anderson_vector, grid_numerators
 
 DEFAULT_SAMPLES = 4096
 SNAP_TOL = 0.05
@@ -43,7 +43,7 @@ class Trajectory:
     k: np.ndarray
     hy: np.ndarray
     hz: np.ndarray
-    gapless: np.ndarray  # per-point flag: both numerators below tolerance
+    gapless: np.ndarray  # per-point flag: eps at or below GAP_TOL
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def _accumulated_turns(y: np.ndarray, z: np.ndarray) -> float:
     angle unchanged, and the sum is taken again.
     """
     for _ in range(2):
-        y2, z2 = np.roll(y, -1), np.roll(z, -1)
+        y2, z2 = np.concatenate((y[1:], y[:1])), np.concatenate((z[1:], z[:1]))
         with np.errstate(over="ignore", invalid="ignore"):
             cross = z * y2 - y * z2
             dot = y * y2 + z * z2
@@ -118,7 +118,7 @@ def winding_number(spec: ModelSpec, samples: int = DEFAULT_SAMPLES) -> WindingRe
     """
     _check_samples(samples)
     _, y, z = grid_numerators(spec, samples)
-    min_gap = float(np.hypot(y, z).min())
+    min_gap = float(_energies(y, z).min())
     if not min_gap > GAP_TOL:
         raise GaplessSpecError(f"min gap {min_gap:.3e} <= {GAP_TOL}; winding undefined")
     nu_raw = _accumulated_turns(y, z)
@@ -130,7 +130,7 @@ def trajectory(spec: ModelSpec, samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Densely sampled unit Anderson vector, exported for plotting."""
     _check_samples(samples)
     k, y, z = grid_numerators(spec, samples)
-    eps = np.hypot(y, z)
+    eps = _energies(y, z)
     gapless = eps <= GAP_TOL
     hy, hz = anderson_vector(spec, y, z, np.where(gapless, 1.0, eps))
     hy = np.where(gapless, np.nan, hy)

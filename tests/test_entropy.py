@@ -9,8 +9,9 @@ from kitaev_de import (DenseCorrelations, GaplessSpecError, ModelSpec,
                        block_diagonal_distribution, block_diagonal_entropy,
                        correlator_kernel, de_density, global_entanglement,
                        open_chain_correlations, pure_state_diagonal_entropy,
-                       sigma_x_correlator, sigma_z_correlator, zero_modes)
-from kitaev_de import entropy, gaussian, model
+                       sigma_x_correlator, sigma_z_correlator,
+                       winding_number, zero_modes)
+from kitaev_de import entropy, gaussian, model, topology
 from kitaev_de.entropy import _binary_entropy_bits, _block_entropies, _chain_rule
 from kitaev_de.model import grid_numerators
 from kitaev_de.oracle import ed_diagonal_marginal, ed_ground_state
@@ -320,21 +321,28 @@ class TestNaNGuards:
             block_coefficients(spec, basis)
 
     def test_nan_numerators_fail_gap_guards(self, monkeypatch):
-        # a NaN grid gap must fail every gap guard, not slip past `<= tol`
+        # a NaN grid gap must fail every gap guard, not slip past `<= tol`,
+        # whether the NaN sits in the y or the z numerator
         spec = ModelSpec.pairing(mu=2.0)
+        for which in (1, 2):
+            def nan_numerators(s, n):
+                out = list(grid_numerators(s, n))
+                out[which] = np.full_like(out[which], np.nan)
+                return tuple(out)
 
-        def nan_numerators(s, n):
-            k, y, z = grid_numerators(s, n)
-            return k, np.full_like(y, np.nan), z
-
-        for module in (entropy, gaussian, model):
-            monkeypatch.setattr(module, "grid_numerators", nan_numerators)
-        with pytest.raises(GaplessSpecError, match="grid gap"):
-            de_density(spec, 64)
-        with pytest.raises(GaplessSpecError, match="grid gap"):
-            correlator_kernel(spec, n=64, l_max=4)
-        with pytest.raises(GaplessSpecError, match="bulk gap"):
-            zero_modes(spec, 20)
+            for module in (entropy, gaussian, model, topology):
+                monkeypatch.setattr(module, "grid_numerators", nan_numerators)
+            with pytest.raises(GaplessSpecError, match="grid gap"):
+                de_density(spec, 64)
+            with pytest.raises(GaplessSpecError, match="grid gap"):
+                global_entanglement(spec, 64)
+            with pytest.raises(GaplessSpecError, match="grid gap"):
+                correlator_kernel(spec, n=64, l_max=4)
+            with pytest.raises(GaplessSpecError, match="min gap"):
+                winding_number(spec, 256)
+            with pytest.raises(GaplessSpecError, match="bulk gap"):
+                zero_modes(spec, 20)
+            monkeypatch.undo()
 
 
 class TestGlobalEntanglement:

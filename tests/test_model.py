@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from kitaev_de import (ModelSpec, SpectrumOverflowError, Variant,
-                       ZeroVectorError, dispersion, momentum_grid, solve_chain)
-from kitaev_de.model import grid_numerators, numerators_at, open_chain_weights
+                       ZeroVectorError, dispersion, minimum_gap, momentum_grid,
+                       solve_chain, winding_number)
+from kitaev_de.model import (_energies, grid_numerators, numerators_at,
+                             open_chain_weights)
 
 from conftest import random_gapped_spec
 
@@ -169,6 +171,42 @@ class TestOverflowGuard:
                      ModelSpec.pairing(j=5e-324, delta=5e-324, mu=5e-324)):
             _, y, z = grid_numerators(spec, 4096)
             assert np.isfinite(np.hypot(y, z)).all()
+            assert np.isfinite(_energies(y, z)).all()
+
+
+class TestEnergies:
+    def test_within_two_ulp_of_hypot(self, rng):
+        # magnitudes 1e-300 .. 1e307 in both numerators, any ratio, any sign
+        size = 100_000
+        ey = rng.uniform(-300, 307, size)
+        ez = np.where(rng.random(size) < 0.5,  # half the pairs within 1e3
+                      np.clip(ey + rng.uniform(-3, 3, size), -300, 307),
+                      rng.uniform(-300, 307, size))
+        y = rng.choice([-1.0, 1.0], size) * 10.0 ** ey
+        z = rng.choice([-1.0, 1.0], size) * 10.0 ** ez
+        want = np.hypot(y, z)
+        assert np.all(np.abs(_energies(y, z) - want) <= 2 * np.spacing(want))
+
+    def test_special_values_equal_hypot(self):
+        pairs = [(0.0, 0.0), (5e-324, 0.0), (0.0, 5e-324), (np.inf, 1.0),
+                 (-np.inf, 1.0), (1.0, np.inf), (1.0, -np.inf), (np.nan, 1.0),
+                 (1.0, np.nan), (1.7e308, 1.7e308)]
+        y, z = np.array(pairs).T
+        with np.errstate(over="ignore"):
+            want = np.hypot(y, z)
+        np.testing.assert_array_equal(_energies(y, z), want)
+
+    def test_one_energy_everywhere(self, rng):
+        # the winding gap, minimum_gap and solve_chain read one formula
+        variants = set()
+        for _ in range(20):
+            spec = random_gapped_spec(rng)
+            variants.add(spec.variant)
+            n = int(rng.choice([256, 512, 1024]))
+            gaps = (winding_number(spec, n).min_gap, minimum_gap(spec, n),
+                    min(m.epsilon for m in solve_chain(spec, n)))
+            assert gaps[0] == gaps[1] == gaps[2]
+        assert variants == set(Variant)
 
 
 class TestOpenChainWeights:

@@ -1,5 +1,6 @@
 """Winding numbers: reference phases, refinement stability, independent
 crossing-count check, scans."""
+import math
 import warnings
 from dataclasses import replace
 
@@ -9,8 +10,26 @@ import pytest
 from kitaev_de import (GaplessSpecError, ModelSpec, NumericalWindingWarning,
                        nu_change_locations, phase_boundary_scan, trajectory,
                        winding_number)
+from kitaev_de.model import grid_numerators
+from kitaev_de.topology import _accumulated_turns
 
 from conftest import random_gapped_spec
+
+
+def rolled_turns(y, z):
+    """Reference turn sum with ``np.roll`` successors; also returns whether
+    the power-of-two rescale ran."""
+    for rescaled in (False, True):
+        y2, z2 = np.roll(y, -1), np.roll(z, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = z * y2 - y * z2
+            dot = y * y2 + z * z2
+        turns = float(np.arctan2(cross, dot).sum() / (2.0 * np.pi))
+        if math.isfinite(turns):
+            break
+        _, exp = np.frexp(max(np.abs(y).max(), np.abs(z).max()))
+        y, z = np.ldexp(y, -exp), np.ldexp(z, -exp)
+    return turns, rescaled
 
 
 def crossing_count(spec, samples=8192):
@@ -20,7 +39,6 @@ def crossing_count(spec, samples=8192):
     where the cosine component of exp(2 i theta) is positive, signed by the
     crossing direction; equals the accumulated winding for closed curves.
     """
-    from kitaev_de.model import grid_numerators
     _, y, z = grid_numerators(spec, samples)
     # winding of (y, -z) in the orientation used by winding_number
     u, v = y, -z
@@ -68,6 +86,19 @@ class TestWindingNumber:
             small = winding_number(spec)
             assert big.nu == small.nu
             assert big.nu_raw == pytest.approx(small.nu_raw, abs=1e-9)
+
+    def test_turn_sum_matches_rolled_reference(self, rng):
+        # the same products in the same order, so equal to the last bit
+        for _ in range(50):
+            spec = random_gapped_spec(rng)
+            _, y, z = grid_numerators(spec, int(rng.choice([256, 1024, 4096])))
+            assert _accumulated_turns(y, z) == rolled_turns(y, z)[0]
+        for spec in (ModelSpec.pairing(j=1e300, delta=1e300, mu=0.5e300),
+                     ModelSpec.pairing_hopping(j=-0.8e300, delta=1e300,
+                                               mu=-0.6e300)):
+            _, y, z = grid_numerators(spec, 4096)
+            want, rescaled = rolled_turns(y, z)
+            assert rescaled and _accumulated_turns(y, z) == want
 
     def test_mirror_in_delta(self, rng):
         # nu(mu, delta) = -nu(mu, -delta) for the pairing-only chain
