@@ -24,7 +24,7 @@ from .errors import (DegenerateGroundStateError, GaplessSpecError,
                      KitaevDEError, NonUniformGridError,
                      NormalizationFailureError, NumericalWindingWarning,
                      OddDimensionError, SpectrumOverflowError,
-                     TolAmbiguousError, ZeroVectorError)
+                     TolAmbiguousError)
 from .gaussian import (CorrelatorKernel, DenseCorrelations, correlator_kernel,
                        open_chain_correlations, pair_correlation, pfaffian,
                        sigma_x_correlator, sigma_z_correlator)

@@ -126,15 +126,23 @@ def detect_critical_points(curve: SusceptibilityCurve,
     half-maximum support and the jump-weighted median midpoint of the
     remainder is reported; the jump is the cluster maximum.  Returns an
     empty report for smooth curves.
+
+    The threshold comes from the finite jumps only (none: raises).  Each run
+    of non-finite values, where the gap closed on the grid, is one more point
+    at the run's mean grid value with an infinite jump; all in grid order.
     """
     if curve.chi.size < 7:
         raise InsufficientPointsError("need >= 7 interior chi points")
     jumps = np.abs(np.diff(curve.chi))
+    finite = np.isfinite(jumps)
+    if not finite.any():
+        raise InsufficientPointsError("no finite jump of chi")
     mids = 0.5 * (curve.chi_grid[:-1] + curve.chi_grid[1:])
-    med = float(np.median(jumps))
-    floor = 1e-12 * max(float(np.abs(curve.chi).max()), 1.0)
+    med = float(np.median(jumps[finite]))
+    chi = curve.chi[np.isfinite(curve.chi)]
+    floor = 1e-12 * max(float(np.abs(chi).max()), 1.0)
     threshold = kappa * max(med, floor)
-    flagged = np.nonzero(jumps > threshold)[0]
+    flagged = np.nonzero(finite & (jumps > threshold))[0]
     h = curve.grid[1] - curve.grid[0]
     gaps = np.nonzero(np.abs(np.diff(mids[flagged])) > 1.5 * abs(h))[0] + 1
     points = []
@@ -145,6 +153,11 @@ def detect_critical_points(curve: SusceptibilityCurve,
         points.append(CriticalPoint(location=float(mids[kept[half]]),
                                     jump=float(jumps[cluster].max()),
                                     channel=channel or curve.name))
+    closed = np.concatenate(([0], ~np.isfinite(curve.values), [0]))
+    runs = np.flatnonzero(np.diff(closed)).reshape(-1, 2)
+    points += [CriticalPoint(location=float(curve.grid[lo:hi].mean()), jump=np.inf,
+                             channel=channel or curve.name) for lo, hi in runs]
+    points.sort(key=lambda p: p.location, reverse=bool(h < 0))
     return CriticalPointReport(points=tuple(points),
                                raw_flags=tuple(mids[flagged].tolist()),
                                threshold=threshold)

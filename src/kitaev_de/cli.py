@@ -26,8 +26,8 @@ from . import __version__
 from .analysis import (CHANNELS, block_coefficients, comparative_scan,
                        detect_critical_points, fit_volume_law, susceptibility,
                        sweep_de_density, sweep_global_entanglement)
-from .entropy import (MAX_BLOCK, block_diagonal_entropy, de_density,
-                      global_entanglement, pure_state_diagonal_entropy)
+from .entropy import (MAX_BLOCK, block_diagonal_entropy, global_entanglement,
+                      pure_state_diagonal_entropy)
 from .errors import KitaevDEError
 from .gaussian import correlator_kernel
 from .majorana import Side, zero_modes

@@ -35,9 +35,9 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import GaplessSpecError, NormalizationFailureError
+from .errors import NormalizationFailureError
 from .gaussian import CorrelationSource, _bond_matrix, _pair_matrix
-from .model import DEFAULT_GRID, GAP_TOL, ModelSpec, _energies, grid_numerators
+from .model import DEFAULT_GRID, ModelSpec, _gapped_grid
 
 MAX_BLOCK = 16
 CLAMP_TOL = 1e-12
@@ -81,21 +81,13 @@ def _binary_entropy_bits(p: np.ndarray) -> np.ndarray:
     return -(_xlogx(p) + _xlogx(q)) / _LN2
 
 
-def _occupations(spec: ModelSpec, n: int):
-    _, y, z = grid_numerators(spec, n)
-    eps = _energies(y, z)
-    if not eps.min() > GAP_TOL:
-        raise GaplessSpecError(f"min grid gap {eps.min():.3e} <= {GAP_TOL}")
-    return _, y, z, eps
-
-
 def pure_state_diagonal_entropy(spec: ModelSpec, n: int) -> EntropyReport:
     """Diagonal entropy of the N-site ground state in momentum space (bits).
 
     One two-outcome term per ``(k, -k)`` pair, i.e. a sum over the positive-k
     half of the grid; ``sin^2 theta_k`` is the pair-occupation probability.
     """
-    k, y, z, eps = _occupations(spec, n)
+    k, y, z, eps = _gapped_grid(spec, n)
     pos = k > 0
     occ = 0.5 * (1.0 + z[pos] / eps[pos])  # sin^2 theta
     return EntropyReport(value=float(_binary_entropy_bits(occ).sum()),
@@ -112,7 +104,7 @@ def global_entanglement(spec: ModelSpec, n: int = DEFAULT_GRID) -> float:
 
     Translation invariance assumed; ``<sigma_z>`` is the R=0 kernel value.
     """
-    k, y, z, eps = _occupations(spec, n)
+    _, _, z, eps = _gapped_grid(spec, n)
     sz = float(np.mean(-z / eps))
     return 1.0 - sz * sz
 

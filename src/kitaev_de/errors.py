@@ -5,12 +5,9 @@ class KitaevDEError(Exception):
     """Base class for every error raised by this library."""
 
 
-class ZeroVectorError(KitaevDEError):
-    """Both Anderson-vector numerators vanish: the gap closes at this momentum."""
-
-
 class GaplessSpecError(KitaevDEError):
-    """The operation needs a gapped spectrum but min_k eps_k is below tolerance."""
+    """The operation needs a gapped spectrum, but the smallest grid energy, or
+    the energy at the one requested momentum, is at or below GAP_TOL or NaN."""
 
 
 class SpectrumOverflowError(KitaevDEError):

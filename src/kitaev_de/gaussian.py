@@ -39,7 +39,7 @@ import numpy as np
 from .errors import (DegenerateGroundStateError, GaplessSpecError,
                      OddDimensionError, SpectrumOverflowError)
 from .majorana import _reflected_eigh
-from .model import DEFAULT_GRID, GAP_TOL, ModelSpec, grid_numerators
+from .model import DEFAULT_GRID, ModelSpec, _min_gap, grid_numerators
 
 KERNEL_IMAG_TOL = 1e-10
 ANTISYM_TOL = 1e-12  # pfaffian: largest ||M + M^T|| relative to ||M||
@@ -91,8 +91,7 @@ def correlator_kernel(spec: ModelSpec, n: int = DEFAULT_GRID,
     q = np.empty(n, complex)
     _, q.imag, q.real = grid_numerators(spec, n)
     eps = np.abs(q)  # |z + i y|, as model._energies
-    if not eps.min() > GAP_TOL:
-        raise GaplessSpecError(f"min grid gap {eps.min():.3e} <= {GAP_TOL}")
+    _min_gap(eps)
     q /= -eps  # exp(-2 i theta)
     del eps
     r = np.arange(-l_max, l_max + 1)

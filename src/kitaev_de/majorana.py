@@ -23,8 +23,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import GaplessSpecError, SpectrumOverflowError, TolAmbiguousError
-from .model import GAP_TOL, ModelSpec, Variant, minimum_gap, open_chain_weights
+from .errors import SpectrumOverflowError, TolAmbiguousError
+from .model import ModelSpec, Variant, _gapped_grid, open_chain_weights
 
 DEFAULT_TOL = 1e-8
 GAP_SAMPLES = 4096
@@ -104,9 +104,7 @@ def zero_modes(spec: ModelSpec, n: int, tol: float = DEFAULT_TOL) -> list[ZeroMo
     """
     if spec.variant is Variant.LONG_RANGE_PAIRING_HOPPING and n <= 2 * spec.r:
         raise ValueError(f"need n > 2r = {2 * spec.r}, got {n}")
-    gap = minimum_gap(spec, GAP_SAMPLES)
-    if not gap > GAP_TOL:
-        raise GaplessSpecError(f"bulk gap {gap:.3e} <= {GAP_TOL}")
+    _gapped_grid(spec, GAP_SAMPLES)
     lam, w = _reflected_eigh(spec, n)
     s = np.abs(lam)
     cutoff = tol * s.max()

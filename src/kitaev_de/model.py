@@ -42,9 +42,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SpectrumOverflowError, ZeroVectorError
+from .errors import GaplessSpecError, SpectrumOverflowError
 
-ZERO_TOL = 1e-14  # both numerators below this -> gap closes at that momentum
 GAP_TOL = 1e-8  # quasiparticle energies at or below this count as gapless
 DEFAULT_GRID = 8192  # antiperiodic grid size for kernels and global entanglement
 
@@ -108,7 +107,7 @@ class ModeData:
     hy: float
     hz: float
     theta: float
-    gapless: bool = False
+    gapless: bool = False  # eps <= GAP_TOL; vector and angle are then NaN
 
 
 def momentum_grid(n: int) -> np.ndarray:
@@ -126,22 +125,45 @@ def momentum_grid(n: int) -> np.ndarray:
     return np.sort(k)
 
 
+def _decay(exponent: float, l: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Weights ``d^(-exponent)`` of the ranges ``l`` at distances ``d``; an
+    infinite exponent keeps the single term ``l = 1``.  The limit reads the
+    range, not the distance: on the ring ``d = 1`` also at ``l = n - 1``."""
+    if math.isinf(exponent):
+        return (l == 1).astype(float)
+    return d ** (-exponent)
+
+
 @lru_cache(maxsize=128)
 def _range_weights(exponent: float, r: int, n: int) -> np.ndarray:
     """Weights ``d_l^(-exponent)`` for ``l = 1..r`` on an n-site ring, with
-    the ring distance ``d_l = min(l, n - l)``; single-term at inf.  The
-    pairing-only variant uses every range, ``r = n - 1``.  A range that
-    reaches the ring's length (``r >= n``) has no ring distance."""
+    the ring distance ``d_l = min(l, n - l)``.  The pairing-only variant uses
+    every range, ``r = n - 1``.  A range that reaches the ring's length
+    (``r >= n``) has no ring distance.  Cached though it runs only when
+    ``_grid_harmonics`` misses: freed arrays let glibc trim and re-fault
+    130-150 pages per benchmark block-z point (see ROADMAP)."""
     if r >= n:
         raise ValueError(f"range r = {r} must be below the closed chain's n = {n}")
     l = np.arange(1, r + 1)
-    if math.isinf(exponent):
-        w = (l == 1).astype(float)
-    else:
-        d = np.minimum(l, n - l).astype(float)
-        w = d ** (-exponent)
+    w = _decay(exponent, l, np.minimum(l, n - l).astype(float))
     w.flags.writeable = False
     return w
+
+
+def _ring_weights(variant: Variant, n: int, alpha: float, beta, r):
+    """Ring weights of the sine (pairing) sum with alpha and of the cosine
+    (hopping) sum with beta; ``None``: the pairing-only chain's bare cos k."""
+    if variant is Variant.LONG_RANGE_PAIRING:
+        return _range_weights(alpha, n - 1, n), None
+    return _range_weights(alpha, r, n), _range_weights(beta, r, n)
+
+
+def _coefficients(spec: ModelSpec) -> tuple[float, float, float]:
+    """``(c_y, c_z, c_0)`` with ``y = c_y sin_sum`` and
+    ``z = c_z cos_sum + c_0`` (see the module docstring)."""
+    if spec.variant is Variant.LONG_RANGE_PAIRING:
+        return 0.5 * spec.delta, spec.j, spec.mu
+    return spec.delta, spec.j, 0.5 * spec.mu
 
 
 def _harmonic_sum(weights: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -151,19 +173,14 @@ def _harmonic_sum(weights: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _grid_harmonics(key):
+def _grid_harmonics(variant: Variant, n: int, alpha: float, beta, r):
     """Sorted grid plus the harmonic sums entering (y, z) on the full grid.
 
     Returns ``(k_sorted, sin_sum, cos_sum, peaks)``: the sums carry the model's
     distance weights, ``peaks`` their largest magnitudes.  One FFT each.
     """
-    kind, n, a, b, r = key
     k_sorted = momentum_grid(n)
-    if kind == "pairing":
-        ws, wc = _range_weights(a, n - 1, n), None
-    else:
-        ws = _range_weights(a, r, n)  # sine (pairing) sum decays with alpha
-        wc = _range_weights(b, r, n)  # cosine (hopping) sum decays with beta
+    ws, wc = _ring_weights(variant, n, alpha, beta, r)
 
     def grid_sum(weights):
         u = np.zeros(n, dtype=complex)
@@ -181,21 +198,13 @@ def _grid_harmonics(key):
     return k_sorted, sin_sum, cos_sum, peaks
 
 
-def _spec_key(spec: ModelSpec, n: int):
-    if spec.variant is Variant.LONG_RANGE_PAIRING:
-        return ("pairing", n, spec.alpha, None, None)
-    return ("pairing_hopping", n, spec.alpha, spec.beta, spec.r)
-
-
 def grid_numerators(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Anderson-vector numerators ``(k, y, z)`` on the full antiperiodic grid;
     :class:`SpectrumOverflowError` when the peak harmonic sums bound
     ``hypot(y, z)`` by more than the float range."""
-    k, sin_sum, cos_sum, (sin_peak, cos_peak) = _grid_harmonics(_spec_key(spec, n))
-    if spec.variant is Variant.LONG_RANGE_PAIRING:
-        cy, cz, c0 = 0.5 * spec.delta, spec.j, spec.mu
-    else:
-        cy, cz, c0 = spec.delta, spec.j, 0.5 * spec.mu
+    k, sin_sum, cos_sum, (sin_peak, cos_peak) = _grid_harmonics(
+        spec.variant, n, spec.alpha, spec.beta, spec.r)
+    cy, cz, c0 = _coefficients(spec)
     if not math.isfinite(math.hypot(abs(cy) * sin_peak, abs(cz) * cos_peak + abs(c0))):
         raise SpectrumOverflowError("the couplings overflow hypot(y, z)")
     return k, cy * sin_sum, cz * cos_sum + c0
@@ -213,19 +222,40 @@ def _energies(y, z) -> np.ndarray:
     return np.abs(w)
 
 
+def _min_gap(eps: np.ndarray) -> float:
+    """``eps.min()``; :class:`GaplessSpecError` unless it is above
+    ``GAP_TOL`` (NaN fails too)."""
+    gap = float(eps.min())
+    if not gap > GAP_TOL:
+        raise GaplessSpecError(f"min grid gap {gap:.3e} <= {GAP_TOL}")
+    return gap
+
+
+def _gapped_grid(spec: ModelSpec, n: int):
+    """``(k, y, z, eps)`` on the grid of n momenta, checked by :func:`_min_gap`."""
+    k, y, z = grid_numerators(spec, n)
+    eps = _energies(y, z)
+    _min_gap(eps)
+    return k, y, z, eps
+
+
+def _modes(spec: ModelSpec, y, z):
+    """``(eps, hy, hz, gapless)`` of numerator arrays: the energies, the
+    unit Anderson vector (NaN where gapless) and the mask ``eps <= GAP_TOL``."""
+    eps = _energies(y, z)
+    gapless = eps <= GAP_TOL
+    safe = np.where(gapless, np.nan, eps)
+    sign = -1.0 if spec.variant is Variant.LONG_RANGE_PAIRING else 1.0
+    return eps, sign * y / safe, -z / safe, gapless
+
+
 def numerators_at(spec: ModelSpec, k, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``(y, z)`` at arbitrary momenta (direct sums; same weights as the grid)."""
     k = np.asarray(k, dtype=float)
-    if spec.variant is Variant.LONG_RANGE_PAIRING:
-        f = _harmonic_sum(_range_weights(spec.alpha, n - 1, n), k).imag
-        y = 0.5 * spec.delta * f
-        z = spec.j * np.cos(k) + spec.mu
-    else:
-        s = _harmonic_sum(_range_weights(spec.alpha, spec.r, n), k).imag
-        c = _harmonic_sum(_range_weights(spec.beta, spec.r, n), k).real
-        y = spec.delta * s
-        z = 0.5 * spec.mu + spec.j * c
-    return y, z
+    ws, wc = _ring_weights(spec.variant, n, spec.alpha, spec.beta, spec.r)
+    cy, cz, c0 = _coefficients(spec)
+    cos_sum = np.cos(k) if wc is None else _harmonic_sum(wc, k).real
+    return cy * _harmonic_sum(ws, k).imag, cz * cos_sum + c0
 
 
 def bogoliubov_theta(y, z):
@@ -233,53 +263,35 @@ def bogoliubov_theta(y, z):
     return 0.5 * np.arctan2(y, -z)
 
 
-def anderson_vector(spec: ModelSpec, y, z, eps):
-    """Unit Anderson vector components (h_y, h_z) for this variant."""
-    if spec.variant is Variant.LONG_RANGE_PAIRING:
-        return -y / eps, -z / eps
-    return y / eps, -z / eps
-
-
 def dispersion(spec: ModelSpec, k: float, n: int) -> ModeData:
     """Solve a single momentum mode.
 
-    Raises :class:`ZeroVectorError` when both numerators are below 1e-14,
-    i.e. the gap closes at this momentum; callers decide how to proceed.
+    Raises :class:`GaplessSpecError` when ``eps <= GAP_TOL``, i.e. the gap
+    closes at this momentum; callers decide how to proceed.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if not (-np.pi < k <= np.pi):
         raise ValueError(f"k must lie in (-pi, pi], got {k}")
     y, z = numerators_at(spec, float(k), n)
-    y, z = float(y), float(z)
-    if abs(y) < ZERO_TOL and abs(z) < ZERO_TOL:
-        raise ZeroVectorError(f"gap closes at k={k!r}: |y|,|z| < {ZERO_TOL}")
-    eps = math.hypot(y, z)
-    hy, hz = anderson_vector(spec, y, z, eps)
-    return ModeData(k=float(k), epsilon=eps, hy=float(hy), hz=float(hz),
+    eps, hy, hz, gapless = _modes(spec, y, z)
+    if gapless:
+        raise GaplessSpecError(f"gap {float(eps):.3e} <= {GAP_TOL} at k={k!r}")
+    return ModeData(k=float(k), epsilon=float(eps), hy=float(hy), hz=float(hz),
                     theta=float(bogoliubov_theta(y, z)))
 
 
 def solve_chain(spec: ModelSpec, n: int) -> list[ModeData]:
     """Solve every mode of the antiperiodic grid, ordered by k.
 
-    Gap closings are not fatal here: the affected mode is returned with
-    ``gapless=True`` and NaN angle/vector.
+    Gap closings are not fatal here: a mode with ``eps <= GAP_TOL`` is
+    returned with ``gapless=True`` and NaN angle/vector.
     """
     k, y, z = grid_numerators(spec, n)
-    eps = _energies(y, z)
-    gapless = (np.abs(y) < ZERO_TOL) & (np.abs(z) < ZERO_TOL)
-    theta = bogoliubov_theta(y, z)
-    hy, hz = anderson_vector(spec, y, z, np.where(gapless, 1.0, eps))
-    modes = []
-    for i in range(n):
-        if gapless[i]:
-            modes.append(ModeData(k=float(k[i]), epsilon=0.0, hy=float("nan"),
-                                  hz=float("nan"), theta=float("nan"), gapless=True))
-        else:
-            modes.append(ModeData(k=float(k[i]), epsilon=float(eps[i]), hy=float(hy[i]),
-                                  hz=float(hz[i]), theta=float(theta[i])))
-    return modes
+    eps, hy, hz, gapless = _modes(spec, y, z)
+    theta = np.where(gapless, np.nan, bogoliubov_theta(y, z))
+    return list(map(ModeData, k.tolist(), eps.tolist(), hy.tolist(), hz.tolist(),
+                    theta.tolist(), gapless.tolist()))
 
 
 def minimum_gap(spec: ModelSpec, n: int) -> float:
@@ -295,21 +307,14 @@ def open_chain_weights(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray]
     the Hamiltonian carries ``-hop_l (c^dag_j c_{j+l} + h.c.)`` and
     ``+pair_l (c_j c_{j+l} + h.c.)``.
     """
-    l = np.arange(1, n)
+    l = np.arange(1, n, dtype=float)
     hop = np.zeros(n - 1)
-    pair = np.zeros(n - 1)
     if spec.variant is Variant.LONG_RANGE_PAIRING:
         hop[0] = 0.5 * spec.j
-        if math.isinf(spec.alpha):
-            pair[0] = 0.5 * spec.delta
-        else:
-            pair[:] = 0.5 * spec.delta * l.astype(float) ** (-spec.alpha)
-    else:
-        rr = min(spec.r, n - 1)
-        lr = l[:rr].astype(float)
-        hop[:rr] = spec.j * (lr ** (-spec.beta) if not math.isinf(spec.beta)
-                             else (lr == 1.0).astype(float))
-        pair[:rr] = spec.delta * (lr ** (-spec.alpha) if not math.isinf(spec.alpha)
-                                  else (lr == 1.0).astype(float))
+        return hop, 0.5 * spec.delta * _decay(spec.alpha, l, l)
+    pair = np.zeros(n - 1)
+    lr = l[:spec.r]
+    hop[:lr.size] = spec.j * _decay(spec.beta, lr, lr)
+    pair[:lr.size] = spec.delta * _decay(spec.alpha, lr, lr)
     return hop, pair
 

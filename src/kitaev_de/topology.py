@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GaplessSpecError, NumericalWindingWarning
-from .model import GAP_TOL, ModelSpec, _energies, anderson_vector, grid_numerators
+from .model import ModelSpec, _gapped_grid, _modes, grid_numerators
 
 DEFAULT_SAMPLES = 4096
 SNAP_TOL = 0.05
@@ -117,24 +117,17 @@ def winding_number(spec: ModelSpec, samples: int = DEFAULT_SAMPLES) -> WindingRe
     returned.
     """
     _check_samples(samples)
-    _, y, z = grid_numerators(spec, samples)
-    min_gap = float(_energies(y, z).min())
-    if not min_gap > GAP_TOL:
-        raise GaplessSpecError(f"min gap {min_gap:.3e} <= {GAP_TOL}; winding undefined")
+    _, y, z, eps = _gapped_grid(spec, samples)
     nu_raw = _accumulated_turns(y, z)
     nu = snap_winding(nu_raw)
-    return WindingResult(nu_raw=nu_raw, nu=nu, gapped=True, min_gap=min_gap)
+    return WindingResult(nu_raw=nu_raw, nu=nu, gapped=True, min_gap=float(eps.min()))
 
 
 def trajectory(spec: ModelSpec, samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Densely sampled unit Anderson vector, exported for plotting."""
     _check_samples(samples)
     k, y, z = grid_numerators(spec, samples)
-    eps = _energies(y, z)
-    gapless = eps <= GAP_TOL
-    hy, hz = anderson_vector(spec, y, z, np.where(gapless, 1.0, eps))
-    hy = np.where(gapless, np.nan, hy)
-    hz = np.where(gapless, np.nan, hz)
+    _, hy, hz, gapless = _modes(spec, y, z)
     return Trajectory(k=k, hy=hy, hz=hz, gapless=gapless)
 
 

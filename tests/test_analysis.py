@@ -126,6 +126,37 @@ class TestDetector:
         assert len(rep.points) == 1
         assert abs(rep.points[0].location - 0.203) < 0.011
 
+    def test_kink_flagged_next_to_a_gapless_point(self):
+        # one NaN value (the gap closed there) must not hide the kink, and
+        # is reported itself as one point with an infinite jump
+        x = np.arange(-1, 1.001, 0.01)
+        q = np.sin(x) + np.where(x < 0.203, 0.0, 2.0 * (x - 0.203))
+        q[50] = np.nan
+        rep = detect_critical_points(susceptibility("x", x, q), 10.0)
+        assert np.isfinite(rep.threshold)
+        assert len(rep.points) == 2
+        gapless, kink = rep.points
+        assert gapless.location == x[50] and gapless.jump == np.inf
+        assert abs(kink.location - 0.203) < 0.011 and np.isfinite(kink.jump)
+
+    def test_gapless_runs_in_grid_order(self):
+        # each run of NaN values is one point at its mean, on either grid order
+        x = np.arange(-1, 1.001, 0.01)
+        q = np.sin(x)
+        q[[20, 21, 22, 150]] = np.nan
+        for grid, vals in ((x, q), (x[::-1], q[::-1])):
+            rep = detect_critical_points(susceptibility("x", grid, vals), 10.0)
+            locs = [p.location for p in rep.points]
+            want = [x[21], x[150]] if grid[0] < grid[-1] else [x[150], x[21]]
+            assert locs == pytest.approx(want, abs=1e-12)
+            assert all(p.jump == np.inf for p in rep.points)
+
+    def test_no_finite_jump_raises(self):
+        x = np.arange(0, 0.2, 0.01)
+        q = np.where(np.arange(x.size) % 2, np.nan, x)
+        with pytest.raises(InsufficientPointsError):
+            detect_critical_points(susceptibility("x", x, q), 10.0)
+
     def test_needs_enough_points(self):
         x = np.arange(0, 0.08, 0.01)
         with pytest.raises(InsufficientPointsError):

@@ -257,6 +257,20 @@ class TestOutputs:
         flagged_rows = [ln for ln in lines[1:] if ln.endswith(",1")]
         assert flagged_rows  # the mu = 1 transition is flagged
 
+    def test_gapless_grid_point_flagged(self, tmp_path):
+        # at n = 2002 the grid hits k = pi/2, where Delta = 0 closes the gap:
+        # s is NaN there, and that point is reported with a finite threshold
+        out = tmp_path / "scan.csv"
+        code = run_cli(["--task", "critical-scan", "--variant", "1", "--mu", "0",
+                        "--param", "delta", "--start", "-1", "--stop", "1",
+                        "--step", "0.01", "--n", "2002", "--out", str(out)])
+        assert code == 0
+        results = json.loads((tmp_path / "scan.json").read_text())["results"]
+        assert math.isfinite(results["threshold"])
+        assert results["critical_points"] == [
+            {"channel": "chi_s", "jump": "inf", "location": 0.0}]
+        assert out.read_text().split("\n")[101] == "0,nan,0,1"
+
     def test_fit_block_results(self, tmp_path):
         out = tmp_path / "fit.csv"
         code = run_cli(["--task", "fit-block", "--variant", "1", "--delta",

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from kitaev_de import (ModelSpec, SpectrumOverflowError, Variant,
-                       ZeroVectorError, dispersion, minimum_gap, momentum_grid,
-                       solve_chain, winding_number)
+from kitaev_de import (GaplessSpecError, ModelSpec, SpectrumOverflowError,
+                       Variant, correlator_kernel, de_density, dispersion,
+                       global_entanglement, minimum_gap, momentum_grid,
+                       solve_chain, trajectory, winding_number, zero_modes)
+from kitaev_de.majorana import GAP_SAMPLES
 from kitaev_de.model import (_energies, grid_numerators, numerators_at,
                              open_chain_weights)
 
@@ -81,7 +83,7 @@ class TestDispersion:
     def test_zero_vector_error(self):
         # delta=0, mu=1, J=1 closes the gap at k=pi
         spec = ModelSpec.pairing(j=1.0, delta=0.0, mu=1.0)
-        with pytest.raises(ZeroVectorError):
+        with pytest.raises(GaplessSpecError):
             dispersion(spec, np.pi, 64)
 
     def test_parity_symmetry(self, rng):
@@ -114,7 +116,7 @@ class TestSolveChain:
         spec = ModelSpec.pairing(j=1.0, delta=0.0, mu=1.0)
         modes = solve_chain(spec, 512)
         assert not any(m.gapless for m in modes)  # grid avoids k = pi
-        with pytest.raises(ZeroVectorError):
+        with pytest.raises(GaplessSpecError):
             dispersion(spec, np.pi, 512)
 
     def test_matches_dispersion(self, rng):
@@ -124,6 +126,32 @@ class TestSolveChain:
             single = dispersion(spec, mode.k, 32)
             assert single.epsilon == pytest.approx(mode.epsilon, abs=1e-12)
             assert single.theta == pytest.approx(mode.theta, abs=1e-12)
+
+
+class TestOneGapRule:
+    @pytest.mark.parametrize("n", [512, GAP_SAMPLES])
+    @pytest.mark.parametrize("offset,gapless", [(5e-10, True), (2e-8, False)])
+    def test_every_quantity_agrees(self, n, offset, gapless):
+        # eps = |cos k + mu| is about `offset` at the grid points +-k0: either
+        # side of GAP_TOL, every closed-chain quantity reads the same verdict
+        k0 = float(momentum_grid(n)[5 * n // 8])
+        spec = ModelSpec.pairing(j=1.0, delta=0.0, mu=-math.cos(k0) + offset)
+        assert minimum_gap(spec, n) == pytest.approx(offset, rel=1e-6)
+        flags = 2 if gapless else 0
+        assert trajectory(spec, n).gapless.sum() == flags
+        assert sum(m.gapless for m in solve_chain(spec, n)) == flags
+        calls = [lambda: de_density(spec, n), lambda: global_entanglement(spec, n),
+                 lambda: winding_number(spec, n),
+                 lambda: correlator_kernel(spec, n, l_max=4),
+                 lambda: dispersion(spec, k0, n)]
+        if n == GAP_SAMPLES:  # zero_modes checks the bulk gap on this grid
+            calls.append(lambda: zero_modes(spec, 20))
+        for call in calls:
+            if gapless:
+                with pytest.raises(GaplessSpecError, match="gap"):
+                    call()
+            else:
+                call()
 
 
 class TestHarmonicSums:
