@@ -87,9 +87,8 @@ def pure_state_diagonal_entropy(spec: ModelSpec, n: int) -> EntropyReport:
     One two-outcome term per ``(k, -k)`` pair, i.e. a sum over the positive-k
     half of the grid; ``sin^2 theta_k`` is the pair-occupation probability.
     """
-    k, y, z, eps = _gapped_grid(spec, n)
-    pos = k > 0
-    occ = 0.5 * (1.0 + z[pos] / eps[pos])  # sin^2 theta
+    _, z, eps, _ = _gapped_grid(spec, n)
+    occ = 0.5 * (1.0 + z / eps)  # sin^2 theta
     return EntropyReport(value=float(_binary_entropy_bits(occ).sum()),
                          basis="momentum", size=n, spec=spec)
 
@@ -104,8 +103,8 @@ def global_entanglement(spec: ModelSpec, n: int = DEFAULT_GRID) -> float:
 
     Translation invariance assumed; ``<sigma_z>`` is the R=0 kernel value.
     """
-    _, _, z, eps = _gapped_grid(spec, n)
-    sz = float(np.mean(-z / eps))
+    _, z, eps, _ = _gapped_grid(spec, n)
+    sz = float(np.mean(-z / eps))  # the k > 0 half: sigma_z is even in k
     return 1.0 - sz * sz
 
 

@@ -92,7 +92,7 @@ def correlator_kernel(spec: ModelSpec, n: int = DEFAULT_GRID,
     _, q.imag, q.real = grid_numerators(spec, n)
     eps = np.abs(q)  # |z + i y|, as model._energies
     _min_gap(eps)
-    q /= -eps  # exp(-2 i theta)
+    q *= -1.0 / eps  # exp(-2 i theta), the same bits as q /= -eps
     del eps
     r = np.arange(-l_max, l_max + 1)
     g = (-1.0) ** r * np.exp(1j * np.pi * r / n) * np.fft.ifft(q, out=q)[r % n]

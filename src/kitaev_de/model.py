@@ -11,6 +11,14 @@ Closed chains use antiperiodic boundary conditions (momenta
 ``k_n = (2*pi/N)(n + 1/2)``) and the ring distance ``d_l = min(l, N - l)``;
 open-chain helpers elsewhere in the package use ``d_l = l``.
 
+The closed-chain grid is its k > 0 half plus that half's exact mirror
+(:func:`momentum_grid`), and the harmonic sums are mirrored with it, odd for
+the pairing sum and even for the hopping sum, so ``(y, z)(-k) = (-y, z)(k)``
+holds bit for bit.  The ground state factorises over ``(k, -k)`` pairs, so
+the gap checks and the reductions built on them -- the diagonal entropy s,
+the global entanglement E and the winding number -- read only the k > 0 half
+(:func:`_gapped_grid`); per-mode results keep the full grid.
+
 Conventions
 -----------
 Every mode is described by the numerator pair ``(y, z)`` of the Anderson
@@ -111,18 +119,19 @@ class ModeData:
 
 
 def momentum_grid(n: int) -> np.ndarray:
-    """Antiperiodic grid ``k_n = (2*pi/N)(n + 1/2)`` mapped into (-pi, pi].
+    """Antiperiodic grid ``k_n = (2*pi/N)(n + 1/2)`` mapped into (-pi, pi).
 
-    The returned array is sorted ascending; no point equals 0 or +-pi, and
-    every momentum is paired with its negative.  Odd chain lengths would
-    place an unpaired mode exactly at pi, which breaks the (k, -k) pair
-    structure every closed-chain quantity relies on, so they are rejected.
+    Built from its positive half ``kp = (2*pi/N)(m + 1/2)``, ``m < N/2``, as
+    ``(-kp[::-1], kp)``: sorted ascending, no point at 0 or +-pi, and every
+    momentum paired with its exact negative, ``k[::-1] == -k`` bit for bit.
+    Odd chain lengths would place an unpaired mode exactly at pi, which
+    breaks the (k, -k) pair structure every closed-chain quantity relies on,
+    so they are rejected.
     """
     if n < 2 or n % 2:
         raise ValueError(f"need an even chain length >= 2, got {n}")
-    k = (2.0 * np.pi / n) * (np.arange(n) + 0.5)
-    k = np.where(k > np.pi, k - 2.0 * np.pi, k)
-    return np.sort(k)
+    kp = (2.0 * np.pi / n) * (np.arange(n // 2) + 0.5)
+    return np.concatenate((-kp[::-1], kp))
 
 
 def _decay(exponent: float, l: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -150,20 +159,23 @@ def _range_weights(exponent: float, r: int, n: int) -> np.ndarray:
     return w
 
 
-def _ring_weights(variant: Variant, n: int, alpha: float, beta, r):
+def _ring_weights(n: int, alpha: float, *hopping):
     """Ring weights of the sine (pairing) sum with alpha and of the cosine
-    (hopping) sum with beta; ``None``: the pairing-only chain's bare cos k."""
-    if variant is Variant.LONG_RANGE_PAIRING:
+    (hopping) sum with ``hopping = (beta, r)``; no hopping terms: the
+    pairing-only chain, every range and the bare cos k (``None``)."""
+    if not hopping:
         return _range_weights(alpha, n - 1, n), None
+    beta, r = hopping
     return _range_weights(alpha, r, n), _range_weights(beta, r, n)
 
 
-def _coefficients(spec: ModelSpec) -> tuple[float, float, float]:
-    """``(c_y, c_z, c_0)`` with ``y = c_y sin_sum`` and
-    ``z = c_z cos_sum + c_0`` (see the module docstring)."""
+def _coefficients(spec: ModelSpec):
+    """``(c_y, c_z, c_0, hopping)`` with ``y = c_y sin_sum`` and
+    ``z = c_z cos_sum + c_0`` (see the module docstring), and ``hopping``
+    the :func:`_ring_weights` terms of the cosine sum."""
     if spec.variant is Variant.LONG_RANGE_PAIRING:
-        return 0.5 * spec.delta, spec.j, spec.mu
-    return spec.delta, spec.j, 0.5 * spec.mu
+        return 0.5 * spec.delta, spec.j, spec.mu, ()
+    return spec.delta, spec.j, 0.5 * spec.mu, (spec.beta, spec.r)
 
 
 def _harmonic_sum(weights: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -173,14 +185,19 @@ def _harmonic_sum(weights: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _grid_harmonics(variant: Variant, n: int, alpha: float, beta, r):
+def _grid_harmonics(n: int, alpha: float, *hopping):
     """Sorted grid plus the harmonic sums entering (y, z) on the full grid.
 
     Returns ``(k_sorted, sin_sum, cos_sum, peaks)``: the sums carry the model's
-    distance weights, ``peaks`` their largest magnitudes.  One FFT each.
+    distance weights, ``peaks`` their largest magnitudes.  One FFT each; the
+    k < 0 half is then overwritten with the mirror of the k > 0 half, odd for
+    the sine sum and even for the cosine sum, so ``(y, z)(-k) = (-y, z)(k)``
+    holds exactly.  The key holds only ints and floats (``hopping`` as in
+    :func:`_ring_weights`), whose hashes are C-level and the same on every
+    run.
     """
     k_sorted = momentum_grid(n)
-    ws, wc = _ring_weights(variant, n, alpha, beta, r)
+    ws, wc = _ring_weights(n, alpha, *hopping)
 
     def grid_sum(weights):
         u = np.zeros(n, dtype=complex)
@@ -192,6 +209,9 @@ def _grid_harmonics(variant: Variant, n: int, alpha: float, beta, r):
 
     sin_sum = np.ascontiguousarray(grid_sum(ws).imag)
     cos_sum = np.ascontiguousarray(grid_sum(wc).real) if wc is not None else np.cos(k_sorted)
+    half = n // 2
+    sin_sum[:half] = -sin_sum[:half - 1:-1]
+    cos_sum[:half] = cos_sum[:half - 1:-1]
     for arr in (k_sorted, sin_sum, cos_sum):
         arr.flags.writeable = False
     peaks = (float(np.abs(sin_sum).max()), float(np.abs(cos_sum).max()))
@@ -202,9 +222,8 @@ def grid_numerators(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray, np
     """Anderson-vector numerators ``(k, y, z)`` on the full antiperiodic grid;
     :class:`SpectrumOverflowError` when the peak harmonic sums bound
     ``hypot(y, z)`` by more than the float range."""
-    k, sin_sum, cos_sum, (sin_peak, cos_peak) = _grid_harmonics(
-        spec.variant, n, spec.alpha, spec.beta, spec.r)
-    cy, cz, c0 = _coefficients(spec)
+    cy, cz, c0, hopping = _coefficients(spec)
+    k, sin_sum, cos_sum, (sin_peak, cos_peak) = _grid_harmonics(n, spec.alpha, *hopping)
     if not math.isfinite(math.hypot(abs(cy) * sin_peak, abs(cz) * cos_peak + abs(c0))):
         raise SpectrumOverflowError("the couplings overflow hypot(y, z)")
     return k, cy * sin_sum, cz * cos_sum + c0
@@ -232,11 +251,18 @@ def _min_gap(eps: np.ndarray) -> float:
 
 
 def _gapped_grid(spec: ModelSpec, n: int):
-    """``(k, y, z, eps)`` on the grid of n momenta, checked by :func:`_min_gap`."""
-    k, y, z = grid_numerators(spec, n)
+    """``(y, z, eps, gap)`` on the n/2 momenta ``k > 0`` of the n-point grid,
+    with ``gap`` the minimum of ``eps`` checked by :func:`_min_gap`.
+
+    The grid and its numerators mirror exactly, ``(y, z)(-k) = (-y, z)(k)``,
+    so the energies are even and the half holds every closed-chain
+    reduction: one term per ``(k, -k)`` pair, and the whole grid's minimum
+    gap to the last bit.
+    """
+    _, y, z = grid_numerators(spec, n)
+    y, z = y[n // 2:], z[n // 2:]
     eps = _energies(y, z)
-    _min_gap(eps)
-    return k, y, z, eps
+    return y, z, eps, _min_gap(eps)
 
 
 def _modes(spec: ModelSpec, y, z):
@@ -252,8 +278,8 @@ def _modes(spec: ModelSpec, y, z):
 def numerators_at(spec: ModelSpec, k, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``(y, z)`` at arbitrary momenta (direct sums; same weights as the grid)."""
     k = np.asarray(k, dtype=float)
-    ws, wc = _ring_weights(spec.variant, n, spec.alpha, spec.beta, spec.r)
-    cy, cz, c0 = _coefficients(spec)
+    cy, cz, c0, hopping = _coefficients(spec)
+    ws, wc = _ring_weights(n, spec.alpha, *hopping)
     cos_sum = np.cos(k) if wc is None else _harmonic_sum(wc, k).real
     return cy * _harmonic_sum(ws, k).imag, cz * cos_sum + c0
 

@@ -8,6 +8,11 @@ increment ``atan2(z y' - y z', y y' + z z')`` gives one orientation rule for
 both variants; it reproduces the reference phases (nu = 0, +-1 for the
 pairing-only chain, nu = +-3 for the pairing+hopping chain at range 3) and is
 cross-checked in the tests against an independent axis-crossing count.
+
+The grid and its numerators mirror exactly, ``(y, z)(-k) = (-y, z)(k)``, so
+each step on the k < 0 half has the products of a step on the k > 0 half.
+The loop sum is therefore twice the k > 0 half's steps plus the two steps
+across k = 0 and k = pi, where the point ``(z, y)`` moves to ``(z, -y)``.
 """
 from __future__ import annotations
 
@@ -78,19 +83,27 @@ def _check_samples(samples: int) -> None:
         raise ValueError(f"need samples >= 256, got {samples}")
 
 
+def _increments(y, z, y2, z2) -> np.ndarray:
+    """Angles of the steps from ``(z, y)`` to ``(z2, y2)``,
+    ``atan2(z y2 - y z2, y y2 + z z2)``."""
+    return np.arctan2(z * y2 - y * z2, y * y2 + z * z2)
+
+
 def _accumulated_turns(y: np.ndarray, z: np.ndarray) -> float:
-    """Total angle swept by the numerator trajectory, in turns.
+    """Total angle swept by the numerator trajectory over the closed grid, in
+    turns, from the numerators on its k > 0 half: twice the half's steps
+    plus the steps across k = 0 and k = pi (see the module docstring).
 
     If the products overflow (couplings near the top of the float range),
     ``(y, z)`` are scaled by a power of two, which is exact and leaves every
     angle unchanged, and the sum is taken again.
     """
     for _ in range(2):
-        y2, z2 = np.concatenate((y[1:], y[:1])), np.concatenate((z[1:], z[:1]))
         with np.errstate(over="ignore", invalid="ignore"):
-            cross = z * y2 - y * z2
-            dot = y * y2 + z * z2
-        turns = float(np.arctan2(cross, dot).sum() / (2.0 * np.pi))
+            steps = _increments(y[:-1], z[:-1], y[1:], z[1:]).sum()
+            crossings = (_increments(-y[0], z[0], y[0], z[0])
+                         + _increments(y[-1], z[-1], -y[-1], z[-1]))
+        turns = float((2.0 * steps + crossings) / (2.0 * np.pi))
         if math.isfinite(turns):
             break
         _, exp = np.frexp(max(np.abs(y).max(), np.abs(z).max()))
@@ -117,10 +130,10 @@ def winding_number(spec: ModelSpec, samples: int = DEFAULT_SAMPLES) -> WindingRe
     returned.
     """
     _check_samples(samples)
-    _, y, z, eps = _gapped_grid(spec, samples)
+    y, z, _, gap = _gapped_grid(spec, samples)
     nu_raw = _accumulated_turns(y, z)
-    nu = snap_winding(nu_raw)
-    return WindingResult(nu_raw=nu_raw, nu=nu, gapped=True, min_gap=float(eps.min()))
+    return WindingResult(nu_raw=nu_raw, nu=snap_winding(nu_raw), gapped=True,
+                         min_gap=gap)
 
 
 def trajectory(spec: ModelSpec, samples: int = DEFAULT_SAMPLES) -> Trajectory:

@@ -1,4 +1,5 @@
-"""Shared deterministic random-spec generators for the test suite."""
+"""Shared deterministic random-spec generators and references for the test
+suite."""
 import math
 
 import numpy as np
@@ -44,6 +45,22 @@ def random_gapped_spec(rng, min_gap=0.05, n=512, trivial=False, max_tries=200):
         if minimum_gap(spec, n) > min_gap:
             return spec
     raise RuntimeError("could not draw a gapped spec")
+
+
+def rolled_turns(y, z):
+    """Reference turn sum over the whole closed grid with ``np.roll``
+    successors; also returns whether the power-of-two rescale ran."""
+    for rescaled in (False, True):
+        y2, z2 = np.roll(y, -1), np.roll(z, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = z * y2 - y * z2
+            dot = y * y2 + z * z2
+        turns = float(np.arctan2(cross, dot).sum() / (2.0 * np.pi))
+        if math.isfinite(turns):
+            break
+        _, exp = np.frexp(max(np.abs(y).max(), np.abs(z).max()))
+        y, z = np.ldexp(y, -exp), np.ldexp(z, -exp)
+    return turns, rescaled
 
 
 def grid_gapless_spec(n):

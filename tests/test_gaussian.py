@@ -75,6 +75,18 @@ class TestKernel:
             assert got.g.shape == (2 * l_max + 1,)
             assert np.abs(got.g[lags + l_max] - want.real).max() < 1e-13
 
+    @pytest.mark.parametrize("n", [64, 8192])
+    def test_reciprocal_scaling_keeps_division_bits(self, rng, n):
+        # the kernel scales q by -1/eps: numpy divides a complex by a real
+        # through the reciprocal, so the bits are those of q / -eps
+        for _ in range(30):
+            spec = random_gapped_spec(rng, n=n)
+            q = np.empty(n, complex)
+            _, q.imag, q.real = grid_numerators(spec, n)
+            eps = np.abs(q)
+            got, want = q * (-1.0 / eps), q / -eps
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_gapless_raises(self):
         from conftest import grid_gapless_spec
         with pytest.raises(GaplessSpecError):

@@ -9,10 +9,11 @@ from kitaev_de import (GaplessSpecError, ModelSpec, SpectrumOverflowError,
                        global_entanglement, minimum_gap, momentum_grid,
                        solve_chain, trajectory, winding_number, zero_modes)
 from kitaev_de.majorana import GAP_SAMPLES
+from kitaev_de.entropy import _binary_entropy_bits
 from kitaev_de.model import (_energies, grid_numerators, numerators_at,
                              open_chain_weights)
 
-from conftest import random_gapped_spec
+from conftest import random_gapped_spec, rolled_turns
 
 
 class TestMomentumGrid:
@@ -31,8 +32,8 @@ class TestMomentumGrid:
         assert np.all(k > -np.pi) and np.all(k <= np.pi)
         assert np.abs(k).min() > 1e-12
         assert np.abs(np.abs(k) - np.pi).min() > 1e-12
-        # every momentum pairs with its negative
-        assert np.allclose(np.sort(-k), np.sort(k))
+        # every momentum pairs with its exact negative
+        assert np.array_equal(k[::-1], -k)
 
     def test_rejects_small_or_odd_n(self):
         with pytest.raises(ValueError):
@@ -179,6 +180,43 @@ class TestHarmonicSums:
             y2, z2 = numerators_at(spec, k, 128)
             assert np.allclose(y, y2, atol=1e-11)
             assert np.allclose(z, z2, atol=1e-11)
+
+
+class TestMirroredGrid:
+    @pytest.mark.parametrize("n", [16, 4096])
+    @pytest.mark.parametrize("spec", [
+        ModelSpec.pairing(alpha=math.inf), ModelSpec.pairing(alpha=1.3),
+        ModelSpec.pairing(alpha=0.0),
+        ModelSpec.pairing_hopping(alpha=math.inf, beta=math.inf, r=3),
+        ModelSpec.pairing_hopping(alpha=0.4, beta=math.inf, r=5),
+        ModelSpec.pairing_hopping(alpha=math.inf, beta=1.7, r=2),
+        ModelSpec.pairing_hopping(alpha=0.2, beta=0.2, r=3)])
+    def test_harmonics_odd_and_even(self, spec, n):
+        # delta = j = 1 and mu = 0 leave y and z as the scaled harmonic sums:
+        # the sine sum is exactly odd in k and the cosine sum exactly even
+        _, y, z = grid_numerators(spec, n)
+        assert np.array_equal(y[::-1], -y)
+        assert np.array_equal(z[::-1], z)
+        assert y.any() and z.any()
+
+    def test_half_grid_reductions_match_full_grid(self, rng):
+        # s, E and nu read the k > 0 half; references sum the whole grid
+        for _ in range(100):
+            spec = random_gapped_spec(rng)
+            n = int(rng.choice([256, 2000, 4096, 8192]))
+            k, y, z = grid_numerators(spec, n)
+            eps = _energies(y, z)
+            pos = k > 0
+            occ = 0.5 * (1.0 + z[pos] / eps[pos])
+            assert de_density(spec, n) == float(_binary_entropy_bits(occ).sum()) / n
+            sz = float(np.mean(-z / eps))
+            assert global_entanglement(spec, n) == pytest.approx(1.0 - sz * sz,
+                                                                  abs=1e-15)
+            turns, _ = rolled_turns(y, z)
+            res = winding_number(spec, n)
+            assert res.nu == round(2.0 * turns) / 2.0
+            assert res.nu_raw == pytest.approx(turns, abs=1e-12)
+            assert res.min_gap == eps.min()
 
 
 class TestOverflowGuard:

@@ -13,18 +13,24 @@ from kitaev_de import (GaplessSpecError, ModelSpec, NumericalWindingWarning,
 from kitaev_de.model import grid_numerators
 from kitaev_de.topology import _accumulated_turns
 
-from conftest import random_gapped_spec
+from conftest import random_gapped_spec, rolled_turns
 
 
-def rolled_turns(y, z):
-    """Reference turn sum with ``np.roll`` successors; also returns whether
-    the power-of-two rescale ran."""
+def half_turns(y, z):
+    """Reference turn sum from the k > 0 half: its steps twice plus the
+    steps across k = 0 and k = pi, with the products of
+    ``_accumulated_turns`` in its order; also returns whether the
+    power-of-two rescale ran."""
     for rescaled in (False, True):
-        y2, z2 = np.roll(y, -1), np.roll(z, -1)
         with np.errstate(over="ignore", invalid="ignore"):
-            cross = z * y2 - y * z2
-            dot = y * y2 + z * z2
-        turns = float(np.arctan2(cross, dot).sum() / (2.0 * np.pi))
+            cross = z[:-1] * y[1:] - y[:-1] * z[1:]
+            dot = y[:-1] * y[1:] + z[:-1] * z[1:]
+            steps = np.arctan2(cross, dot).sum()
+            at_zero = np.arctan2(z[0] * y[0] - (-y[0]) * z[0],
+                                 (-y[0]) * y[0] + z[0] * z[0])
+            at_pi = np.arctan2(z[-1] * (-y[-1]) - y[-1] * z[-1],
+                               y[-1] * (-y[-1]) + z[-1] * z[-1])
+        turns = float((2.0 * steps + (at_zero + at_pi)) / (2.0 * np.pi))
         if math.isfinite(turns):
             break
         _, exp = np.frexp(max(np.abs(y).max(), np.abs(z).max()))
@@ -88,17 +94,23 @@ class TestWindingNumber:
             assert big.nu_raw == pytest.approx(small.nu_raw, abs=1e-9)
 
     def test_turn_sum_matches_rolled_reference(self, rng):
-        # the same products in the same order, so equal to the last bit
+        # the half-loop sum equals its reference to the last bit, and the
+        # whole-loop rolled sum of the mirrored grid to rounding
         for _ in range(50):
             spec = random_gapped_spec(rng)
-            _, y, z = grid_numerators(spec, int(rng.choice([256, 1024, 4096])))
-            assert _accumulated_turns(y, z) == rolled_turns(y, z)[0]
+            n = int(rng.choice([256, 1024, 4096]))
+            _, y, z = grid_numerators(spec, n)
+            got = _accumulated_turns(y[n // 2:], z[n // 2:])
+            assert got == half_turns(y[n // 2:], z[n // 2:])[0]
+            assert got == pytest.approx(rolled_turns(y, z)[0], abs=1e-12)
         for spec in (ModelSpec.pairing(j=1e300, delta=1e300, mu=0.5e300),
                      ModelSpec.pairing_hopping(j=-0.8e300, delta=1e300,
                                                mu=-0.6e300)):
             _, y, z = grid_numerators(spec, 4096)
-            want, rescaled = rolled_turns(y, z)
-            assert rescaled and _accumulated_turns(y, z) == want
+            want, rescaled = half_turns(y[2048:], z[2048:])
+            assert rescaled and _accumulated_turns(y[2048:], z[2048:]) == want
+            full, full_rescaled = rolled_turns(y, z)
+            assert full_rescaled and want == pytest.approx(full, abs=1e-12)
 
     def test_mirror_in_delta(self, rng):
         # nu(mu, delta) = -nu(mu, -delta) for the pairing-only chain
