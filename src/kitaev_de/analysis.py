@@ -22,7 +22,6 @@ from .model import DEFAULT_GRID, ModelSpec
 from .topology import _sweep, winding_number
 
 DEFAULT_KAPPA = 10.0
-DEFAULT_STEP = 0.01
 DEFAULT_N_DENSITY = 2000
 DEFAULT_BLOCK_RANGE = range(4, 15)
 COND_LIMIT = 1e10

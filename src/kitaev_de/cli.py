@@ -23,15 +23,16 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .analysis import (CHANNELS, block_coefficients, comparative_scan,
-                       detect_critical_points, fit_volume_law, susceptibility,
-                       sweep_de_density, sweep_global_entanglement)
+from .analysis import (CHANNELS, DEFAULT_N_DENSITY, block_coefficients,
+                       comparative_scan, detect_critical_points, fit_volume_law,
+                       susceptibility, sweep_de_density,
+                       sweep_global_entanglement)
 from .entropy import (MAX_BLOCK, block_diagonal_entropy, global_entanglement,
                       pure_state_diagonal_entropy)
 from .errors import KitaevDEError
 from .gaussian import correlator_kernel
-from .majorana import Side, zero_modes
-from .model import ModelSpec, Variant
+from .majorana import GAP_SAMPLES, Side, zero_modes
+from .model import DEFAULT_GRID, ModelSpec, Variant
 from .topology import (DEFAULT_SAMPLES, _SWEEPABLE, _with_param, trajectory,
                        winding_number)
 
@@ -64,9 +65,11 @@ DEFAULTS = {
     "out": "out.csv",
 }
 
-_TASK_N = {"winding": 4096, "trajectory": 4096, "mzm": 100, "de-pure": 2000,
-           "de-block": 8192, "ge": 8192, "fit-volume": 2000, "fit-block": 8192,
-           "sweep": 2000, "critical-scan": 2000, "compare": 2000}
+_TASK_N = {"winding": DEFAULT_SAMPLES, "trajectory": DEFAULT_SAMPLES, "mzm": 100,
+           "de-pure": DEFAULT_N_DENSITY, "de-block": DEFAULT_GRID,
+           "ge": DEFAULT_GRID, "fit-volume": DEFAULT_N_DENSITY,
+           "fit-block": DEFAULT_GRID, "sweep": DEFAULT_N_DENSITY,
+           "critical-scan": DEFAULT_N_DENSITY, "compare": DEFAULT_N_DENSITY}
 
 _INT_FIELDS = ("variant", "r", "n", "l", "l_min", "l_max")
 _FLOAT_FIELDS = ("j", "delta", "mu", "alpha", "beta", "start", "stop", "step",
@@ -159,8 +162,8 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
             raise ValidationError(f"field '{field}' must be a string, "
                                   f"got {config[field]!r}")
     if config["n"] is None:  # an E sweep runs on the kernel grid
-        config["n"] = (8192 if (config["task"], config["quantity"]) == ("sweep", "E")
-                       else _TASK_N[config["task"]])
+        e_sweep = (config["task"], config["quantity"]) == ("sweep", "E")
+        config["n"] = DEFAULT_GRID if e_sweep else _TASK_N[config["task"]]
     for field in _INT_FIELDS:
         config[field] = _coerce(field, config[field], int)
     for field in _FLOAT_FIELDS:
@@ -232,6 +235,8 @@ def _closed_n(config: dict) -> float:
         return min(_sizes(config), default=math.inf)
     if task == "compare":  # the nu channel winds on the default grid
         return min(config["n"], DEFAULT_SAMPLES)
+    if task == "mzm":  # the bulk gap is checked on this grid
+        return GAP_SAMPLES
     return config["n"]
 
 

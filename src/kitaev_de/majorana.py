@@ -2,7 +2,7 @@
 
 With ``a_j = (c^dag_j + c_j)/sqrt(2)`` and ``b_j = i (c^dag_j - c_j)/sqrt(2)``
 the open-chain Hamiltonian takes the form ``H = i sum_{jl} K_{jl} a_j b_l``
-up to a constant, with a real banded K.  A left zero mode
+up to a constant, with a real K.  A left zero mode
 ``sum_j m_j a_j`` commutes with H exactly when ``m^T K = 0``; right modes
 ``sum_j n_j b_j`` satisfy ``K n = 0``.  Exact finite-size zero modes do not
 generally exist, but the relevant singular values of K decay exponentially
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SpectrumOverflowError, TolAmbiguousError
 from .model import ModelSpec, Variant, _gapped_grid, open_chain_weights
@@ -48,29 +49,34 @@ class ZeroMode:
         return self.coefficients ** 2
 
 
+def _band(spec: ModelSpec, n: int) -> np.ndarray:
+    """The 2n - 1 diagonals of K, ``K[a, a + d] = band[d + n - 1]``:
+    ``-pair_l - hop_l`` below the diagonal (d = -l), ``-mu`` on it and
+    ``pair_l - hop_l`` above it (d = l).  The ``+ 0.0`` turns a ``-0.0``
+    coupling into ``+0.0``, as adding it to a zeroed matrix would."""
+    hop, pair = open_chain_weights(spec, n)
+    with np.errstate(over="ignore"):
+        return np.concatenate(((-pair - hop)[::-1] + 0.0, [-spec.mu],
+                               pair - hop + 0.0))
+
+
 def build_coupling(spec: ModelSpec, n: int) -> np.ndarray:
     """Real n-by-n Majorana coupling matrix K of the open chain.
 
     ``K_{jj} = -mu``; per range l the hopping/pairing strengths enter as
-    ``K_{j, j+l} = pair_l - hop_l`` and ``K_{j+l, j} = -pair_l - hop_l``.
-    The bandwidth is max(1, r) for the respective variant.  Raises
-    :class:`SpectrumOverflowError` when the bound on the row and column sums
-    of ``|K|`` (and so on its singular values) overflows.
+    ``K_{j, j+l} = pair_l - hop_l`` and ``K_{j+l, j} = -pair_l - hop_l``,
+    zero beyond the variant's range (r for the pairing+hopping chain, every
+    range for the pairing-only chain at finite alpha).  K is Toeplitz and
+    comes back as a read-only view of its 2n - 1 diagonals, so it allocates
+    O(n).  Raises :class:`SpectrumOverflowError` when the bound on the row
+    and column sums of ``|K|`` (and so on its singular values) overflows.
     """
-    hop, pair = open_chain_weights(spec, n)
+    band = _band(spec, n)
     with np.errstate(over="ignore"):
-        bound = abs(spec.mu) + np.sum(np.abs(pair - hop) + np.abs(pair + hop))
+        bound = np.abs(band).sum()
     if not np.isfinite(bound):
         raise SpectrumOverflowError("the couplings overflow the coupling matrix")
-    k = np.zeros((n, n))
-    np.fill_diagonal(k, -spec.mu)
-    for l in range(1, n):
-        if hop[l - 1] == 0.0 and pair[l - 1] == 0.0:
-            continue
-        idx = np.arange(n - l)
-        k[idx, idx + l] += pair[l - 1] - hop[l - 1]
-        k[idx + l, idx] += -pair[l - 1] - hop[l - 1]
-    return k
+    return sliding_window_view(band, n)[::-1]
 
 
 def _reflected_eigh(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray]:

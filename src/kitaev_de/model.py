@@ -331,12 +331,15 @@ def open_chain_weights(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray]
 
     Uses the open-chain distance ``d_l = l``.  Returns ``(hop, pair)`` where
     the Hamiltonian carries ``-hop_l (c^dag_j c_{j+l} + h.c.)`` and
-    ``+pair_l (c_j c_{j+l} + h.c.)``.
+    ``+pair_l (c_j c_{j+l} + h.c.)``.  A one-site chain has no distance and
+    gets empty arrays; fewer sites raise a ``ValueError`` naming ``n``.
     """
+    if n < 1:
+        raise ValueError(f"an open chain needs n >= 1 sites, got n = {n}")
     l = np.arange(1, n, dtype=float)
     hop = np.zeros(n - 1)
     if spec.variant is Variant.LONG_RANGE_PAIRING:
-        hop[0] = 0.5 * spec.j
+        hop[:1] = 0.5 * spec.j
         return hop, 0.5 * spec.delta * _decay(spec.alpha, l, l)
     pair = np.zeros(n - 1)
     lr = l[:spec.r]

@@ -3,16 +3,21 @@
 The winding number is computed by accumulating branch-unwrapped angle
 increments of the trajectory as k sweeps the Brillouin zone, instead of
 integrating the literal ``(1/h_y) dh_z/dk`` form, which is singular wherever
-``h_y = 0``.  Working with the Anderson-vector numerators ``(y, z)`` and the
-increment ``atan2(z y' - y z', y y' + z z')`` gives one orientation rule for
-both variants; it reproduces the reference phases (nu = 0, +-1 for the
+``h_y = 0``.  The angle of the Anderson-vector numerators ``(y, z)`` is
+``phi = atan2(y, z)``, and each step is the difference of neighbouring angles
+wrapped into ``[-pi, pi]``.  This gives one orientation rule for both
+variants; it reproduces the reference phases (nu = 0, +-1 for the
 pairing-only chain, nu = +-3 for the pairing+hopping chain at range 3) and is
 cross-checked in the tests against an independent axis-crossing count.
+``atan2`` forms no product of the numerators, so nothing overflows however
+large the couplings are.
 
 The grid and its numerators mirror exactly, ``(y, z)(-k) = (-y, z)(k)``, so
-each step on the k < 0 half has the products of a step on the k > 0 half.
-The loop sum is therefore twice the k > 0 half's steps plus the two steps
-across k = 0 and k = pi, where the point ``(z, y)`` moves to ``(z, -y)``.
+``phi(-k) = -phi(k)`` and each step on the k < 0 half is a step on the k > 0
+half.  The loop sum is therefore twice the k > 0 half's steps plus the two
+steps across k = 0 and k = pi, where the point moves between ``(z, y)`` and
+its mirror ``(z, -y)``: by ``2 phi`` at the first positive momentum and by
+``-2 phi`` at the last, each wrapped.
 """
 from __future__ import annotations
 
@@ -27,6 +32,7 @@ from .model import ModelSpec, _gapped_grid, _modes, grid_numerators
 
 DEFAULT_SAMPLES = 4096
 SNAP_TOL = 0.05
+_TWO_PI = 2.0 * math.pi
 
 _SWEEPABLE = ("mu", "delta", "j", "alpha", "beta")
 
@@ -83,32 +89,17 @@ def _check_samples(samples: int) -> None:
         raise ValueError(f"need samples >= 256, got {samples}")
 
 
-def _increments(y, z, y2, z2) -> np.ndarray:
-    """Angles of the steps from ``(z, y)`` to ``(z2, y2)``,
-    ``atan2(z y2 - y z2, y y2 + z z2)``."""
-    return np.arctan2(z * y2 - y * z2, y * y2 + z * z2)
-
-
 def _accumulated_turns(y: np.ndarray, z: np.ndarray) -> float:
     """Total angle swept by the numerator trajectory over the closed grid, in
     turns, from the numerators on its k > 0 half: twice the half's steps
-    plus the steps across k = 0 and k = pi (see the module docstring).
-
-    If the products overflow (couplings near the top of the float range),
-    ``(y, z)`` are scaled by a power of two, which is exact and leaves every
-    angle unchanged, and the sum is taken again.
-    """
-    for _ in range(2):
-        with np.errstate(over="ignore", invalid="ignore"):
-            steps = _increments(y[:-1], z[:-1], y[1:], z[1:]).sum()
-            crossings = (_increments(-y[0], z[0], y[0], z[0])
-                         + _increments(y[-1], z[-1], -y[-1], z[-1]))
-        turns = float((2.0 * steps + crossings) / (2.0 * np.pi))
-        if math.isfinite(turns):
-            break
-        _, exp = np.frexp(max(np.abs(y).max(), np.abs(z).max()))
-        y, z = np.ldexp(y, -exp), np.ldexp(z, -exp)
-    return turns
+    plus the steps across k = 0 and k = pi (see the module docstring).  Every
+    step is its remainder modulo 2 pi nearest zero."""
+    phi = np.arctan2(y, z)
+    steps = np.diff(phi)
+    steps -= _TWO_PI * np.rint(steps / _TWO_PI)
+    crossings = (math.remainder(2.0 * phi[0], _TWO_PI)
+                 + math.remainder(-2.0 * phi[-1], _TWO_PI))
+    return (2.0 * float(steps.sum()) + crossings) / _TWO_PI
 
 
 def snap_winding(nu_raw: float) -> float:

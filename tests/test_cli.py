@@ -101,7 +101,8 @@ class TestValidation:
         (["--task", "critical-scan", "--n", "10", "--r", "10", "--start", "-3",
           "--stop", "-2"], 10),
         (["--task", "compare", "--n", "8000", "--r", "5000", "--start", "-3",
-          "--stop", "-2.9", "--step", "0.1"], 4096)])
+          "--stop", "-2.9", "--step", "0.1"], 4096),
+        (["--task", "mzm", "--n", "9002", "--r", "4500", "--alpha", "0.2"], 4096)])
     def test_range_beyond_closed_chain_names_r(self, tmp_path, capsys, flags, ring):
         # a range r >= n has ring distance min(l, n - l) = 0 on the closed chain
         code = run_cli([*flags, "--variant", "2", "--beta", "0.2", "--mu", "-3",

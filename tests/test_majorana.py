@@ -4,27 +4,41 @@ import pytest
 
 from kitaev_de import (GaplessSpecError, ModelSpec, Side, SpectrumOverflowError,
                        TolAmbiguousError, build_coupling, mode_count,
-                       winding_number, zero_modes)
+                       open_chain_correlations, winding_number, zero_modes)
+from kitaev_de.majorana import _band, _reflected_eigh
 from kitaev_de.model import open_chain_weights
 
-from conftest import random_gapped_spec
+from conftest import (random_gapped_spec, random_pairing_hopping_spec,
+                      random_pairing_spec)
+
+
+def dense_coupling(spec, n):
+    """K filled range by range into a zeroed matrix (the dense reference)."""
+    hop, pair = open_chain_weights(spec, n)
+    k = np.zeros((n, n))
+    np.fill_diagonal(k, -spec.mu)
+    for l in range(1, n):
+        if hop[l - 1] == 0.0 and pair[l - 1] == 0.0:
+            continue
+        idx = np.arange(n - l)
+        k[idx, idx + l] += pair[l - 1] - hop[l - 1]
+        k[idx + l, idx] += -pair[l - 1] - hop[l - 1]
+    return k
 
 
 def decay_roots(spec):
     """Roots of the zero-mode recursion's band symbol.
 
     A left mode m_j = x^j solves the bulk rows of m^T K = 0 when
-    sum_d K_{l+d, l} x^d = 0; decaying solutions have |x| < 1.
+    sum_d K_{l+d, l} x^d = 0; decaying solutions have |x| < 1.  The symbol's
+    coefficients are the band of K, ``K[a, a + d] = band[d + n - 1]``, over
+    its nonzero support ``|d| <= r``.
     """
-    hop, pair = open_chain_weights(spec, 16)
-    nz = np.nonzero((hop != 0) | (pair != 0))[0]
-    r = int(nz.max()) + 1 if nz.size else 1
-    coeffs = np.zeros(2 * r + 1)
-    coeffs[r] = -spec.mu
-    for l in range(1, r + 1):
-        coeffs[r - l] = pair[l - 1] - hop[l - 1]    # K_{j, j+l}
-        coeffs[r + l] = -pair[l - 1] - hop[l - 1]   # K_{j+l, j}
-    return np.roots(coeffs[::-1]), r
+    n = 16
+    band = _band(spec, n)
+    d = np.nonzero(band)[0] - (n - 1)
+    r = max(1, int(np.abs(d).max(initial=0)))
+    return np.roots(band[n - 1 - r:n + r]), r
 
 
 def analytic_pair_count(spec):
@@ -52,6 +66,55 @@ class TestCoupling:
         big = ModelSpec.pairing(j=1.5e308, delta=-1.5e308, mu=0.1)
         assert np.isfinite(build_coupling(big, 20)).all()
         assert mode_count(big, 20) == abs(winding_number(big).nu) == 1
+
+    def test_matches_dense_reference_bit_for_bit(self, rng):
+        # signed zeros included: -0.0 couplings and mu = 0 must come out as
+        # adding them to a zeroed matrix gives
+        specs = [ModelSpec.pairing(j=1.0, delta=-1.0, mu=0.0),
+                 ModelSpec.pairing(j=0.0, delta=-0.7, mu=-0.0),
+                 ModelSpec.pairing(j=1.0, delta=1.0, mu=0.0, alpha=1.7),
+                 ModelSpec.pairing_hopping(j=-0.8, delta=-1.0, mu=0.0,
+                                           alpha=np.inf, beta=np.inf, r=2)]
+        for i in range(120):
+            draw = random_pairing_spec if i % 2 else random_pairing_hopping_spec
+            specs.append(draw(rng, trivial=bool(rng.random() < 0.5)))
+        for spec in specs:
+            for n in (1, 2, 13, 200):
+                got, want = build_coupling(spec, n), dense_coupling(spec, n)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_read_only_view(self):
+        k = build_coupling(ModelSpec.pairing(j=1.0, delta=0.7, mu=0.4), 50)
+        assert not k.flags.writeable and not k[:, ::-1].flags.writeable
+        with pytest.raises(ValueError):
+            k[0, 0] = 1.0
+
+    def test_reflected_eigh_matches_contiguous_copy(self):
+        for spec in (ModelSpec.pairing(j=1.0, delta=0.7, mu=0.4, alpha=1.7),
+                     ModelSpec.pairing_hopping(j=0.8, delta=1.0, mu=0.6)):
+            for n in (7, 200):
+                lam, w = _reflected_eigh(spec, n)
+                s = np.ascontiguousarray(build_coupling(spec, n)[:, ::-1])
+                lam2, w2 = np.linalg.eigh(s)
+                assert np.array_equal(lam, lam2) and np.array_equal(w, w2)
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec.pairing(j=1.0, delta=0.7, mu=0.4, alpha=1.7),
+        ModelSpec.pairing_hopping(j=0.8, delta=1.0, mu=0.6)])
+    def test_one_site_and_fewer(self, spec):
+        # one site: K = [[-mu]] and the lone mode fills the site; none: a
+        # ValueError naming n from every open-chain entry point
+        assert np.array_equal(build_coupling(spec, 1), [[-spec.mu]])
+        corr = open_chain_correlations(spec, 1)
+        assert np.array_equal(corr.m, [[-1.0]]) and corr.eps_min == spec.mu
+        for call in (build_coupling, open_chain_correlations, open_chain_weights):
+            with pytest.raises(ValueError, match="n = 0"):
+                call(spec, 0)
+        if spec.r is None:
+            assert mode_count(spec, 1) == 0
+            with pytest.raises(ValueError, match="n = 0"):
+                mode_count(spec, 0)
 
     def test_variant1_structure(self):
         k = build_coupling(ModelSpec.pairing(j=1.0, delta=1.0, mu=0.7), 8)

@@ -17,25 +17,17 @@ from conftest import random_gapped_spec, rolled_turns
 
 
 def half_turns(y, z):
-    """Reference turn sum from the k > 0 half: its steps twice plus the
-    steps across k = 0 and k = pi, with the products of
-    ``_accumulated_turns`` in its order; also returns whether the
-    power-of-two rescale ran."""
-    for rescaled in (False, True):
-        with np.errstate(over="ignore", invalid="ignore"):
-            cross = z[:-1] * y[1:] - y[:-1] * z[1:]
-            dot = y[:-1] * y[1:] + z[:-1] * z[1:]
-            steps = np.arctan2(cross, dot).sum()
-            at_zero = np.arctan2(z[0] * y[0] - (-y[0]) * z[0],
-                                 (-y[0]) * y[0] + z[0] * z[0])
-            at_pi = np.arctan2(z[-1] * (-y[-1]) - y[-1] * z[-1],
-                               y[-1] * (-y[-1]) + z[-1] * z[-1])
-        turns = float((2.0 * steps + (at_zero + at_pi)) / (2.0 * np.pi))
-        if math.isfinite(turns):
-            break
-        _, exp = np.frexp(max(np.abs(y).max(), np.abs(z).max()))
-        y, z = np.ldexp(y, -exp), np.ldexp(z, -exp)
-    return turns, rescaled
+    """Reference turn sum from the k > 0 half in the angle form: the wrapped
+    differences of ``atan2(y, z)`` twice plus the wrapped steps ``2 phi``
+    across k = 0 and ``-2 phi`` across k = pi, in the order of
+    ``_accumulated_turns``."""
+    two_pi = 2.0 * math.pi
+    phi = np.arctan2(y, z)
+    steps = phi[1:] - phi[:-1]
+    steps = steps - two_pi * np.round(steps / two_pi)
+    at_zero = math.remainder(2.0 * phi[0], two_pi)
+    at_pi = math.remainder(-2.0 * phi[-1], two_pi)
+    return (2.0 * float(np.sum(steps)) + (at_zero + at_pi)) / two_pi
 
 
 def crossing_count(spec, samples=8192):
@@ -83,7 +75,8 @@ class TestWindingNumber:
 
     def test_scale_invariant_near_float_max(self):
         # nu depends only on the direction of (y, z); at couplings of 1e300
-        # the products in the accumulated angle overflow and are rescaled
+        # products of the numerators would overflow, and the angle form
+        # takes none
         for spec in (ModelSpec.pairing(j=1.0, delta=1.0, mu=0.5),
                      ModelSpec.pairing_hopping(j=-0.8, mu=-0.6)):
             big = winding_number(replace(spec, j=1e300 * spec.j,
@@ -94,23 +87,25 @@ class TestWindingNumber:
             assert big.nu_raw == pytest.approx(small.nu_raw, abs=1e-9)
 
     def test_turn_sum_matches_rolled_reference(self, rng):
-        # the half-loop sum equals its reference to the last bit, and the
-        # whole-loop rolled sum of the mirrored grid to rounding
+        # the half-loop angle sum equals its reference to the last bit, and
+        # the whole-loop rolled sum of products of the mirrored grid to
+        # rounding; at couplings of 1e300 those products overflow and the
+        # rolled reference has to rescale, the angle form does not
         for _ in range(50):
             spec = random_gapped_spec(rng)
             n = int(rng.choice([256, 1024, 4096]))
             _, y, z = grid_numerators(spec, n)
             got = _accumulated_turns(y[n // 2:], z[n // 2:])
-            assert got == half_turns(y[n // 2:], z[n // 2:])[0]
+            assert got == half_turns(y[n // 2:], z[n // 2:])
             assert got == pytest.approx(rolled_turns(y, z)[0], abs=1e-12)
         for spec in (ModelSpec.pairing(j=1e300, delta=1e300, mu=0.5e300),
                      ModelSpec.pairing_hopping(j=-0.8e300, delta=1e300,
                                                mu=-0.6e300)):
             _, y, z = grid_numerators(spec, 4096)
-            want, rescaled = half_turns(y[2048:], z[2048:])
-            assert rescaled and _accumulated_turns(y[2048:], z[2048:]) == want
+            got = _accumulated_turns(y[2048:], z[2048:])
+            assert got == half_turns(y[2048:], z[2048:])
             full, full_rescaled = rolled_turns(y, z)
-            assert full_rescaled and want == pytest.approx(full, abs=1e-12)
+            assert full_rescaled and got == pytest.approx(full, abs=1e-12)
 
     def test_mirror_in_delta(self, rng):
         # nu(mu, delta) = -nu(mu, -delta) for the pairing-only chain
