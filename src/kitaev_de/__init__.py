@@ -21,7 +21,7 @@ from .entropy import (DiagonalDistribution, EntropyReport,
                       pure_state_diagonal_entropy)
 from .errors import (DegenerateGroundStateError, GaplessSpecError,
                      IllConditionedError, InsufficientPointsError,
-                     KitaevDEError, NonUniformGridError,
+                     InvalidParameterError, KitaevDEError, NonUniformGridError,
                      NormalizationFailureError, NumericalWindingWarning,
                      OddDimensionError, SpectrumOverflowError,
                      TolAmbiguousError)

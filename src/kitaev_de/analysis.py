@@ -16,7 +16,7 @@ import numpy as np
 
 from .entropy import _block_entropies, de_density, global_entanglement
 from .errors import (IllConditionedError, InsufficientPointsError,
-                     NonUniformGridError)
+                     InvalidParameterError, NonUniformGridError)
 from .gaussian import correlator_kernel
 from .model import DEFAULT_GRID, ModelSpec
 from .topology import _sweep, winding_number
@@ -207,12 +207,13 @@ def comparative_scan(spec: ModelSpec, name: str, values,
     """Aligned table of diagnostic channels over one parameter sweep.
 
     Each requested channel is one pass over the grid (``a``, ``b`` and
-    ``c`` share theirs); raises ``ValueError`` on a channel not in
-    :data:`CHANNELS`.
+    ``c`` share theirs); raises :class:`InvalidParameterError` on a channel
+    not in :data:`CHANNELS`.
     """
     unknown = sorted(set(channels) - set(CHANNELS))
     if unknown:
-        raise ValueError(f"unknown channels {unknown}; expected names from {CHANNELS}")
+        raise InvalidParameterError(
+            "channels", f"unknown channels {unknown}; expected names from {CHANNELS}")
     values = np.asarray(values, dtype=float)
     table: dict[str, np.ndarray] = {name: values}
     if "s" in channels:

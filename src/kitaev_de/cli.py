@@ -11,6 +11,13 @@ as plain strings, checked exactly like config values. Exit codes: 1 for
 validation errors (the message names the offending field or unknown flag;
 a config or sidecar holding a field the CLI no longer has is unknown), 2 for
 numerical failures (the message names the library error).
+
+The CLI checks only what the library cannot name: the choices, the block
+lengths, the sweep grid and the sizes of every grid.  Everything else --
+the model's couplings, the length of each chain a task builds, the range r
+on that chain -- the library checks where it is used, and its
+:class:`~kitaev_de.errors.InvalidParameterError` exits 1 naming the field
+of the argument it names.
 """
 from __future__ import annotations
 
@@ -29,12 +36,11 @@ from .analysis import (CHANNELS, DEFAULT_N_DENSITY, block_coefficients,
                        sweep_global_entanglement)
 from .entropy import (MAX_BLOCK, block_diagonal_entropy, global_entanglement,
                       pure_state_diagonal_entropy)
-from .errors import KitaevDEError
+from .errors import InvalidParameterError, KitaevDEError
 from .gaussian import correlator_kernel
-from .majorana import GAP_SAMPLES, Side, zero_modes
+from .majorana import Side, zero_modes
 from .model import DEFAULT_GRID, ModelSpec, Variant
-from .topology import (DEFAULT_SAMPLES, _SWEEPABLE, _with_param, trajectory,
-                       winding_number)
+from .topology import DEFAULT_SAMPLES, _SWEEPABLE, trajectory, winding_number
 
 TASKS = ("winding", "trajectory", "mzm", "de-pure", "de-block", "ge",
          "fit-volume", "fit-block", "sweep", "critical-scan", "compare")
@@ -78,6 +84,9 @@ _FINITE_FIELDS = ("start", "stop", "step", "kappa", "tol")
 _CHOICES = {"task": TASKS, "basis": ("z", "x"), "param": _SWEEPABLE,
             "quantity": ("s", "E")}
 _SWEEP_TASKS = ("sweep", "critical-scan", "compare")
+_VARIANTS = {1: Variant.LONG_RANGE_PAIRING, 2: Variant.LONG_RANGE_PAIRING_HOPPING}
+# library argument -> CLI field, where the names differ
+_ARGUMENT_FIELDS = {"samples": "n"}
 MAX_GRID_POINTS = 10**8
 
 
@@ -127,8 +136,9 @@ def _coerce(field: str, value, kind):
     """``value`` as ``kind`` (``int`` or ``float``).
 
     Accepts numbers and numeric strings (``"inf"`` included), and ``None``
-    for fields whose default is ``None``; booleans, containers and other
-    strings raise a :class:`ValidationError` naming the field.
+    for fields whose default is ``None``; booleans, containers, other
+    strings and integers beyond the float range raise a
+    :class:`ValidationError` naming the field.
     """
     if value is None and DEFAULTS[field] is None:
         return None
@@ -136,7 +146,7 @@ def _coerce(field: str, value, kind):
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise TypeError
         x = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"field '{field}' must be a number, "
                               f"got {value!r}") from None
     if kind is int:
@@ -171,13 +181,8 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
     for field in _FINITE_FIELDS:
         if config[field] is not None and not math.isfinite(config[field]):
             raise ValidationError(f"field '{field}' must be finite, got {config[field]}")
-    if config["variant"] not in (1, 2):
+    if config["variant"] not in _VARIANTS:
         raise ValidationError("field 'variant' must be 1 or 2")
-    if config["variant"] == 2:
-        if config["r"] is None:
-            raise ValidationError("field 'r' is required for variant 2")
-        if config["beta"] is None:
-            raise ValidationError("field 'beta' is required for variant 2")
     for field, lo in (("l", 1), ("l_min", 1), ("l_max", config["l_min"])):
         if not lo <= config[field] <= MAX_BLOCK:
             raise ValidationError(f"field '{field}' must be in {lo}..{MAX_BLOCK}, "
@@ -185,67 +190,19 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
     for field in ("step", "tol"):
         if not config[field] > 0:
             raise ValidationError(f"field '{field}' must be > 0, got {config[field]}")
-    _check_n(config)
+    if not config["n"] <= MAX_GRID_POINTS:
+        raise ValidationError(f"field 'n' must be <= {MAX_GRID_POINTS}, "
+                              f"got {config['n']:.17g}")
     _sizes(config)
     _channels(config)
-    try:
-        spec = _spec(config)
-    except ValueError as exc:
-        raise ValidationError(f"invalid model: {exc}") from None
-    if (config["task"] == "mzm" and spec.variant is Variant.LONG_RANGE_PAIRING_HOPPING
-            and config["n"] <= 2 * spec.r):
-        raise ValidationError(f"field 'n' must be > 2r = {2 * spec.r} for mzm "
-                              f"with variant 2, got {config['n']}")
-    ring = _closed_n(config)
-    if spec.variant is Variant.LONG_RANGE_PAIRING_HOPPING and not spec.r < ring:
-        raise ValidationError(f"field 'r' must be below the {ring} sites of "
-                              f"the task's closed chain, got {spec.r}")
+    _spec(config)
     if config["task"] in _SWEEP_TASKS:
-        grid = _grid(config)
-        for value in (grid[0], grid[-1]):
-            try:
-                _with_param(spec, config["param"], value)
-            except ValueError as exc:
-                raise ValidationError(f"field '{config['param']}': sweep value "
-                                      f"{value:g} gives an invalid model: {exc}") from None
+        _grid(config)
     return config
 
 
-def _check_n(config: dict) -> None:
-    """Closed chains need an even grid, windings at least 256 samples of it;
-    block tasks need ``l_max < n/4``."""
-    n, task = config["n"], config["task"]
-    if task == "mzm":
-        if n < 2:
-            raise ValidationError(f"field 'n' must be >= 2, got {n}")
-    elif n < 2 or n % 2:
-        raise ValidationError(f"field 'n' must be an even integer >= 2, got {n}")
-    if task in ("winding", "trajectory") and n < 256:
-        raise ValidationError(f"field 'n' must be >= 256 for {task}, got {n}")
-    block = {"de-block": config["l"], "fit-block": config["l_max"]}.get(task)
-    if block is not None and not n > 4 * block:
-        raise ValidationError(f"field 'n' must be > 4 * {block} = {4 * block} "
-                              f"for blocks up to L = {block}, got {n}")
-
-
-def _closed_n(config: dict) -> float:
-    """Sites of the smallest closed chain (momentum grid) the task builds."""
-    task = config["task"]
-    if task == "fit-volume":
-        return min(_sizes(config), default=math.inf)
-    if task == "compare":  # the nu channel winds on the default grid
-        return min(config["n"], DEFAULT_SAMPLES)
-    if task == "mzm":  # the bulk gap is checked on this grid
-        return GAP_SAMPLES
-    return config["n"]
-
-
 def _spec(config: dict) -> ModelSpec:
-    if config["variant"] == 1:
-        return ModelSpec(Variant.LONG_RANGE_PAIRING, j=config["j"],
-                         delta=config["delta"], mu=config["mu"],
-                         alpha=config["alpha"])
-    return ModelSpec(Variant.LONG_RANGE_PAIRING_HOPPING, j=config["j"],
+    return ModelSpec(_VARIANTS[config["variant"]], j=config["j"],
                      delta=config["delta"], mu=config["mu"],
                      alpha=config["alpha"], beta=config["beta"], r=config["r"])
 
@@ -270,14 +227,14 @@ def _grid(config: dict) -> np.ndarray:
 def _sizes(config: dict) -> list[int]:
     try:
         lo, hi, st = (int(x) for x in config["sizes"].split(":"))
-        sizes = list(range(lo, hi + 1, st))
+        sizes = range(lo, hi + 1, st)
     except ValueError:  # also a zero step
         raise ValidationError("field 'sizes' must be three integers start:stop:step "
                               f"with a nonzero step, got {config['sizes']!r}") from None
-    if any(n < 2 or n % 2 for n in sizes):
-        raise ValidationError("field 'sizes' must give even chain sizes >= 2, "
-                              f"got {config['sizes']!r}")
-    return sizes
+    if any(n < 2 or n % 2 or n > MAX_GRID_POINTS for n in sizes):
+        raise ValidationError("field 'sizes' must give even chain sizes from 2 "
+                              f"to {MAX_GRID_POINTS}, got {config['sizes']!r}")
+    return list(sizes)
 
 
 def _channels(config: dict) -> list[str]:
@@ -438,12 +395,15 @@ def main(argv=None) -> int:
             return 0
         path = flags.pop("config", None)
         config = resolve_config({} if path is None else _read_config(path), flags)
+        results = run_task(config)
+        _sidecar(config["out"], config, results)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        results = run_task(config)
-        _sidecar(config["out"], config, results)
+    except InvalidParameterError as exc:
+        field = _ARGUMENT_FIELDS.get(exc.param, exc.param)
+        print(f"error: field '{field}': {exc}", file=sys.stderr)
+        return 1
     except KitaevDEError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -35,7 +35,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import NormalizationFailureError
+from .errors import InvalidParameterError, NormalizationFailureError
 from .gaussian import CorrelationSource, _bond_matrix, _pair_matrix
 from .model import DEFAULT_GRID, ModelSpec, _gapped_grid
 
@@ -157,13 +157,14 @@ def _block_levels(source: CorrelationSource, lengths, basis: str, start: int):
     their j - 1 bonds (basis ``x``) for j = 1, 2, ..."""
     l = max(lengths)
     if not 1 <= min(lengths) <= l <= MAX_BLOCK:
-        raise ValueError(f"block lengths must be in 1..{MAX_BLOCK}, got {lengths}")
+        raise InvalidParameterError(
+            "lengths", f"block lengths must be in 1..{MAX_BLOCK}, got {lengths}")
     sites = np.arange(start, start + l)
     if basis == "z":
         return _chain_rule(_pair_matrix(source, sites, sites))
     if basis == "x":
         return chain([np.ones(1)], _chain_rule(_bond_matrix(source, sites[:-1])))
-    raise ValueError(f"unknown basis {basis!r}")
+    raise InvalidParameterError("basis", f"unknown basis {basis!r}")
 
 
 def block_diagonal_distribution(source: CorrelationSource, l: int,

@@ -1,8 +1,23 @@
-"""Exception and warning types shared by all modules."""
+"""Exception and warning types shared by all modules.
+
+Every argument check in the library raises :class:`InvalidParameterError`
+naming the argument; the command line reports it as an error in the field of
+that name.  The other errors are numerical failures of valid arguments.
+"""
 
 
 class KitaevDEError(Exception):
     """Base class for every error raised by this library."""
+
+
+class InvalidParameterError(KitaevDEError, ValueError):
+    """An argument is outside what the function accepts; ``param`` is the
+    argument's name.  A ``ValueError``, so callers catching that keep
+    working."""
+
+    def __init__(self, param: str, message: str):
+        super().__init__(message)
+        self.param = param
 
 
 class GaplessSpecError(KitaevDEError):

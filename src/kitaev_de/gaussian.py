@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateGroundStateError, GaplessSpecError,
-                     OddDimensionError, SpectrumOverflowError)
+                     InvalidParameterError, OddDimensionError,
+                     SpectrumOverflowError)
 from .majorana import _reflected_eigh
 from .model import DEFAULT_GRID, ModelSpec, _min_gap, grid_numerators
 
@@ -55,7 +56,8 @@ class CorrelatorKernel:
 
     def value(self, r: int) -> float:
         if abs(r) > self.l_max:
-            raise ValueError(f"|R|={abs(r)} exceeds tabulated l_max={self.l_max}")
+            raise InvalidParameterError(
+                "r", f"|R|={abs(r)} exceeds tabulated l_max={self.l_max}")
         return float(self.g[r + self.l_max])
 
 
@@ -84,7 +86,7 @@ def correlator_kernel(spec: ModelSpec, n: int = DEFAULT_GRID,
     (minimum grid gap above 1e-8), otherwise the integrand is discontinuous.
     """
     if not l_max < n / 4:
-        raise ValueError(f"l_max={l_max} must be < n/4 = {n / 4}")
+        raise InvalidParameterError("n", f"l_max={l_max} must be < n/4 = {n / 4}")
     # q is built, scaled and transformed in place and eps is freed before the
     # FFT: with few and small temporaries malloc keeps reusing its pages
     # instead of returning them to the OS and faulting them in on every call.
@@ -114,10 +116,9 @@ def open_chain_correlations(spec: ModelSpec, n: int) -> DenseCorrelations:
     the module docstring).  Raises :class:`SpectrumOverflowError` when that
     sum is not finite and :class:`DegenerateGroundStateError` when the
     smallest quasiparticle energy is below 1e-10 (the ground state
-    correlators are then ill-defined).
+    correlators are then ill-defined).  The eigensolve takes at most
+    :data:`~kitaev_de.majorana.MAX_OPEN_SITES` sites.
     """
-    if n > 2000:
-        raise ValueError(f"open-chain solve limited to n <= 2000, got {n}")
     lam, w = _reflected_eigh(spec, n)
     s = np.abs(lam)
     with np.errstate(over="ignore"):
@@ -145,8 +146,9 @@ def _pair_matrix(source: CorrelationSource, rows: np.ndarray,
     if isinstance(source, CorrelatorKernel):
         r = cols[None, :] - rows[:, None]
         if r.size and np.abs(r).max() > source.l_max:
-            raise ValueError(f"|R|={np.abs(r).max()} exceeds tabulated "
-                             f"l_max={source.l_max}")
+            raise InvalidParameterError(
+                "source", f"|R|={np.abs(r).max()} exceeds tabulated "
+                f"l_max={source.l_max}")
         return source.g[r + source.l_max]
     return source.m[np.ix_(rows, cols)]
 
@@ -163,7 +165,7 @@ def sigma_z_correlator(source: CorrelationSource, sites) -> float:
     if sites.size == 0:
         return 1.0
     if sites.size > 20:
-        raise ValueError("subset size limited to 20 sites")
+        raise InvalidParameterError("sites", "subset size limited to 20 sites")
     return float(np.linalg.det(_pair_matrix(source, sites, sites)))
 
 
@@ -189,18 +191,19 @@ def sigma_x_correlator(source: CorrelationSource, sites) -> float:
 def pfaffian(mat: np.ndarray) -> float:
     """Pfaffian of a real antisymmetric matrix (skew elimination, pivoting).
 
-    Raises :class:`OddDimensionError` for odd dimension and ``ValueError``
-    when ``||M + M^T||`` exceeds ``ANTISYM_TOL`` relative to ``||M||``.
+    Raises :class:`OddDimensionError` for odd dimension and
+    :class:`InvalidParameterError` for a matrix that is not square or whose
+    ``||M + M^T||`` exceeds ``ANTISYM_TOL`` relative to ``||M||``.
     """
     mat = np.asarray(mat, dtype=float)
     n = mat.shape[0]
     if mat.shape != (n, n):
-        raise ValueError("pfaffian requires a square matrix")
+        raise InvalidParameterError("mat", "pfaffian requires a square matrix")
     if n % 2 == 1:
         raise OddDimensionError(f"odd dimension {n}")
     scale = max(np.abs(mat).max(), 1.0)
     if np.abs(mat + mat.T).max() > ANTISYM_TOL * scale:
-        raise ValueError("matrix is not antisymmetric within tolerance")
+        raise InvalidParameterError("mat", "matrix is not antisymmetric within tolerance")
     m = mat.copy()
     pf = 1.0
     for j in range(0, n - 1, 2):

@@ -24,11 +24,12 @@ from enum import Enum
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import SpectrumOverflowError, TolAmbiguousError
+from .errors import InvalidParameterError, SpectrumOverflowError, TolAmbiguousError
 from .model import ModelSpec, Variant, _gapped_grid, open_chain_weights
 
 DEFAULT_TOL = 1e-8
 GAP_SAMPLES = 4096
+MAX_OPEN_SITES = 2000  # largest open chain an eigensolve takes
 
 
 class Side(Enum):
@@ -85,8 +86,12 @@ def _reflected_eigh(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     ``|lam|`` are the singular values of K, the columns of W its left
     singular vectors and ``W[::-1]`` its right ones up to sign (see the
     module docstring).  Toeplitz K makes ``K[:, ::-1]`` bit-exactly
-    symmetric, so reading one triangle loses nothing.
+    symmetric, so reading one triangle loses nothing.  Chains above
+    ``MAX_OPEN_SITES`` are rejected before anything is allocated.
     """
+    if n > MAX_OPEN_SITES:
+        raise InvalidParameterError(
+            "n", f"open-chain solve limited to n <= {MAX_OPEN_SITES}, got {n}")
     return np.linalg.eigh(build_coupling(spec, n)[:, ::-1])
 
 
@@ -98,7 +103,8 @@ def zero_modes(spec: ModelSpec, n: int, tol: float = DEFAULT_TOL) -> list[ZeroMo
     of 10 of the cutoff, making the count unreliable.  Modes come out
     orthonormal (eigenvectors of ``K P``), ordered by localization centre,
     with left modes first within each pair.  The pairing+hopping variant
-    needs ``n > 2r`` so that the two edges do not overlap.
+    needs ``n > 2r`` so that the two edges do not overlap, and no chain may
+    exceed ``MAX_OPEN_SITES``.
 
     When several null singular values are nearly equal, any orthonormal
     basis of their space is a valid answer, so each mode's profile depends
@@ -109,7 +115,7 @@ def zero_modes(spec: ModelSpec, n: int, tol: float = DEFAULT_TOL) -> list[ZeroMo
     per-mode probabilities from two factorizations differ by up to 6.7e-6.
     """
     if spec.variant is Variant.LONG_RANGE_PAIRING_HOPPING and n <= 2 * spec.r:
-        raise ValueError(f"need n > 2r = {2 * spec.r}, got {n}")
+        raise InvalidParameterError("n", f"need n > 2r = {2 * spec.r}, got {n}")
     _gapped_grid(spec, GAP_SAMPLES)
     lam, w = _reflected_eigh(spec, n)
     s = np.abs(lam)

@@ -50,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GaplessSpecError, SpectrumOverflowError
+from .errors import GaplessSpecError, InvalidParameterError, SpectrumOverflowError
 
 GAP_TOL = 1e-8  # quasiparticle energies at or below this count as gapless
 DEFAULT_GRID = 8192  # antiperiodic grid size for kernels and global entanglement
@@ -71,7 +71,8 @@ class ModelSpec:
     constructor rejects them for the pairing-only variant and requires them
     otherwise, so a valid instance never carries meaningless fields.
     ``j``, ``delta`` and ``mu`` must be finite; ``alpha`` and ``beta`` may be
-    infinite (the nearest-neighbour limit).
+    infinite (the nearest-neighbour limit).  A rejected field raises an
+    :class:`InvalidParameterError` naming it, checked in declaration order.
     """
 
     variant: Variant
@@ -85,17 +86,22 @@ class ModelSpec:
     def __post_init__(self):
         for name in ("j", "delta", "mu"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise InvalidParameterError(
+                    name, f"{name} must be finite, got {getattr(self, name)}")
         if not (self.alpha >= 0):
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+            raise InvalidParameterError("alpha", f"alpha must be >= 0, got {self.alpha}")
         if self.variant is Variant.LONG_RANGE_PAIRING:
             if self.beta is not None or self.r is not None:
-                raise ValueError("beta/r are not part of the pairing-only variant")
+                raise InvalidParameterError(
+                    "beta" if self.beta is not None else "r",
+                    "beta/r are not part of the pairing-only variant")
         else:
             if self.beta is None or not (self.beta >= 0):
-                raise ValueError(f"beta must be a nonnegative real, got {self.beta}")
+                raise InvalidParameterError(
+                    "beta", f"beta must be a nonnegative real, got {self.beta}")
             if self.r is None or self.r < 1:
-                raise ValueError(f"r must be a positive integer, got {self.r}")
+                raise InvalidParameterError(
+                    "r", f"r must be a positive integer, got {self.r}")
 
     @classmethod
     def pairing(cls, j=1.0, delta=1.0, mu=0.0, alpha=math.inf):
@@ -129,7 +135,7 @@ def momentum_grid(n: int) -> np.ndarray:
     so they are rejected.
     """
     if n < 2 or n % 2:
-        raise ValueError(f"need an even chain length >= 2, got {n}")
+        raise InvalidParameterError("n", f"need an even chain length >= 2, got {n}")
     kp = (2.0 * np.pi / n) * (np.arange(n // 2) + 0.5)
     return np.concatenate((-kp[::-1], kp))
 
@@ -152,7 +158,8 @@ def _range_weights(exponent: float, r: int, n: int) -> np.ndarray:
     ``_grid_harmonics`` misses: freed arrays let glibc trim and re-fault
     130-150 pages per benchmark block-z point (see ROADMAP)."""
     if r >= n:
-        raise ValueError(f"range r = {r} must be below the closed chain's n = {n}")
+        raise InvalidParameterError(
+            "r", f"range r = {r} must be below the {n} sites of the closed chain")
     l = np.arange(1, r + 1)
     w = _decay(exponent, l, np.minimum(l, n - l).astype(float))
     w.flags.writeable = False
@@ -296,9 +303,9 @@ def dispersion(spec: ModelSpec, k: float, n: int) -> ModeData:
     closes at this momentum; callers decide how to proceed.
     """
     if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+        raise InvalidParameterError("n", f"need n >= 2, got {n}")
     if not (-np.pi < k <= np.pi):
-        raise ValueError(f"k must lie in (-pi, pi], got {k}")
+        raise InvalidParameterError("k", f"k must lie in (-pi, pi], got {k}")
     y, z = numerators_at(spec, float(k), n)
     eps, hy, hz, gapless = _modes(spec, y, z)
     if gapless:
@@ -332,10 +339,11 @@ def open_chain_weights(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray]
     Uses the open-chain distance ``d_l = l``.  Returns ``(hop, pair)`` where
     the Hamiltonian carries ``-hop_l (c^dag_j c_{j+l} + h.c.)`` and
     ``+pair_l (c_j c_{j+l} + h.c.)``.  A one-site chain has no distance and
-    gets empty arrays; fewer sites raise a ``ValueError`` naming ``n``.
+    gets empty arrays; fewer sites raise an :class:`InvalidParameterError`
+    naming ``n``.
     """
     if n < 1:
-        raise ValueError(f"an open chain needs n >= 1 sites, got n = {n}")
+        raise InvalidParameterError("n", f"an open chain needs n >= 1 sites, got n = {n}")
     l = np.arange(1, n, dtype=float)
     hop = np.zeros(n - 1)
     if spec.variant is Variant.LONG_RANGE_PAIRING:

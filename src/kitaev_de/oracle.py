@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DegenerateGroundStateError
+from .errors import DegenerateGroundStateError, InvalidParameterError
 from .model import ModelSpec, Variant, _range_weights, open_chain_weights
 
 MAX_SITES = 12
@@ -84,7 +84,7 @@ def _bonds(spec: ModelSpec, n: int, boundary: str) -> tuple[np.ndarray, np.ndarr
             hop = spec.j * _range_weights(spec.beta, spec.r, n)
             pair = spec.delta * _range_weights(spec.alpha, spec.r, n)
     else:
-        raise ValueError(f"unknown boundary {boundary!r}")
+        raise InvalidParameterError("boundary", f"unknown boundary {boundary!r}")
     j = np.arange(n)
     l = np.arange(1, len(hop) + 1)[:, None]
     b = (j + l) % n
@@ -129,7 +129,7 @@ def ed_ground_state(spec: ModelSpec, n: int, boundary: str = "open") -> FockGrou
     closer than 1e-10.
     """
     if not 2 <= n <= MAX_SITES:
-        raise ValueError(f"oracle supports 2 <= n <= {MAX_SITES}, got {n}")
+        raise InvalidParameterError("n", f"oracle supports 2 <= n <= {MAX_SITES}, got {n}")
     vals, vec = _lowest_two(_hamiltonian(spec, n, boundary))
     if vals[1] - vals[0] < DEGENERACY_TOL:
         raise DegenerateGroundStateError(
@@ -203,10 +203,11 @@ def ed_diagonal_marginal(state: FockGroundState, sites, basis: str = "z") -> np.
         return _marginal_from_probs(np.abs(state.amplitudes) ** 2, state.n, sites)
     if basis == "x":
         if state.boundary != "open":
-            raise ValueError("sigma_x marginals are defined for open chains only")
+            raise InvalidParameterError(
+                "basis", "sigma_x marginals are defined for open chains only")
         rotated = _hadamard_rotate(state.amplitudes, state.n, sites)
         return _marginal_from_probs(np.abs(rotated) ** 2, state.n, sites)
-    raise ValueError(f"unknown basis {basis!r}")
+    raise InvalidParameterError("basis", f"unknown basis {basis!r}")
 
 
 def ed_sigma_z_product(state: FockGroundState, sites) -> float:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GaplessSpecError, NumericalWindingWarning
+from .errors import GaplessSpecError, InvalidParameterError, NumericalWindingWarning
 from .model import ModelSpec, _gapped_grid, _modes, grid_numerators
 
 DEFAULT_SAMPLES = 4096
@@ -86,7 +86,7 @@ def _check_samples(samples: int) -> None:
     """At least 256 samples; :func:`~kitaev_de.model.momentum_grid` rejects
     an odd count like every other closed-chain grid."""
     if samples < 256:
-        raise ValueError(f"need samples >= 256, got {samples}")
+        raise InvalidParameterError("samples", f"need samples >= 256, got {samples}")
 
 
 def _accumulated_turns(y: np.ndarray, z: np.ndarray) -> float:
@@ -137,7 +137,8 @@ def trajectory(spec: ModelSpec, samples: int = DEFAULT_SAMPLES) -> Trajectory:
 
 def _with_param(spec: ModelSpec, name: str, value: float) -> ModelSpec:
     if name not in _SWEEPABLE:
-        raise ValueError(f"unknown sweep parameter {name!r}; use one of {_SWEEPABLE}")
+        raise InvalidParameterError(
+            "name", f"unknown sweep parameter {name!r}; use one of {_SWEEPABLE}")
     return replace(spec, **{name: float(value)})
 
 

@@ -14,7 +14,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kitaev_de
-from kitaev_de.cli import DEFAULTS, _grid, _spec, main, resolve_config, write_csv
+from kitaev_de import cli, majorana
+from kitaev_de.cli import (DEFAULTS, MAX_GRID_POINTS, _grid, _spec, main,
+                           resolve_config, write_csv)
 
 from test_acceptance import gap_closing_mus
 
@@ -23,6 +25,10 @@ CONFIGS = sorted(glob.glob(str(Path(__file__).parent.parent / "configs" / "*.jso
 
 def run_cli(args):
     return main(list(args))
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("reached work the checks should have prevented")
 
 
 class TestValidation:
@@ -110,6 +116,59 @@ class TestValidation:
         assert code == 1
         err = capsys.readouterr().err
         assert "'r'" in err and f"below the {ring} sites" in err
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--task", "winding", "--variant", "1", "--r", "3"], "'r'"),
+        (["--task", "winding", "--variant", "1", "--beta", "0.2"], "'beta'"),
+        (["--task", "winding", "--variant", "2"], "'beta'")])
+    def test_model_fields_checked_by_model(self, tmp_path, capsys, flags, field):
+        assert run_cli([*flags, "--out", str(tmp_path / "o.csv")]) == 1
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--task", "compare", "--channels", "E", "--n", "100", "--variant", "2",
+         "--r", "200", "--beta", "0.2", "--start", "0", "--stop", "0.1",
+         "--step", "0.1"],
+        ["--task", "compare", "--channels", "E", "--n", "7", "--start", "0",
+         "--stop", "0.1", "--step", "0.1"],
+        ["--task", "fit-volume", "--n", "7", "--sizes", "20:60:20"],
+        ["--task", "mzm", "--n", "1"]])
+    def test_unbuilt_grid_not_checked(self, tmp_path, flags):
+        # n (and the ring r must fit) is checked by the chain that is built;
+        # these tasks build none of that length
+        assert run_cli([*flags, "--out", str(tmp_path / "o.csv")]) == 0
+
+    @pytest.mark.parametrize("task", ["ge", "de-pure", "winding", "mzm"])
+    @pytest.mark.parametrize("n", ["1e300", str(MAX_GRID_POINTS + 2)])
+    def test_huge_n_rejected_before_work(self, tmp_path, capsys, monkeypatch,
+                                         task, n):
+        monkeypatch.setattr(cli, "run_task", _no_work)
+        code = run_cli(["--task", task, "--n", n, "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert "'n'" in capsys.readouterr().err
+
+    def test_huge_size_rejected_before_work(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_task", _no_work)
+        sizes = f"2:{MAX_GRID_POINTS + 2}:{MAX_GRID_POINTS}"
+        code = run_cli(["--task", "fit-volume", "--sizes", sizes,
+                        "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert "'sizes'" in capsys.readouterr().err
+
+    def test_long_open_chain_rejected_before_eigensolve(self, tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.setattr(majorana, "build_coupling", _no_work)
+        code = run_cli(["--task", "mzm", "--n", str(majorana.MAX_OPEN_SITES + 1),
+                        "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert "'n'" in capsys.readouterr().err
+
+    def test_integer_beyond_float_range_names_field(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"task": "ge", "n": 10**400,
+                                   "out": str(tmp_path / "o.csv")}))
+        assert run_cli(["--config", str(cfg)]) == 1
+        assert "'n'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
         ["--task", "de-pure", "--n", "4", "--r", "3"],
@@ -490,7 +549,7 @@ class TestEntryPoint:
         assert "'mu'" in proc.stderr
 
 
-_FIELD_NAMED = re.compile(r"'(\w+)'|invalid model: (\w+)")
+_FIELD_NAMED = re.compile(r"'(\w+)'")
 _JUNK = st.sampled_from(["nan", "inf", "-inf", "abc", "", "1e999", "1e-300",
                          "-1", "0", "3.5"])
 _REAL = st.one_of(st.floats(-3.0, 3.0), st.floats(-1.8e308, 1.8e308),
@@ -558,5 +617,5 @@ class TestFuzz:
         err = capsys.readouterr().err
         assert code in (0, 1, 2), err
         if code == 1:
-            named = {a or b for a, b in _FIELD_NAMED.findall(err)}
+            named = set(_FIELD_NAMED.findall(err))
             assert named & (set(DEFAULTS) | {"config"}), err

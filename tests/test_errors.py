@@ -1,0 +1,100 @@
+"""Every library argument check raises InvalidParameterError naming the
+argument, and is still a ValueError."""
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from kitaev_de import (InvalidParameterError, ModelSpec, Variant,
+                       block_diagonal_entropy, comparative_scan,
+                       correlator_kernel, dispersion, minimum_gap,
+                       momentum_grid, open_chain_correlations, pfaffian,
+                       sigma_z_correlator, trajectory, winding_number,
+                       zero_modes)
+from kitaev_de.majorana import MAX_OPEN_SITES
+from kitaev_de.model import open_chain_weights
+from kitaev_de.oracle import ed_diagonal_marginal, ed_ground_state
+from kitaev_de.topology import nu_change_locations
+
+PACKAGE = Path(__file__).parent.parent / "src" / "kitaev_de"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+PAIRING = ModelSpec.pairing(mu=3.0)
+HOPPING = ModelSpec.pairing_hopping()
+
+
+def untyped_raises(source: str) -> list[int]:
+    """Lines of ``source`` that raise a bare ``ValueError``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                lines.append(node.lineno)
+    return lines
+
+
+def test_finds_an_untyped_raise():
+    src = "raise ValueError('a')\nraise ValueError\nraise KeyError('b')\n"
+    assert untyped_raises(src) == [1, 2]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_argument_check_is_typed(path):
+    assert untyped_raises(path.read_text()) == []
+
+
+def _kernel():
+    return correlator_kernel(PAIRING, n=64, l_max=4)
+
+
+def _closed_state():
+    return ed_ground_state(PAIRING, 4, boundary="antiperiodic")
+
+
+SITES = [
+    ("j", lambda: ModelSpec.pairing(j=math.inf)),
+    ("delta", lambda: ModelSpec.pairing(delta=math.nan)),
+    ("mu", lambda: ModelSpec.pairing(mu=-math.inf)),
+    ("alpha", lambda: ModelSpec.pairing(alpha=-1.0)),
+    ("beta", lambda: ModelSpec(Variant.LONG_RANGE_PAIRING, beta=0.2)),
+    ("r", lambda: ModelSpec(Variant.LONG_RANGE_PAIRING, r=3)),
+    ("beta", lambda: ModelSpec(Variant.LONG_RANGE_PAIRING_HOPPING, r=3)),
+    ("beta", lambda: ModelSpec.pairing_hopping(beta=-0.5)),
+    ("r", lambda: ModelSpec.pairing_hopping(r=0)),
+    ("n", lambda: momentum_grid(7)),
+    ("r", lambda: minimum_gap(ModelSpec.pairing_hopping(r=8), 8)),
+    ("n", lambda: dispersion(PAIRING, 0.1, 1)),
+    ("k", lambda: dispersion(PAIRING, 4.0, 8)),
+    ("n", lambda: open_chain_weights(PAIRING, 0)),
+    ("lengths", lambda: block_diagonal_entropy(_kernel(), 0)),
+    ("basis", lambda: block_diagonal_entropy(_kernel(), 2, basis="y")),
+    ("n", lambda: zero_modes(HOPPING, 6)),
+    ("n", lambda: zero_modes(PAIRING, MAX_OPEN_SITES + 1)),
+    ("n", lambda: open_chain_correlations(PAIRING, MAX_OPEN_SITES + 1)),
+    ("r", lambda: _kernel().value(5)),
+    ("n", lambda: correlator_kernel(PAIRING, n=32, l_max=8)),
+    ("source", lambda: sigma_z_correlator(_kernel(), [0, 5])),
+    ("sites", lambda: sigma_z_correlator(_kernel(), range(21))),
+    ("mat", lambda: pfaffian(np.zeros((2, 3)))),
+    ("mat", lambda: pfaffian(np.ones((2, 2)))),
+    ("samples", lambda: winding_number(PAIRING, samples=128)),
+    ("samples", lambda: trajectory(PAIRING, samples=128)),
+    ("name", lambda: nu_change_locations(PAIRING, "r", [0.0, 1.0])),
+    ("channels", lambda: comparative_scan(PAIRING, "mu", [0.0], channels=["S"])),
+    ("boundary", lambda: ed_ground_state(PAIRING, 4, boundary="ring")),
+    ("n", lambda: ed_ground_state(PAIRING, 13)),
+    ("basis", lambda: ed_diagonal_marginal(_closed_state(), [0], "x")),
+    ("basis", lambda: ed_diagonal_marginal(_closed_state(), [0], "y")),
+]
+
+
+@pytest.mark.parametrize("param,call", SITES, ids=[f"{i}-{p}" for i, (p, _) in
+                                                   enumerate(SITES)])
+def test_check_names_argument(param, call):
+    with pytest.raises(InvalidParameterError) as info:
+        call()
+    assert info.value.param == param
+    assert isinstance(info.value, ValueError)
