@@ -30,8 +30,7 @@ def main():
     print("== winding numbers ==")
     for name, spec in cases:
         res = kd.winding_number(spec)
-        print(f"  {name:45s} nu = {res.nu:+.1f}   (raw {res.nu_raw:+.6f}, "
-              f"min gap {res.min_gap:.3f})")
+        print(f"  {name:45s} nu = {res.nu:+.0f}   (min gap {res.min_gap:.3f})")
 
     tr = kd.trajectory(cases[2][1], samples=1024)
     path = os.path.join(OUT, "trajectory_nu3.csv")

@@ -130,6 +130,8 @@ def detect_critical_points(curve: SusceptibilityCurve,
     of non-finite values, where the gap closed on the grid, is one more point
     at the run's mean grid value with an infinite jump; all in grid order.
     """
+    if not 0 < kappa < np.inf:
+        raise InvalidParameterError("kappa", f"need a finite kappa > 0, got {kappa}")
     if curve.chi.size < 7:
         raise InsufficientPointsError("need >= 7 interior chi points")
     jumps = np.abs(np.diff(curve.chi))

@@ -80,7 +80,7 @@ _TASK_N = {"winding": DEFAULT_SAMPLES, "trajectory": DEFAULT_SAMPLES, "mzm": 100
 _INT_FIELDS = ("variant", "r", "n", "l", "l_min", "l_max")
 _FLOAT_FIELDS = ("j", "delta", "mu", "alpha", "beta", "start", "stop", "step",
                  "kappa", "tol")
-_FINITE_FIELDS = ("start", "stop", "step", "kappa", "tol")
+_FINITE_FIELDS = ("start", "stop", "step")
 _CHOICES = {"task": TASKS, "basis": ("z", "x"), "param": _SWEEPABLE,
             "quantity": ("s", "E")}
 _SWEEP_TASKS = ("sweep", "critical-scan", "compare")
@@ -117,8 +117,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         obj = obj.item()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)  # "inf", "-inf" or "nan": JSON has no such numbers
     return obj
 
 
@@ -187,9 +187,8 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
         if not lo <= config[field] <= MAX_BLOCK:
             raise ValidationError(f"field '{field}' must be in {lo}..{MAX_BLOCK}, "
                                   f"got {config[field]}")
-    for field in ("step", "tol"):
-        if not config[field] > 0:
-            raise ValidationError(f"field '{field}' must be > 0, got {config[field]}")
+    if not config["step"] > 0:
+        raise ValidationError(f"field 'step' must be > 0, got {config['step']}")
     if not config["n"] <= MAX_GRID_POINTS:
         raise ValidationError(f"field 'n' must be <= {MAX_GRID_POINTS}, "
                               f"got {config['n']:.17g}")
@@ -258,9 +257,8 @@ def run_task(config: dict) -> dict:
 
     if task == "winding":
         res = winding_number(spec, samples=config["n"])
-        write_csv(out, ["nu_raw", "nu", "gapped", "min_gap"],
-                  [[res.nu_raw], [res.nu], [res.gapped], [res.min_gap]])
-        results = {"nu": res.nu, "nu_raw": res.nu_raw, "min_gap": res.min_gap}
+        write_csv(out, ["nu", "min_gap"], [[res.nu], [res.min_gap]])
+        results = {"nu": res.nu, "min_gap": res.min_gap}
     elif task == "trajectory":
         tr = trajectory(spec, samples=config["n"])
         write_csv(out, ["k", "h_y", "h_z", "gapless"],

@@ -36,7 +36,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import InvalidParameterError, NormalizationFailureError
-from .gaussian import CorrelationSource, _bond_matrix, _pair_matrix
+from .gaussian import CorrelationSource, _bond_matrix, _check_sites, _pair_matrix
 from .model import DEFAULT_GRID, ModelSpec, _gapped_grid
 
 MAX_BLOCK = 16
@@ -159,6 +159,7 @@ def _block_levels(source: CorrelationSource, lengths, basis: str, start: int):
     if not 1 <= min(lengths) <= l <= MAX_BLOCK:
         raise InvalidParameterError(
             "lengths", f"block lengths must be in 1..{MAX_BLOCK}, got {lengths}")
+    _check_sites(source, (start, start + l - 1), "start")
     sites = np.arange(start, start + l)
     if basis == "z":
         return _chain_rule(_pair_matrix(source, sites, sites))

@@ -63,5 +63,5 @@ class OddDimensionError(KitaevDEError):
 
 
 class NumericalWindingWarning(UserWarning):
-    """The accumulated winding is farther than the snap tolerance from every
-    half-integer; the warning message carries the raw value."""
+    """Never raised since the winding number became an exact count; kept so
+    that code filtering or counting this category keeps working."""

@@ -85,6 +85,8 @@ def correlator_kernel(spec: ModelSpec, n: int = DEFAULT_GRID,
     Requires ``l_max < n/4`` for kernel accuracy and a gapped spectrum
     (minimum grid gap above 1e-8), otherwise the integrand is discontinuous.
     """
+    if l_max < 0:
+        raise InvalidParameterError("l_max", f"need l_max >= 0, got {l_max}")
     if not l_max < n / 4:
         raise InvalidParameterError("n", f"l_max={l_max} must be < n/4 = {n / 4}")
     # q is built, scaled and transformed in place and eps is freed before the
@@ -133,10 +135,21 @@ def open_chain_correlations(spec: ModelSpec, n: int) -> DenseCorrelations:
     return DenseCorrelations(m=m, energy=-0.5 * total, eps_min=eps_min)
 
 
+def _check_sites(source: CorrelationSource, sites, param: str) -> None:
+    """A dense source holds the sites 0 .. n - 1 of its open chain; a kernel
+    takes any integer sites, since only their differences matter."""
+    if isinstance(source, DenseCorrelations) and not all(0 <= s < len(source.m)
+                                                         for s in sites):
+        raise InvalidParameterError(param, f"sites {[int(s) for s in sites]} must "
+                                    f"lie in 0..{len(source.m) - 1}")
+
+
 def pair_correlation(source: CorrelationSource, a: int, b: int) -> float:
     """``<A_a B_b>`` from either source type."""
     if isinstance(source, CorrelatorKernel):
         return source.value(b - a)
+    for name, site in (("a", a), ("b", b)):
+        _check_sites(source, [site], name)
     return float(source.m[a, b])
 
 
@@ -160,8 +173,11 @@ def _bond_matrix(source: CorrelationSource, bonds: np.ndarray) -> np.ndarray:
 
 
 def sigma_z_correlator(source: CorrelationSource, sites) -> float:
-    """``< prod_{j in sites} sigma_z_j >`` with ``sigma_z = 1 - 2 n``."""
-    sites = np.asarray(sorted(sites), dtype=int)
+    """``< prod_{j in sites} sigma_z_j >`` with ``sigma_z = 1 - 2 n``; as
+    ``sigma_z^2 = 1``, sites listed twice drop out before the 20-site limit."""
+    sites, count = np.unique(np.asarray(list(sites), dtype=int), return_counts=True)
+    _check_sites(source, sites, "sites")
+    sites = sites[count % 2 == 1]
     if sites.size == 0:
         return 1.0
     if sites.size > 20:
@@ -177,6 +193,7 @@ def sigma_x_correlator(source: CorrelationSource, sites) -> float:
     correlator.
     """
     sites = sorted(sites)
+    _check_sites(source, sites, "sites")
     if len(sites) % 2 == 1:
         return 0.0
     bonds = [m for i in range(0, len(sites), 2)

@@ -114,6 +114,8 @@ def zero_modes(spec: ModelSpec, n: int, tol: float = DEFAULT_TOL) -> list[ZeroMo
     n = 800 the three null values are 4.9e-16, 7.1e-12 and 7.3e-12, and
     per-mode probabilities from two factorizations differ by up to 6.7e-6.
     """
+    if not 0 < tol < np.inf:
+        raise InvalidParameterError("tol", f"need a finite tol > 0, got {tol}")
     if spec.variant is Variant.LONG_RANGE_PAIRING_HOPPING and n <= 2 * spec.r:
         raise InvalidParameterError("n", f"need n > 2r = {2 * spec.r}, got {n}")
     _gapped_grid(spec, GAP_SAMPLES)

@@ -1,37 +1,33 @@
 """Winding number of the Anderson-vector trajectory and phase-diagram scans.
 
-The winding number is computed by accumulating branch-unwrapped angle
-increments of the trajectory as k sweeps the Brillouin zone, instead of
-integrating the literal ``(1/h_y) dh_z/dk`` form, which is singular wherever
-``h_y = 0``.  The angle of the Anderson-vector numerators ``(y, z)`` is
-``phi = atan2(y, z)``, and each step is the difference of neighbouring angles
-wrapped into ``[-pi, pi]``.  This gives one orientation rule for both
-variants; it reproduces the reference phases (nu = 0, +-1 for the
-pairing-only chain, nu = +-3 for the pairing+hopping chain at range 3) and is
-cross-checked in the tests against an independent axis-crossing count.
-``atan2`` forms no product of the numerators, so nothing overflows however
-large the couplings are.
+The winding number counts the turns of the trajectory as k sweeps the
+Brillouin zone, instead of integrating the literal ``(1/h_y) dh_z/dk`` form,
+which is singular wherever ``h_y = 0``.  With ``phi = atan2(y, z)`` for the
+Anderson-vector numerators ``(y, z)``, the sampled loop is closed, so its
+angle steps telescope and the winding number is minus the signed count of
+steps that wrap across the branch cut of ``atan2``: an exact integer.  This
+gives one orientation rule for both variants; it reproduces the reference
+phases (nu = 0, +-1 for the pairing-only chain, nu = +-3 for the
+pairing+hopping chain at range 3) and is cross-checked in the tests against
+an independent axis-crossing count.  ``atan2`` forms no product of the
+numerators, so nothing overflows however large the couplings are.
 
 The grid and its numerators mirror exactly, ``(y, z)(-k) = (-y, z)(k)``, so
 ``phi(-k) = -phi(k)`` and each step on the k < 0 half is a step on the k > 0
-half.  The loop sum is therefore twice the k > 0 half's steps plus the two
-steps across k = 0 and k = pi, where the point moves between ``(z, y)`` and
-its mirror ``(z, -y)``: by ``2 phi`` at the first positive momentum and by
-``-2 phi`` at the last, each wrapped.
+half.  The loop therefore wraps twice as often as the k > 0 half, plus the
+wraps of the steps ``2 phi`` across k = 0 and ``-2 phi`` across k = pi.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GaplessSpecError, InvalidParameterError, NumericalWindingWarning
+from .errors import GaplessSpecError, InvalidParameterError
 from .model import ModelSpec, _gapped_grid, _modes, grid_numerators
 
 DEFAULT_SAMPLES = 4096
-SNAP_TOL = 0.05
 _TWO_PI = 2.0 * math.pi
 
 _SWEEPABLE = ("mu", "delta", "j", "alpha", "beta")
@@ -39,11 +35,9 @@ _SWEEPABLE = ("mu", "delta", "j", "alpha", "beta")
 
 @dataclass(frozen=True)
 class WindingResult:
-    """Raw and snapped winding number plus gap diagnostics."""
+    """Winding number (whole; a float, as scans hold NaN) and the grid gap."""
 
-    nu_raw: float
     nu: float
-    gapped: bool
     min_gap: float
 
 
@@ -59,14 +53,13 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class PhaseScan:
-    """Grid of snapped winding numbers over one or two parameters."""
+    """Grid of winding numbers over one or two parameters."""
 
     x_name: str
     x_values: np.ndarray
     y_name: str | None
     y_values: np.ndarray | None
     nu: np.ndarray       # shape (ny, nx); NaN where gapless
-    nu_raw: np.ndarray
     min_gap: np.ndarray
 
     def boundary_mask(self) -> np.ndarray:
@@ -89,42 +82,28 @@ def _check_samples(samples: int) -> None:
         raise InvalidParameterError("samples", f"need samples >= 256, got {samples}")
 
 
-def _accumulated_turns(y: np.ndarray, z: np.ndarray) -> float:
-    """Total angle swept by the numerator trajectory over the closed grid, in
-    turns, from the numerators on its k > 0 half: twice the half's steps
-    plus the steps across k = 0 and k = pi (see the module docstring).  Every
-    step is its remainder modulo 2 pi nearest zero."""
+def _winding(y: np.ndarray, z: np.ndarray) -> int:
+    """Turns of the numerator trajectory over the closed grid, from the
+    numerators on its k > 0 half (see the module docstring).  Each step's
+    wrap is the integer its remainder modulo 2 pi nearest zero takes out:
+    ``rint`` of the step in turns within the half, ``math.remainder`` across
+    k = 0 and k = pi."""
     phi = np.arctan2(y, z)
-    steps = np.diff(phi)
-    steps -= _TWO_PI * np.rint(steps / _TWO_PI)
-    crossings = (math.remainder(2.0 * phi[0], _TWO_PI)
-                 + math.remainder(-2.0 * phi[-1], _TWO_PI))
-    return (2.0 * float(steps.sum()) + crossings) / _TWO_PI
-
-
-def snap_winding(nu_raw: float) -> float:
-    """Snap to the nearest half-integer; warn when the residual is large."""
-    nu = round(2.0 * nu_raw) / 2.0
-    if abs(nu_raw - nu) >= SNAP_TOL:
-        warnings.warn(f"winding {nu_raw:.6f} is not within {SNAP_TOL} of a "
-                      f"half-integer; snapped to {nu}", NumericalWindingWarning)
-    return nu
+    wraps = 2 * int(np.rint(np.diff(phi) / _TWO_PI).sum())
+    for step in (2.0 * float(phi[0]), -2.0 * float(phi[-1])):
+        wraps += round((step - math.remainder(step, _TWO_PI)) / _TWO_PI)
+    return -wraps
 
 
 def winding_number(spec: ModelSpec, samples: int = DEFAULT_SAMPLES) -> WindingResult:
-    """Snapped winding number of a gapped spec.
+    """Winding number of a gapped spec.
 
     Raises :class:`GaplessSpecError` when the minimal sampled gap is at or
     below ``GAP_TOL``, or NaN (the winding is undefined at a transition).
-    Emits a :class:`NumericalWindingWarning` when the accumulated value is
-    farther than 0.05 from every half-integer; the snapped value is still
-    returned.
     """
     _check_samples(samples)
     y, z, _, gap = _gapped_grid(spec, samples)
-    nu_raw = _accumulated_turns(y, z)
-    return WindingResult(nu_raw=nu_raw, nu=snap_winding(nu_raw), gapped=True,
-                         min_gap=gap)
+    return WindingResult(nu=float(_winding(y, z)), min_gap=gap)
 
 
 def trajectory(spec: ModelSpec, samples: int = DEFAULT_SAMPLES) -> Trajectory:
@@ -158,28 +137,27 @@ def _sweep(spec: ModelSpec, name: str, values, fn, width: int = 1) -> np.ndarray
 def phase_boundary_scan(spec: ModelSpec, x_name: str, x_values,
                         y_name: str | None = None, y_values=None,
                         samples: int = 1024) -> PhaseScan:
-    """Snapped winding number over a rectangular parameter grid.
+    """Winding number over a rectangular parameter grid.
 
     Gapless cells are kept (NaN in every field) rather than raised; boundary
     cells are those where nu changes between neighbours or the gap closed.
     """
     def cell(sp):
         res = winding_number(sp, samples=samples)
-        return res.nu, res.nu_raw, res.min_gap
+        return res.nu, res.min_gap
 
     x_values = np.asarray(x_values, dtype=float)
     y_values = None if y_name is None else np.asarray(y_values, dtype=float)
     rows = [spec] if y_name is None else [_with_param(spec, y_name, y) for y in y_values]
-    grid = np.array([_sweep(row, x_name, x_values, cell, 3) for row in rows])
-    grid = grid.reshape(len(rows), x_values.size, 3)  # also for no rows
+    grid = np.array([_sweep(row, x_name, x_values, cell, 2) for row in rows])
+    grid = grid.reshape(len(rows), x_values.size, 2)  # also for no rows
     return PhaseScan(x_name=x_name, x_values=x_values, y_name=y_name,
-                     y_values=y_values, nu=grid[..., 0], nu_raw=grid[..., 1],
-                     min_gap=grid[..., 2])
+                     y_values=y_values, nu=grid[..., 0], min_gap=grid[..., 1])
 
 
 def nu_change_locations(spec: ModelSpec, name: str, values,
                         samples: int = 1024) -> list[float]:
-    """Midpoints of a 1D sweep where the snapped nu changes (or gap closes)."""
+    """Midpoints of a 1D sweep where nu changes (or the gap closes)."""
     xs = np.asarray(values, dtype=float)
     nu = _sweep(spec, name, xs, lambda sp: winding_number(sp, samples=samples).nu)
     gapless = np.isnan(nu)

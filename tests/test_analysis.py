@@ -99,6 +99,11 @@ class TestSusceptibility:
         rev = susceptibility("x", x, q[::-1])
         assert np.allclose(rev.chi, -fwd.chi[::-1], atol=1e-12)
 
+    @pytest.mark.parametrize("grid", [[0.0], [0.0, 0.1]])
+    def test_needs_three_points(self, grid):
+        with pytest.raises(NonUniformGridError, match="at least 3"):
+            susceptibility("x", grid, np.zeros(len(grid)))
+
     def test_nonuniform_rejected(self):
         with pytest.raises(NonUniformGridError):
             susceptibility("x", [0.0, 0.1, 0.3, 0.4, 0.5], np.zeros(5))

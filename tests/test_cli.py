@@ -92,7 +92,14 @@ class TestValidation:
         (["--task", "winding", "--bogus", "1"], "'--bogus'"),
         (["--task", "winding", "--mu", "--j", "1"], "'mu'"),
         (["--task=winding", "--mu="], "'mu'"),
-        (["--task", "trajectory", "--n", "257"], "'n'")])
+        (["--task", "trajectory", "--n", "257"], "'n'"),
+        (["--task", "sweep", "--start", "1", "--stop", "0"], "'stop'"),
+        (["--task", "critical-scan", "--start", "0", "--stop", "1", "--step",
+          "0.1", "--kappa", "0"], "'kappa'"),
+        (["--task", "critical-scan", "--start", "0", "--stop", "1", "--step",
+          "0.1", "--kappa", "nan"], "'kappa'"),
+        (["--task", "mzm", "--n", "20", "--tol", "-1"], "'tol'"),
+        (["--task", "mzm", "--n", "20", "--tol", "inf"], "'tol'")])
     def test_bad_value_names_field(self, tmp_path, capsys, flags, message):
         code = run_cli([*flags, "--out", str(tmp_path / "o.csv")])
         assert code == 1
@@ -287,12 +294,30 @@ class TestOutputs:
                         "--mu", "-1.5", "--out", str(out)])
         assert code == 0
         lines = out.read_text().split("\n")
-        assert lines[0] == "nu_raw,nu,gapped,min_gap"
+        assert lines[0] == "nu,min_gap"
         side = json.loads((tmp_path / "w.json").read_text())
+        assert sorted(side["results"]) == ["min_gap", "nu"]
+        assert lines[1] == "0,%.17g" % side["results"]["min_gap"]
         assert side["results"]["nu"] == 0.0
         assert side["version"]
         assert side["config"]["task"] == "winding"
         assert side["config"]["alpha"] == "inf"  # defaults materialised
+
+    def test_unread_non_finite_fields_rerun(self, tmp_path):
+        # tol and kappa are checked only by the tasks that read them; the
+        # sidecar stays standard JSON and its config reruns
+        def strict(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        out = tmp_path / "w.csv"
+        assert run_cli(["--task", "winding", "--tol", "nan", "--kappa", "-inf",
+                        "--out", str(out)]) == 0
+        side = json.loads((tmp_path / "w.json").read_text(), parse_constant=strict)
+        assert (side["config"]["tol"], side["config"]["kappa"]) == ("nan", "-inf")
+        rerun = tmp_path / "r.json"
+        rerun.write_text(json.dumps(side["config"]))
+        assert run_cli(["--config", str(rerun), "--out", str(tmp_path / "r.csv")]) == 0
+        assert out.read_bytes() == (tmp_path / "r.csv").read_bytes()
 
     def test_rerun_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -156,6 +156,12 @@ class TestBlockDistribution:
         with pytest.raises(ValueError):
             block_diagonal_distribution(ker, 6, "z")  # beyond kernel range
 
+    def test_clamp_zeroes_small_negative(self):
+        # m_11 = 1 + 1e-13 gives p(s = -1) = -5e-14, within CLAMP_TOL of 0
+        p, = _chain_rule(np.array([[1.0 + 1e-13]]))
+        assert p[1] == 0.0
+        assert p[0] == pytest.approx(1.0, abs=1e-12)
+
     def test_clamp_rejects_large_negative(self):
         # corrupt kernel triggers the normalization guard
         spec = ModelSpec.pairing(j=1.0, delta=0.7, mu=1.4, alpha=1.7)

@@ -9,10 +9,11 @@ import pytest
 
 from kitaev_de import (InvalidParameterError, ModelSpec, Variant,
                        block_diagonal_entropy, comparative_scan,
-                       correlator_kernel, dispersion, minimum_gap,
-                       momentum_grid, open_chain_correlations, pfaffian,
-                       sigma_z_correlator, trajectory, winding_number,
-                       zero_modes)
+                       correlator_kernel, detect_critical_points, dispersion,
+                       minimum_gap, mode_count, momentum_grid,
+                       open_chain_correlations, pair_correlation, pfaffian,
+                       sigma_x_correlator, sigma_z_correlator, susceptibility,
+                       trajectory, winding_number, zero_modes)
 from kitaev_de.majorana import MAX_OPEN_SITES
 from kitaev_de.model import open_chain_weights
 from kitaev_de.oracle import ed_diagonal_marginal, ed_ground_state
@@ -48,6 +49,15 @@ def test_every_argument_check_is_typed(path):
 
 def _kernel():
     return correlator_kernel(PAIRING, n=64, l_max=4)
+
+
+def _dense():
+    return open_chain_correlations(PAIRING, 8)
+
+
+def _curve():
+    x = np.arange(10.0)
+    return susceptibility("x", x, x ** 2)
 
 
 def _closed_state():
@@ -88,6 +98,18 @@ SITES = [
     ("n", lambda: ed_ground_state(PAIRING, 13)),
     ("basis", lambda: ed_diagonal_marginal(_closed_state(), [0], "x")),
     ("basis", lambda: ed_diagonal_marginal(_closed_state(), [0], "y")),
+    ("l_max", lambda: correlator_kernel(PAIRING, n=64, l_max=-1)),
+    ("sites", lambda: sigma_z_correlator(_dense(), [-1])),
+    ("sites", lambda: sigma_z_correlator(_dense(), [8, 8])),
+    ("sites", lambda: sigma_x_correlator(_dense(), [-1, 2])),
+    ("start", lambda: block_diagonal_entropy(_dense(), 4, start=-2)),
+    ("start", lambda: block_diagonal_entropy(_dense(), 4, start=6)),
+    ("a", lambda: pair_correlation(_dense(), -1, 0)),
+    ("b", lambda: pair_correlation(_dense(), 0, 8)),
+    ("tol", lambda: zero_modes(PAIRING, 20, tol=0.0)),
+    ("tol", lambda: mode_count(PAIRING, 20, tol=math.nan)),
+    ("kappa", lambda: detect_critical_points(_curve(), kappa=0.0)),
+    ("kappa", lambda: detect_critical_points(_curve(), kappa=math.nan)),
 ]
 
 

@@ -130,6 +130,14 @@ class TestOpenChain:
                     assert src.m[a, b] == pytest.approx(want, abs=1e-10)
             assert src.energy == pytest.approx(state.energy, abs=1e-9)
 
+    def test_pair_correlation_reads_dense_source(self, rng):
+        spec = random_gapped_spec(rng, trivial=True)
+        state = ed_ground_state(spec, 6, "open")
+        src = open_chain_correlations(spec, 6)
+        for a, b in ((0, 0), (1, 4), (5, 2), (5, 5)):
+            want = ed_pair_correlator(state, a, b)
+            assert pair_correlation(src, a, b) == pytest.approx(want, abs=1e-10)
+
     def test_edge_breaks_translation_invariance(self, rng):
         spec = random_gapped_spec(rng, trivial=True)
         src = open_chain_correlations(spec, 10)
@@ -200,6 +208,30 @@ class TestSigmaZ:
                 got = sigma_z_correlator(src, sites)
                 want = ed_sigma_z_product(state, sites)
                 assert got == pytest.approx(want, abs=1e-10)
+
+    def test_repeated_sites_cancel(self):
+        # sigma_z^2 = 1, so a site listed twice drops out of the product
+        spec = ModelSpec.pairing_hopping(j=0.3, delta=0.8, mu=-3.0, alpha=0.3,
+                                         beta=0.3, r=3)
+        state = ed_ground_state(spec, 8, "open")
+        src = open_chain_correlations(spec, 8)
+        assert sigma_z_correlator(src, [3, 3]) == 1.0
+        for sites in ([1, 3, 3], [3, 1, 3, 3], [2, 2, 5, 7, 5, 5]):
+            want = ed_sigma_z_product(state, sites)
+            assert sigma_z_correlator(src, sites) == pytest.approx(want, abs=1e-10)
+        ker = correlator_kernel(spec, n=256, l_max=4)
+        assert sigma_z_correlator(ker, [-2, 0, -2]) == ker.value(0)
+
+    def test_dense_sites_on_the_chain(self):
+        # a dense source's sites are 0 .. n - 1; the first and last are read
+        spec = ModelSpec.pairing_hopping(j=0.3, delta=0.8, mu=-3.0, alpha=0.3,
+                                         beta=0.3, r=3)
+        state = ed_ground_state(spec, 8, "open")
+        src = open_chain_correlations(spec, 8)
+        want = ed_sigma_z_product(state, [0, 7])
+        assert sigma_z_correlator(src, [7, 0]) == pytest.approx(want, abs=1e-10)
+        assert sigma_x_correlator(src, [0, 7]) == pytest.approx(
+            ed_sigma_x_product(spec, 8, [0, 7]), abs=1e-10)
 
     def test_bounded_by_one(self, rng):
         for _ in range(50):

@@ -1,33 +1,16 @@
 """Winding numbers: reference phases, refinement stability, independent
 crossing-count check, scans."""
-import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from kitaev_de import (GaplessSpecError, ModelSpec, NumericalWindingWarning,
-                       nu_change_locations, phase_boundary_scan, trajectory,
-                       winding_number)
+from kitaev_de import (GaplessSpecError, ModelSpec, nu_change_locations,
+                       phase_boundary_scan, trajectory, winding_number)
 from kitaev_de.model import grid_numerators
-from kitaev_de.topology import _accumulated_turns
+from kitaev_de.topology import _winding
 
 from conftest import random_gapped_spec, rolled_turns
-
-
-def half_turns(y, z):
-    """Reference turn sum from the k > 0 half in the angle form: the wrapped
-    differences of ``atan2(y, z)`` twice plus the wrapped steps ``2 phi``
-    across k = 0 and ``-2 phi`` across k = pi, in the order of
-    ``_accumulated_turns``."""
-    two_pi = 2.0 * math.pi
-    phi = np.arctan2(y, z)
-    steps = phi[1:] - phi[:-1]
-    steps = steps - two_pi * np.round(steps / two_pi)
-    at_zero = math.remainder(2.0 * phi[0], two_pi)
-    at_pi = math.remainder(-2.0 * phi[-1], two_pi)
-    return (2.0 * float(np.sum(steps)) + (at_zero + at_pi)) / two_pi
 
 
 def crossing_count(spec, samples=8192):
@@ -63,15 +46,15 @@ REFERENCE_CASES = [
 class TestWindingNumber:
     @pytest.mark.parametrize("spec,want", REFERENCE_CASES)
     def test_reference_phases(self, spec, want):
-        res = winding_number(spec)
-        assert res.nu == want
-        assert res.gapped
-        assert abs(res.nu_raw - want) < 1e-6
+        assert winding_number(spec).nu == want
 
     def test_mu_one_transition(self):
         # pairing-only chain at alpha=inf: nu = +1 inside (-1, 1), 0 outside
         assert winding_number(ModelSpec.pairing(1.0, 1.0, 0.9)).nu == 1.0
         assert winding_number(ModelSpec.pairing(1.0, 1.0, 1.1)).nu == 0.0
+        # next to the transition, on a coarse grid
+        near = ModelSpec.pairing(j=1.0, delta=1.0, mu=1.0 + 1e-4)
+        assert winding_number(near, samples=256).nu == 0.0
 
     def test_scale_invariant_near_float_max(self):
         # nu depends only on the direction of (y, z); at couplings of 1e300
@@ -82,30 +65,25 @@ class TestWindingNumber:
             big = winding_number(replace(spec, j=1e300 * spec.j,
                                          delta=1e300 * spec.delta,
                                          mu=1e300 * spec.mu))
-            small = winding_number(spec)
-            assert big.nu == small.nu
-            assert big.nu_raw == pytest.approx(small.nu_raw, abs=1e-9)
+            assert big.nu == winding_number(spec).nu
 
     def test_turn_sum_matches_rolled_reference(self, rng):
-        # the half-loop angle sum equals its reference to the last bit, and
-        # the whole-loop rolled sum of products of the mirrored grid to
-        # rounding; at couplings of 1e300 those products overflow and the
-        # rolled reference has to rescale, the angle form does not
+        # the half-loop count of branch-cut crossings is the nearest integer
+        # to the whole-loop rolled sum of products of the mirrored grid; at
+        # couplings of 1e300 those products overflow and the rolled
+        # reference has to rescale, the angle form does not
         for _ in range(50):
             spec = random_gapped_spec(rng)
             n = int(rng.choice([256, 1024, 4096]))
             _, y, z = grid_numerators(spec, n)
-            got = _accumulated_turns(y[n // 2:], z[n // 2:])
-            assert got == half_turns(y[n // 2:], z[n // 2:])
-            assert got == pytest.approx(rolled_turns(y, z)[0], abs=1e-12)
+            assert _winding(y[n // 2:], z[n // 2:]) == round(rolled_turns(y, z)[0])
         for spec in (ModelSpec.pairing(j=1e300, delta=1e300, mu=0.5e300),
                      ModelSpec.pairing_hopping(j=-0.8e300, delta=1e300,
                                                mu=-0.6e300)):
             _, y, z = grid_numerators(spec, 4096)
-            got = _accumulated_turns(y[2048:], z[2048:])
-            assert got == half_turns(y[2048:], z[2048:])
             full, full_rescaled = rolled_turns(y, z)
-            assert full_rescaled and got == pytest.approx(full, abs=1e-12)
+            assert full_rescaled
+            assert _winding(y[2048:], z[2048:]) == round(full)
 
     def test_mirror_in_delta(self, rng):
         # nu(mu, delta) = -nu(mu, -delta) for the pairing-only chain
@@ -120,7 +98,7 @@ class TestWindingNumber:
             assert plus.nu == -minus.nu
 
     def test_refinement_stability(self, rng):
-        # doubling the sample count never changes the snapped winding
+        # doubling the sample count never changes the winding
         checked = 0
         while checked < 200:
             spec = random_gapped_spec(rng, min_gap=0.02)
@@ -142,8 +120,6 @@ class TestWindingNumber:
                 res = winding_number(spec, samples=8192)
             except GaplessSpecError:
                 continue
-            if res.nu != round(res.nu):
-                continue
             assert crossing_count(spec) == res.nu
             checked += 1
 
@@ -151,22 +127,6 @@ class TestWindingNumber:
         from conftest import grid_gapless_spec
         with pytest.raises(GaplessSpecError):
             winding_number(grid_gapless_spec(4096), samples=4096)
-
-    def test_snap_tolerance_and_warning(self):
-        from kitaev_de.topology import snap_winding
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert snap_winding(1.004) == 1.0
-            assert snap_winding(-2.51) == -2.5
-        with pytest.warns(NumericalWindingWarning, match="0.230000"):
-            assert snap_winding(0.23) == 0.0
-
-    def test_raw_value_is_near_integer_for_closed_sweeps(self):
-        # the sampled trajectory is a closed polygon, so the accumulated
-        # angle is an exact multiple of 2*pi up to rounding
-        spec = ModelSpec.pairing(j=1.0, delta=1.0, mu=1.0 + 1e-4)
-        res = winding_number(spec, samples=256)
-        assert abs(res.nu_raw - round(res.nu_raw)) < 1e-9
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
@@ -217,6 +177,15 @@ class TestPhaseScan:
                 want = np.sign(d) if abs(mu) < 1 else 0.0
                 assert scan.nu[iy, ix] == want
 
+    def test_boundary_across_rows(self):
+        # nu = sign(delta) for |mu| < 1: the rows at delta = -0.5 and 0.5
+        # differ in every column, and only the y direction marks them
+        scan = phase_boundary_scan(ModelSpec.pairing(j=1.0), "mu", [-0.5, 0.5],
+                                   "delta", [-0.5, 0.5, 1.0], samples=256)
+        np.testing.assert_array_equal(scan.nu, [[-1, -1], [1, 1], [1, 1]])
+        np.testing.assert_array_equal(scan.boundary_mask(),
+                                      [[True, True], [True, True], [False, False]])
+
     def test_constant_phase_has_no_boundary(self):
         spec = ModelSpec.pairing(j=1.0, delta=1.0)
         scan = phase_boundary_scan(spec, "mu", np.arange(-0.5, 0.51, 0.1),
@@ -246,8 +215,7 @@ class TestPhaseScan:
         base = grid_gapless_spec(1024)
         scan = phase_boundary_scan(base, "delta", deltas, samples=1024)
         np.testing.assert_array_equal(scan.nu, [[-1.0, np.nan, np.nan, 1.0]])
-        for field in (scan.nu_raw, scan.min_gap):
-            assert np.isnan(field[0, 1:3]).all()
-            assert np.isfinite(field[0, [0, 3]]).all()
+        assert np.isnan(scan.min_gap[0, 1:3]).all()
+        assert np.isfinite(scan.min_gap[0, [0, 3]]).all()
         # a NaN next to a number is a change; two NaN cells are not
         assert nu_change_locations(base, "delta", deltas, samples=1024) == [-0.25, 0.25]
