@@ -19,6 +19,9 @@ Correlation sources
   Schultz & Mattis, Ann. Phys. 16, 407, 1961).  K is persymmetric, so with
   ``K P = W diag(lam) W^T`` (P the site reversal) the polar factor is
   ``m = W sign(lam) W^T P`` and ``s = |lam|``: one symmetric eigensolve.
+  As W is orthogonal, ``W sign(lam) W^T = 2 W_+ W_+^T - I`` with ``W_+`` the
+  columns of the positive ``lam``, about half of them, so the product is one
+  symmetric rank-k update instead of a full matrix product.
 
 With these contractions, ``sigma_z = A_j B_j = 1 - 2 n_j`` and every subset
 expectation ``< prod_{j in S} sigma_z_j >`` is the determinant of the A-B
@@ -39,7 +42,7 @@ import numpy as np
 from .errors import (DegenerateGroundStateError, GaplessSpecError,
                      InvalidParameterError, OddDimensionError,
                      SpectrumOverflowError)
-from .majorana import _reflected_eigh
+from .majorana import _reflected
 from .model import DEFAULT_GRID, ModelSpec, _min_gap, grid_numerators
 
 KERNEL_IMAG_TOL = 1e-10
@@ -113,15 +116,17 @@ def open_chain_correlations(spec: ModelSpec, n: int) -> DenseCorrelations:
 
     With ``K P = W diag(lam) W^T`` for the coupling matrix K of
     :func:`~kitaev_de.majorana.build_coupling` and the site reversal P,
-    ``m`` is the polar factor ``W sign(lam) W^T P`` of K, the quasiparticle
-    energies are ``|lam|`` and the ground energy is ``-sum(|lam|) / 2`` (see
-    the module docstring).  Raises :class:`SpectrumOverflowError` when that
-    sum is not finite and :class:`DegenerateGroundStateError` when the
-    smallest quasiparticle energy is below 1e-10 (the ground state
-    correlators are then ill-defined).  The eigensolve takes at most
+    ``m`` is the polar factor ``W sign(lam) W^T P = (2 W_+ W_+^T - I) P`` of
+    K, with ``W_+`` the eigenvectors of the positive ``lam``; the
+    quasiparticle energies are ``|lam|`` and the ground energy is
+    ``-sum(|lam|) / 2`` (see the module docstring).  Raises
+    :class:`SpectrumOverflowError` when that sum is not finite and
+    :class:`DegenerateGroundStateError` when the smallest quasiparticle
+    energy is below 1e-10 (the ground state correlators are then
+    ill-defined).  The eigensolve takes at most
     :data:`~kitaev_de.majorana.MAX_OPEN_SITES` sites.
     """
-    lam, w = _reflected_eigh(spec, n)
+    lam, w = np.linalg.eigh(_reflected(spec, n))
     s = np.abs(lam)
     with np.errstate(over="ignore"):
         total = float(s.sum())
@@ -131,7 +136,10 @@ def open_chain_correlations(spec: ModelSpec, n: int) -> DenseCorrelations:
     eps_min = float(s.min())
     if eps_min < 1e-10:
         raise DegenerateGroundStateError(f"smallest quasiparticle energy {eps_min:.3e}")
-    m = (w * np.sign(lam)) @ w[::-1].T
+    plus = w[:, np.searchsorted(lam, 0.0, side="right"):]  # lam ascends
+    m = 2.0 * (plus @ plus.T)[:, ::-1]  # numpy's syrk: one triangle's flops
+    sites = np.arange(n)
+    m[sites, sites[::-1]] -= 1.0
     return DenseCorrelations(m=m, energy=-0.5 * total, eps_min=eps_min)
 
 

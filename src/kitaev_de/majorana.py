@@ -14,7 +14,10 @@ Hence ``S = K P`` (K with its columns reversed) is a symmetric Hankel matrix,
 and one symmetric eigendecomposition ``S = W diag(lam) W^T`` gives the whole
 singular value decomposition ``K = S P = W diag(|lam|) (P W sign(lam))^T``:
 the singular values are ``|lam|``, the left vectors the columns of W and the
-right vectors the reversed columns of W, up to sign.
+right vectors the reversed columns of W, up to sign.  :func:`zero_modes`
+needs the vectors of the null values and calls ``eigh``; :func:`mode_count`
+only counts, with the same cutoff rule, and calls ``eigvalsh``, which at
+N = 800 takes about half the time.
 """
 from __future__ import annotations
 
@@ -80,25 +83,52 @@ def build_coupling(spec: ModelSpec, n: int) -> np.ndarray:
     return sliding_window_view(band, n)[::-1]
 
 
-def _reflected_eigh(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs ``lam, W`` of the symmetric ``S = K P``.
+def _reflected(spec: ModelSpec, n: int) -> np.ndarray:
+    """The symmetric ``S = K P`` as a read-only view of K's band.
 
-    ``|lam|`` are the singular values of K, the columns of W its left
-    singular vectors and ``W[::-1]`` its right ones up to sign (see the
-    module docstring).  Toeplitz K makes ``K[:, ::-1]`` bit-exactly
-    symmetric, so reading one triangle loses nothing.  Chains above
-    ``MAX_OPEN_SITES`` are rejected before anything is allocated.
+    With ``S = W diag(lam) W^T``, ``|lam|`` are the singular values of K, the
+    columns of W its left singular vectors and ``W[::-1]`` its right ones up
+    to sign (see the module docstring).  Toeplitz K makes ``K[:, ::-1]``
+    bit-exactly symmetric, so an eigensolver reading one triangle loses
+    nothing.  Chains above ``MAX_OPEN_SITES`` are rejected before anything is
+    allocated.
     """
     if n > MAX_OPEN_SITES:
         raise InvalidParameterError(
             "n", f"open-chain solve limited to n <= {MAX_OPEN_SITES}, got {n}")
-    return np.linalg.eigh(build_coupling(spec, n)[:, ::-1])
+    return build_coupling(spec, n)[:, ::-1]
+
+
+def _gated(spec: ModelSpec, n: int, tol: float) -> np.ndarray:
+    """``S = K P`` of a chain whose zero modes are well defined: ``0 < tol <
+    1``, ``n > 2r`` for the pairing+hopping variant, a gapped bulk on the
+    closed-chain grid and at most ``MAX_OPEN_SITES`` sites."""
+    if not 0 < tol < 1:
+        raise InvalidParameterError("tol", f"need 0 < tol < 1, got {tol}")
+    if spec.variant is Variant.LONG_RANGE_PAIRING_HOPPING and n <= 2 * spec.r:
+        raise InvalidParameterError("n", f"need n > 2r = {2 * spec.r}, got {n}")
+    _gapped_grid(spec, GAP_SAMPLES)
+    return _reflected(spec, n)
+
+
+def _null(s: np.ndarray, tol: float) -> np.ndarray:
+    """Indices of the singular values s below the cutoff ``tol * max(s)``.
+
+    Raises :class:`TolAmbiguousError` when any value falls within a factor of
+    10 of the cutoff, making the count unreliable.
+    """
+    cutoff = tol * s.max()
+    if np.any((s > cutoff / 10.0) & (s < cutoff * 10.0)):
+        raise TolAmbiguousError(
+            f"singular values within a factor 10 of cutoff {cutoff:.3e}")
+    return np.nonzero(s < cutoff)[0]
 
 
 def zero_modes(spec: ModelSpec, n: int, tol: float = DEFAULT_TOL) -> list[ZeroMode]:
     """Left/right zero modes below the relative singular-value cutoff.
 
-    Requires a gapped bulk (checked on the closed-chain grid).  Raises
+    The cutoff is ``tol * max(s)`` with ``0 < tol < 1``.  Requires a gapped
+    bulk (checked on the closed-chain grid).  Raises
     :class:`TolAmbiguousError` when any singular value falls within a factor
     of 10 of the cutoff, making the count unreliable.  Modes come out
     orthonormal (eigenvectors of ``K P``), ordered by localization centre,
@@ -114,21 +144,11 @@ def zero_modes(spec: ModelSpec, n: int, tol: float = DEFAULT_TOL) -> list[ZeroMo
     n = 800 the three null values are 4.9e-16, 7.1e-12 and 7.3e-12, and
     per-mode probabilities from two factorizations differ by up to 6.7e-6.
     """
-    if not 0 < tol < np.inf:
-        raise InvalidParameterError("tol", f"need a finite tol > 0, got {tol}")
-    if spec.variant is Variant.LONG_RANGE_PAIRING_HOPPING and n <= 2 * spec.r:
-        raise InvalidParameterError("n", f"need n > 2r = {2 * spec.r}, got {n}")
-    _gapped_grid(spec, GAP_SAMPLES)
-    lam, w = _reflected_eigh(spec, n)
+    lam, w = np.linalg.eigh(_gated(spec, n, tol))
     s = np.abs(lam)
-    cutoff = tol * s.max()
-    if np.any((s > cutoff / 10.0) & (s < cutoff * 10.0)):
-        raise TolAmbiguousError(
-            f"singular values within a factor 10 of cutoff {cutoff:.3e}")
-    null = np.nonzero(s < cutoff)[0]
     sites = np.arange(n)
     modes = []
-    for i in null:
+    for i in _null(s, tol):
         left = w[:, i]          # m^T K = 0  (left-singular vector of K)
         right = w[::-1, i]      # K n  = 0  (right-singular vector, up to sign)
         for side, vec in ((Side.LEFT, left), (Side.RIGHT, right)):
@@ -143,5 +163,10 @@ def zero_modes(spec: ModelSpec, n: int, tol: float = DEFAULT_TOL) -> list[ZeroMo
 
 
 def mode_count(spec: ModelSpec, n: int, tol: float = DEFAULT_TOL) -> int:
-    """Number of Majorana zero-mode pairs (equals |nu| in the bulk)."""
-    return len(zero_modes(spec, n, tol)) // 2
+    """Number of Majorana zero-mode pairs (equals |nu| in the bulk).
+
+    The count is ``len(zero_modes(spec, n, tol)) // 2``, with the same checks
+    and the same cutoff rule, read from the eigenvalues of ``K P`` alone: no
+    eigenvectors are computed.
+    """
+    return len(_null(np.abs(np.linalg.eigvalsh(_gated(spec, n, tol))), tol))

@@ -99,7 +99,10 @@ class TestValidation:
         (["--task", "critical-scan", "--start", "0", "--stop", "1", "--step",
           "0.1", "--kappa", "nan"], "'kappa'"),
         (["--task", "mzm", "--n", "20", "--tol", "-1"], "'tol'"),
-        (["--task", "mzm", "--n", "20", "--tol", "inf"], "'tol'")])
+        (["--task", "mzm", "--n", "20", "--tol", "inf"], "'tol'"),
+        (["--task", "mzm", "--n", "20", "--tol", "1"], "'tol'"),
+        (["--task", "mzm", "--n", "20", "--mu", "3", "--tol", "11"], "'tol'"),
+        (["--task", "mzm", "--n", "20", "--mu", "3", "--tol", "100"], "'tol'")])
     def test_bad_value_names_field(self, tmp_path, capsys, flags, message):
         code = run_cli([*flags, "--out", str(tmp_path / "o.csv")])
         assert code == 1

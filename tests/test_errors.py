@@ -110,6 +110,11 @@ SITES = [
     ("tol", lambda: mode_count(PAIRING, 20, tol=math.nan)),
     ("kappa", lambda: detect_critical_points(_curve(), kappa=0.0)),
     ("kappa", lambda: detect_critical_points(_curve(), kappa=math.nan)),
+    # a cutoff tol * max(s) at or above max(s) counted ordinary singular
+    # values: this trivial chain read 20 pairs at tol = 11 and 100
+    ("tol", lambda: mode_count(PAIRING, 20, tol=1.0)),
+    ("tol", lambda: zero_modes(PAIRING, 20, tol=11.0)),
+    ("tol", lambda: mode_count(PAIRING, 20, tol=100.0)),
 ]
 
 

@@ -8,6 +8,7 @@ from kitaev_de import (DegenerateGroundStateError, GaplessSpecError, ModelSpec,
                        pair_correlation, pfaffian, sigma_x_correlator,
                        sigma_z_correlator)
 from kitaev_de import gaussian
+from kitaev_de.majorana import _reflected
 from kitaev_de.model import grid_numerators
 from kitaev_de.oracle import (ed_ground_state, ed_pair_correlator,
                               ed_sigma_x_product, ed_sigma_z_product)
@@ -154,6 +155,20 @@ class TestOpenChain:
                 assert np.abs(got.m - u @ vt).max() < 1e-12
                 assert got.energy == pytest.approx(-0.5 * s.sum(), abs=1e-10)
                 assert got.eps_min == pytest.approx(s[-1], abs=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 7, 200, 1000])
+    @pytest.mark.parametrize("spec", [
+        ModelSpec.pairing(j=1.0, delta=0.8, mu=-1.7, alpha=2.0),
+        ModelSpec.pairing_hopping(j=0.4, delta=0.8, mu=-3.2, alpha=0.0, beta=0.5,
+                                  r=3)])
+    def test_half_rank_polar_factor(self, spec, n):
+        # (2 W_+ W_+^T - I) P against the full product W sign(lam) W^T P
+        lam, w = np.linalg.eigh(_reflected(spec, n))
+        want = (w * np.sign(lam)) @ w[::-1].T
+        m = open_chain_correlations(spec, n).m
+        assert np.abs(m - want).max() <= 1e-13
+        assert np.abs(m @ m.T - np.eye(n)).max() <= 1e-12
+        assert m.dtype == np.float64 and m.flags.c_contiguous and m.flags.writeable
 
     def test_energy_overflow_raises(self):
         # every entry of K is finite, but the sum of the n quasiparticle

@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
-from kitaev_de import (GaplessSpecError, ModelSpec, Side, SpectrumOverflowError,
-                       TolAmbiguousError, build_coupling, mode_count,
-                       open_chain_correlations, winding_number, zero_modes)
-from kitaev_de.majorana import _band, _reflected_eigh
+from kitaev_de import (GaplessSpecError, KitaevDEError, ModelSpec, Side,
+                       SpectrumOverflowError, TolAmbiguousError, build_coupling,
+                       mode_count, open_chain_correlations, winding_number,
+                       zero_modes)
+from kitaev_de.majorana import _band, _reflected
 from kitaev_de.model import open_chain_weights
 
 from conftest import (random_gapped_spec, random_pairing_hopping_spec,
@@ -94,10 +95,13 @@ class TestCoupling:
         for spec in (ModelSpec.pairing(j=1.0, delta=0.7, mu=0.4, alpha=1.7),
                      ModelSpec.pairing_hopping(j=0.8, delta=1.0, mu=0.6)):
             for n in (7, 200):
-                lam, w = _reflected_eigh(spec, n)
+                view = _reflected(spec, n)
                 s = np.ascontiguousarray(build_coupling(spec, n)[:, ::-1])
+                lam, w = np.linalg.eigh(view)
                 lam2, w2 = np.linalg.eigh(s)
                 assert np.array_equal(lam, lam2) and np.array_equal(w, w2)
+                assert np.array_equal(np.linalg.eigvalsh(view),
+                                      np.linalg.eigvalsh(s))
 
     @pytest.mark.parametrize("spec", [
         ModelSpec.pairing(j=1.0, delta=0.7, mu=0.4, alpha=1.7),
@@ -226,6 +230,35 @@ class TestModeCount:
         spec = ModelSpec.pairing_hopping(j=0.8, delta=1.0, mu=0.6)
         assert mode_count(spec, 800, 1e-8) == 3
         assert abs(winding_number(spec).nu) == 3
+
+    def test_counts_without_eigenvectors(self, monkeypatch):
+        def no_vectors(*args, **kwargs):
+            raise AssertionError("mode_count asked for eigenvectors")
+        monkeypatch.setattr(np.linalg, "eigh", no_vectors)
+        spec = ModelSpec.pairing_hopping(j=0.8, delta=1.0, mu=0.6)
+        assert mode_count(spec, 800, 1e-8) == 3
+
+    def test_agrees_with_zero_modes(self, rng):
+        # the same gate and cutoff rule over eigvalsh and over eigh: equal
+        # counts, or the same error, on random chains of both variants
+        counted = paired = ambiguous = 0
+        for i in range(300):
+            draw = random_pairing_spec if i % 2 else random_pairing_hopping_spec
+            spec = draw(rng)
+            n = int(rng.integers(9, 301))
+            tol = float(10.0 ** rng.uniform(-13.0, -3.0))
+            try:
+                want = len(zero_modes(spec, n, tol)) // 2
+            except KitaevDEError as err:
+                with pytest.raises(KitaevDEError) as info:
+                    mode_count(spec, n, tol)
+                assert type(info.value) is type(err)
+                ambiguous += isinstance(err, TolAmbiguousError)
+                continue
+            assert mode_count(spec, n, tol) == want
+            counted += 1
+            paired += want > 0
+        assert counted >= 200 and paired > 0 and ambiguous > 0
 
     def test_count_stable_under_doubling(self):
         for spec, want in [(ModelSpec.pairing(1.0, 1.0, -0.5), 1),
