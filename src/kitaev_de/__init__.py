@@ -5,9 +5,10 @@ Kitaev chains (variable-range pairing, optionally variable-range hopping),
 their winding numbers and Majorana zero modes, diagonal-entropy scaling laws
 in the Z and X measurement bases, global entanglement, and
 susceptibility-based detection of topological phase transitions.  A small
-exact-diagonalization oracle (N <= 12, on scipy.sparse) ships with the
-library and anchors every sign convention in the test suite; importing the
-library does not load scipy.
+exact-diagonalization oracle (N <= 12, a numpy Lanczos solve that returns
+the ground state in its fermion-parity block) ships with the library and
+anchors every sign convention in the test suite.  Nothing in the package
+imports scipy.
 """
 
 from .analysis import (CriticalPointReport, ScalingFit, SusceptibilityCurve,

@@ -6,8 +6,16 @@ Schultz & Mattis 1961): with ``z = 1 - 2n`` per site, the bond ``(a, b)`` of
 hopping ``t`` and pairing ``d`` flips bits ``a`` and ``b`` with amplitude
 ``prod_{a<m<b} z_m (jx - jy z_a z_b)``, ``jx = -(t + d)/2``,
 ``jy = -(t - d)/2``, and the chemical potential is the diagonal
-``(mu/2) sum z``.  One builder assembles that matrix for open and closed
-chains, and X-basis marginals rotate the same ground state.
+``(mu/2) sum z``.  One builder assembles that matrix, matrix-free, for open
+and closed chains, and X-basis marginals rotate the same ground state.
+
+The two lowest levels come from a Lanczos iteration in numpy (Lanczos 1950)
+with full reorthogonalisation, started from the uniform vector and
+continued from a fixed-seed vector whenever the Krylov space closes, as
+ARPACK does (Lehoucq, Sorensen & Yang 1998).  H keeps fermion parity
+``prod z``, so a non-degenerate ground state lies in one parity block and
+is returned projected onto it; a ground vector with weight in both blocks
+is a doublet across them and raises :class:`DegenerateGroundStateError`.
 
 Basis conventions
 -----------------
@@ -31,14 +39,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import DegenerateGroundStateError, InvalidParameterError
 from .model import ModelSpec, Variant, _range_weights, open_chain_weights
 
 MAX_SITES = 12
 DEGENERACY_TOL = 1e-10
+RESIDUAL_TOL = 1e-13  # Lanczos stop: Ritz residual bound / spectral scale
+CHECK_EVERY = 10      # Lanczos steps between convergence checks
+PARITY_TOL = 1e-8     # ground-vector weight allowed in the other parity block
 
 
 @dataclass(frozen=True)
@@ -59,6 +68,11 @@ def _spins(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     z = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)) & 1)
     jw = np.cumprod(np.column_stack([np.ones(idx.size), z]), axis=1)
     return idx, z, jw
+
+
+def _odd(idx: np.ndarray) -> np.ndarray:
+    """True where ``idx`` has an odd number of set bits (odd fermion parity)."""
+    return np.bitwise_count(idx) % 2 == 1
 
 
 def _bonds(spec: ModelSpec, n: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
@@ -96,37 +110,115 @@ def _bonds(spec: ModelSpec, n: int, boundary: str) -> tuple[np.ndarray, np.ndarr
     return t, d
 
 
-def _hamiltonian(spec: ModelSpec, n: int, boundary: str) -> sp.csr_matrix:
-    """Sparse many-body Hamiltonian: one signed bit flip per bond of
-    :func:`_bonds` plus the ``(mu/2) sum z`` diagonal (module docstring)."""
+class _Operator:
+    """Matrix-free Hamiltonian ``(H v)[i] = sum_b vals[b, i] v[cols[b, i]]``:
+    row 0 is the diagonal, each further row one bond's bit flip."""
+
+    def __init__(self, cols: np.ndarray, vals: np.ndarray):
+        self.cols, self.vals = cols, vals
+        self.shape = (cols.shape[1], cols.shape[1])
+        # Gershgorin: no level lies further from 0 than the largest row sum
+        self.norm_bound = float(np.abs(vals).sum(axis=0).max())
+        # one gather buffer per operator: a fresh one of this size would be
+        # mapped and faulted in again on every product
+        self._gathered = np.empty(vals.shape)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        # every column is in range: "clip" only skips the bounds check
+        np.take(v, self.cols, out=self._gathered, mode="clip")
+        return np.einsum("bi,bi->i", self.vals, self._gathered)
+
+    def toarray(self) -> np.ndarray:
+        h = np.zeros(self.shape)
+        h[np.arange(self.shape[0]), self.cols] = self.vals
+        return h
+
+
+def _hamiltonian(spec: ModelSpec, n: int, boundary: str) -> _Operator:
+    """Many-body Hamiltonian: one signed bit flip per bond of :func:`_bonds`
+    plus the ``(mu/2) sum z`` diagonal (module docstring)."""
     t, d = _bonds(spec, n, boundary)
     a, b = np.nonzero((t != 0.0) | (d != 0.0))
     jx, jy = -(t[a, b] + d[a, b]) / 2.0, -(t[a, b] - d[a, b]) / 2.0
     idx, z, jw = _spins(n)
     amp = jw[:, a + 1] * jw[:, b] * (jx - jy * z[:, a] * z[:, b])
-    rows = np.column_stack([idx, idx[:, None] ^ ((1 << a) | (1 << b))])
-    vals = np.column_stack([0.5 * spec.mu * z.sum(axis=1), amp])
-    cols = np.broadcast_to(idx[:, None], rows.shape)
-    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(idx.size, idx.size))
+    # the flip of state j lands on i = j ^ mask, so H[i, i ^ mask] = amp[i ^ mask]
+    cols = idx ^ np.append(0, (1 << a) | (1 << b))[:, None]
+    return _Operator(cols, np.vstack([0.5 * spec.mu * z.sum(axis=1),
+                                      np.take_along_axis(amp.T, cols[1:], axis=1)]))
 
 
-def _lowest_two(h: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+def _orthogonalise(w: np.ndarray, basis: np.ndarray) -> float:
+    """Remove from ``w``, in place, its part along the orthonormal rows of
+    ``basis`` and return its norm; a second pass runs when the first left
+    less than 0.7 of its norm ("twice is enough", Parlett 1980)."""
+    before = np.linalg.norm(w)
+    for _ in range(2):
+        w -= (basis @ w) @ basis
+        after = np.linalg.norm(w)
+        if after > 0.7 * before:
+            break
+        before = after
+    return after
+
+
+def _lowest_two(h: _Operator) -> tuple[np.ndarray, np.ndarray]:
+    """The two lowest levels of ``h`` and a ground vector, by Lanczos.
+
+    The iteration starts from the uniform vector and reorthogonalises each
+    new vector against the whole basis.  Every ``CHECK_EVERY`` steps it
+    stops if the residual bounds ``|beta s_last|`` of the two lowest Ritz
+    pairs are at most ``RESIDUAL_TOL`` of the largest Ritz value.  When the
+    Krylov space closes (beta ~ 0) its levels are exact, and the iteration
+    goes on from a fixed-seed vector orthogonal to it, as ARPACK does.  That
+    generic start meets every level of the rest of the space, so it also
+    waits for its own lowest Ritz pair, and once its space closes in turn
+    the basis holds every distinct level.
+    """
     dim = h.shape[0]
-    if dim <= 16:
-        vals, vecs = np.linalg.eigh(h.toarray())
-        return vals[:2], vecs[:, 0]
-    v0 = np.full(dim, 1.0 / math.sqrt(dim))
-    vals, vecs = spla.eigsh(h, k=2, which="SA", v0=v0)
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order[0]]
+    q = np.empty((min(dim, 64), dim))
+    q[0] = 1.0 / math.sqrt(dim)
+    alpha, beta = np.zeros(dim), np.zeros(dim)
+    restart = 0  # index of the fixed-seed vector, 0 before the restart
+    for k in range(dim):
+        w = h @ q[k]
+        alpha[k] = q[k] @ w
+        w -= alpha[k] * q[k]
+        if k > 0:
+            w -= beta[k - 1] * q[k - 1]
+        basis = q[:k + 1]
+        beta[k] = _orthogonalise(w, basis)
+        # a product carries rounding of order eps ||H||, whatever q is
+        closed = beta[k] <= RESIDUAL_TOL * h.norm_bound
+        if closed:
+            beta[k] = 0.0
+        if (closed and restart) or k + 1 == dim or (
+                not closed and (k + 1 - restart) % CHECK_EVERY == 0):
+            # eigh reads the lower triangle only
+            theta, s = np.linalg.eigh(np.diag(alpha[:k + 1]) + np.diag(beta[:k], -1))
+            newest = np.argmax(np.einsum("ij,ij->j", s[restart:], s[restart:]) > 0.5)
+            bound = np.abs(beta[k] * s[k, [0, 1, newest]])
+            if k + 1 == dim or bound.max() <= RESIDUAL_TOL * np.abs(theta).max():
+                return theta[:2], basis.T @ s[:, 0]
+        if k + 1 == q.shape[0]:
+            q = np.concatenate([q, np.empty((min(dim, 2 * q.shape[0]) - q.shape[0], dim))])
+        if closed:
+            restart = k + 1
+            w = np.random.default_rng(0).standard_normal(dim)
+            _orthogonalise(w, basis)
+        q[k + 1] = w / np.linalg.norm(w)
+    raise AssertionError("unreachable: the last step spans the space")
 
 
 def ed_ground_state(spec: ModelSpec, n: int, boundary: str = "open") -> FockGroundState:
     """Exact ground state of the n-site chain (n <= 12).
 
-    Raises :class:`DegenerateGroundStateError` when the two lowest levels are
-    closer than 1e-10.
+    H keeps fermion parity, so the ground vector lies in one parity block
+    and is returned projected onto it.  Raises
+    :class:`DegenerateGroundStateError` when the two lowest levels are
+    closer than 1e-10, or when the ground vector holds more than 1e-8 of its
+    weight in each block: one Krylov vector meets an exact doublet across
+    the blocks only once, as a mixture of its two states.
     """
     if not 2 <= n <= MAX_SITES:
         raise InvalidParameterError("n", f"oracle supports 2 <= n <= {MAX_SITES}, got {n}")
@@ -134,7 +226,13 @@ def ed_ground_state(spec: ModelSpec, n: int, boundary: str = "open") -> FockGrou
     if vals[1] - vals[0] < DEGENERACY_TOL:
         raise DegenerateGroundStateError(
             f"two lowest levels within {vals[1] - vals[0]:.3e}")
-    vec = np.real(vec)
+    odd = _odd(np.arange(vec.size))
+    weight = np.array([vec[~odd] @ vec[~odd], vec[odd] @ vec[odd]]) / (vec @ vec)
+    if weight.min() > PARITY_TOL:
+        raise DegenerateGroundStateError(
+            f"ground vector has weight {weight.min():.3e} in both parity "
+            "blocks: a doublet across them")
+    vec[odd if weight[0] > weight[1] else ~odd] = 0.0
     vec /= np.linalg.norm(vec)
     if vec[np.argmax(np.abs(vec))] < 0:
         vec = -vec
@@ -143,8 +241,12 @@ def ed_ground_state(spec: ModelSpec, n: int, boundary: str = "open") -> FockGrou
 
 
 def ed_spectrum(spec: ModelSpec, n: int, boundary: str = "open") -> np.ndarray:
-    """Full many-body spectrum (dense; keep n small)."""
-    return np.linalg.eigvalsh(_hamiltonian(spec, n, boundary).toarray())
+    """Full many-body spectrum, sorted: the union of the spectra of the two
+    parity blocks of ``2**(n-1)`` states each (dense; keep n small)."""
+    h = _hamiltonian(spec, n, boundary).toarray()
+    odd = _odd(np.arange(h.shape[0]))
+    return np.sort(np.concatenate([np.linalg.eigvalsh(h[np.ix_(block, block)])
+                                   for block in (~odd, odd)]))
 
 
 def eigen_residual(state: FockGroundState) -> float:
@@ -210,20 +312,30 @@ def ed_diagonal_marginal(state: FockGroundState, sites, basis: str = "z") -> np.
     raise InvalidParameterError("basis", f"unknown basis {basis!r}")
 
 
+def _mask(sites, n: int) -> int:
+    """Bit mask of ``sites``; a site listed twice drops out, as
+    ``sigma^2 = 1``."""
+    mask = 0
+    for s in sites:
+        if not 0 <= s < n:
+            raise InvalidParameterError("sites", f"site {s} is not in 0 .. {n - 1}")
+        mask ^= 1 << int(s)
+    return mask
+
+
 def ed_sigma_z_product(state: FockGroundState, sites) -> float:
-    """``< prod_{j in sites} sigma_z_j >`` with ``sigma_z = 1 - 2 n``."""
-    _, z, _ = _spins(state.n)
-    return float(np.dot(np.abs(state.amplitudes) ** 2, z[:, list(sites)].prod(axis=1)))
+    """``< prod_{j in sites} sigma_z_j >`` with ``sigma_z = 1 - 2 n``: each
+    basis state contributes with the parity of its occupied ``sites``."""
+    idx = np.arange(state.amplitudes.size)
+    sign = 1.0 - 2.0 * _odd(idx & _mask(sites, state.n))
+    return float(np.dot(np.abs(state.amplitudes) ** 2, sign))
 
 
 def ed_sigma_x_product(spec: ModelSpec, n: int, sites) -> float:
     """``< prod sigma_x >`` in the spin picture of the open chain."""
     amps, _ = spin_ground_state(spec, n)
-    mask = 0
-    for s in sites:
-        mask ^= 1 << s
     idx = np.arange(amps.size)
-    return float(np.dot(amps, amps[idx ^ mask]))
+    return float(np.dot(amps, amps[idx ^ _mask(sites, n)]))
 
 
 def ed_pair_correlator(state: FockGroundState, a: int, b: int) -> float:

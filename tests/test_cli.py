@@ -548,8 +548,10 @@ def _run_module(*args):
 
 
 def test_import_loads_no_scipy():
-    # scipy serves only the ED oracle; the library and the CLI load without it
-    code = ("import sys, kitaev_de, kitaev_de.cli; print(sorted(m for m in "
+    # the library, the CLI and the ED oracle's solve run on numpy alone
+    code = ("import sys, kitaev_de, kitaev_de.cli, kitaev_de.oracle as o; "
+            "o.ed_ground_state(kitaev_de.ModelSpec.pairing(mu=-2.0), 6); "
+            "print(sorted(m for m in "
             "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=_child_env(), check=True)

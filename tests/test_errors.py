@@ -16,7 +16,8 @@ from kitaev_de import (InvalidParameterError, ModelSpec, Variant,
                        trajectory, winding_number, zero_modes)
 from kitaev_de.majorana import MAX_OPEN_SITES
 from kitaev_de.model import open_chain_weights
-from kitaev_de.oracle import ed_diagonal_marginal, ed_ground_state
+from kitaev_de.oracle import (ed_diagonal_marginal, ed_ground_state,
+                              ed_sigma_x_product, ed_sigma_z_product)
 from kitaev_de.topology import nu_change_locations
 
 PACKAGE = Path(__file__).parent.parent / "src" / "kitaev_de"
@@ -115,6 +116,10 @@ SITES = [
     ("tol", lambda: mode_count(PAIRING, 20, tol=1.0)),
     ("tol", lambda: zero_modes(PAIRING, 20, tol=11.0)),
     ("tol", lambda: mode_count(PAIRING, 20, tol=100.0)),
+    # the oracle reads sites as bits of the basis index: a site beyond the
+    # chain would drop out of the product instead of failing
+    ("sites", lambda: ed_sigma_z_product(_closed_state(), [1, 4])),
+    ("sites", lambda: ed_sigma_x_product(PAIRING, 4, [-1, 2])),
 ]
 
 
