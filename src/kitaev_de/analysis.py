@@ -72,6 +72,8 @@ def fit_volume_law(sizes, values) -> ScalingFit:
     values = np.asarray(values, dtype=float)
     if sizes.size < 3:
         raise InsufficientPointsError(f"need >= 3 sizes, got {sizes.size}")
+    if not (sizes > 0).all():
+        raise InvalidParameterError("sizes", "every size must be positive")
     s = float(np.dot(sizes, values) / np.dot(sizes, sizes))
     resid = values - s * sizes
     return ScalingFit(kind="volume", params=(s,),
@@ -105,6 +107,8 @@ def susceptibility(name: str, grid, values) -> SusceptibilityCurve:
     if steps.size < 2:
         raise NonUniformGridError("need at least 3 grid points")
     h = steps[0]
+    if not (np.isfinite(h) and h != 0.0):
+        raise NonUniformGridError(f"grid spacing must be finite and nonzero, got {h}")
     if not np.allclose(steps, h, rtol=1e-9, atol=1e-12):
         raise NonUniformGridError("grid spacing is not uniform")
     chi = (values[2:] - values[:-2]) / (2.0 * h)

@@ -217,8 +217,9 @@ def pfaffian(mat: np.ndarray) -> float:
     """Pfaffian of a real antisymmetric matrix (skew elimination, pivoting).
 
     Raises :class:`OddDimensionError` for odd dimension and
-    :class:`InvalidParameterError` for a matrix that is not square or whose
-    ``||M + M^T||`` exceeds ``ANTISYM_TOL`` relative to ``||M||``.
+    :class:`InvalidParameterError` for a matrix that is not square, has a
+    non-finite entry or whose ``||M + M^T||`` exceeds ``ANTISYM_TOL``
+    relative to ``||M||``.
     """
     mat = np.asarray(mat, dtype=float)
     n = mat.shape[0]
@@ -226,6 +227,8 @@ def pfaffian(mat: np.ndarray) -> float:
         raise InvalidParameterError("mat", "pfaffian requires a square matrix")
     if n % 2 == 1:
         raise OddDimensionError(f"odd dimension {n}")
+    if not np.isfinite(mat).all():
+        raise InvalidParameterError("mat", "matrix entries must be finite")
     scale = max(np.abs(mat).max(), 1.0)
     if np.abs(mat + mat.T).max() > ANTISYM_TOL * scale:
         raise InvalidParameterError("mat", "matrix is not antisymmetric within tolerance")

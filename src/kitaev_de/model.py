@@ -29,7 +29,11 @@ vector, with ``eps = |z + i y|`` the (positive-branch) quasiparticle energy:
   ``z = mu/2 + J sum_l cos(kl) d_l^(-beta)``
 
 so pairing decays with ``alpha`` and hopping with ``beta`` in both the closed
-and the open chain (:func:`open_chain_weights`).
+and the open chain (:func:`open_chain_weights`).  Every weight is
+``d ** -exponent`` of its distance, an infinite exponent included: IEEE
+``pow`` gives ``1 ** -inf = 1`` and ``d ** -inf = 0`` for ``d > 1``, so at
+``alpha = inf`` (or ``beta = inf``) only the distance-1 bonds remain, on the
+ring (``l = 1`` and ``l = N - 1``) and on the open chain alike.
 
 The Bogoliubov angle is fixed as ``theta = atan2(y, -z) / 2`` so that
 ``sin(theta)^2`` is the occupation probability of the ``(k, -k)`` pair in the
@@ -37,9 +41,6 @@ ground state and the pair-correlation kernel ``G_R`` built from
 ``exp(-2i*theta)`` equals ``<A_a B_b>`` with ``A = c^dag + c``,
 ``B = c^dag - c`` and ``R = b - a``.  The choice is pinned by the
 exact-diagonalization cross-checks in the test suite.
-
-An infinite alpha or beta is taken as the exact single-term (``l = 1``) limit
-of the corresponding sum.
 """
 from __future__ import annotations
 
@@ -140,15 +141,6 @@ def momentum_grid(n: int) -> np.ndarray:
     return np.concatenate((-kp[::-1], kp))
 
 
-def _decay(exponent: float, l: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Weights ``d^(-exponent)`` of the ranges ``l`` at distances ``d``; an
-    infinite exponent keeps the single term ``l = 1``.  The limit reads the
-    range, not the distance: on the ring ``d = 1`` also at ``l = n - 1``."""
-    if math.isinf(exponent):
-        return (l == 1).astype(float)
-    return d ** (-exponent)
-
-
 @lru_cache(maxsize=128)
 def _range_weights(exponent: float, r: int, n: int) -> np.ndarray:
     """Weights ``d_l^(-exponent)`` for ``l = 1..r`` on an n-site ring, with
@@ -160,8 +152,8 @@ def _range_weights(exponent: float, r: int, n: int) -> np.ndarray:
     if r >= n:
         raise InvalidParameterError(
             "r", f"range r = {r} must be below the {n} sites of the closed chain")
-    l = np.arange(1, r + 1)
-    w = _decay(exponent, l, np.minimum(l, n - l).astype(float))
+    l = np.arange(1.0, r + 1)
+    w = np.minimum(l, n - l) ** -exponent
     w.flags.writeable = False
     return w
 
@@ -348,10 +340,10 @@ def open_chain_weights(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray]
     hop = np.zeros(n - 1)
     if spec.variant is Variant.LONG_RANGE_PAIRING:
         hop[:1] = 0.5 * spec.j
-        return hop, 0.5 * spec.delta * _decay(spec.alpha, l, l)
+        return hop, 0.5 * spec.delta * l ** -spec.alpha
     pair = np.zeros(n - 1)
     lr = l[:spec.r]
-    hop[:lr.size] = spec.j * _decay(spec.beta, lr, lr)
-    pair[:lr.size] = spec.delta * _decay(spec.alpha, lr, lr)
+    hop[:lr.size] = spec.j * lr ** -spec.beta
+    pair[:lr.size] = spec.delta * lr ** -spec.alpha
     return hop, pair
 

@@ -104,6 +104,14 @@ class TestSusceptibility:
         with pytest.raises(NonUniformGridError, match="at least 3"):
             susceptibility("x", grid, np.zeros(len(grid)))
 
+    def test_spacing_must_be_finite_and_nonzero(self):
+        # a zero step passed the uniformity check and divided chi by zero;
+        # a decreasing grid stays legal
+        with pytest.raises(NonUniformGridError, match="nonzero"):
+            susceptibility("x", np.full(5, 0.5), np.arange(5.0))
+        x = np.arange(1, -1.001, -0.01)
+        assert np.allclose(susceptibility("x", x, 3.0 * x).chi, 3.0, atol=1e-10)
+
     def test_nonuniform_rejected(self):
         with pytest.raises(NonUniformGridError):
             susceptibility("x", [0.0, 0.1, 0.3, 0.4, 0.5], np.zeros(5))

@@ -22,6 +22,15 @@ from test_acceptance import gap_closing_mus
 
 CONFIGS = sorted(glob.glob(str(Path(__file__).parent.parent / "configs" / "*.json")))
 
+# Each config's CSV as checked in.  To regenerate one, run its config through
+# the CLI (python -m kitaev_de.cli --config configs/<name>.json --out <file>)
+# and copy the CSV here, keeping a trajectory's header and every 16th row.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_STRIDE = {"trajectory": 16}  # task -> data rows per golden row
+EXACT_COLUMNS = {"l", "n", "site", "nu", "flagged", "gapless"}  # integers, flags
+ABSOLUTE_COLUMNS = {"p_left", "p_right"}  # mzm profiles: absolute bound
+GOLDEN_TOL = 1e-12  # relative, absolute for ABSOLUTE_COLUMNS
+
 
 def run_cli(args):
     return main(list(args))
@@ -476,6 +485,47 @@ class TestOutputs:
         assert len(lines) == 4
 
 
+def golden_mismatches(text: str, golden: str, stride: int = 1) -> list[str]:
+    """One line per column of the CSV ``text`` (every ``stride``-th data row)
+    that differs from ``golden``, with its largest difference."""
+    head, *rows = text.splitlines()
+    golden_head, *golden_rows = golden.splitlines()
+    rows = rows[::stride]
+    if head != golden_head or len(rows) != len(golden_rows):
+        return [f"shape: {head!r} with {len(rows)} rows, golden "
+                f"{golden_head!r} with {len(golden_rows)}"]
+    cells = zip(head.split(","), zip(*(r.split(",") for r in rows)),
+                zip(*(r.split(",") for r in golden_rows)))
+    bad = []
+    for name, got, want in cells:
+        if name in EXACT_COLUMNS:
+            if got != want:
+                bad.append(f"{name}: {sum(map(str.__ne__, got, want))} cells differ")
+            continue
+        got, want = np.array(got, dtype=float), np.array(want, dtype=float)
+        with np.errstate(invalid="ignore"):
+            err = np.abs(got - want)
+        bound = GOLDEN_TOL * (1.0 if name in ABSOLUTE_COLUMNS else np.abs(want))
+        ok = (err <= bound) | (got == want) | (np.isnan(got) & np.isnan(want))
+        if not ok.all():
+            bad.append(f"{name}: largest difference {err[~ok].max():.3e}")
+    return bad
+
+
+def test_golden_mismatches_name_each_column():
+    golden = "l,s,p_left\n1,0.5,1e-13\n2,-0.25,0\n3,nan,0\n"
+    assert golden_mismatches(golden, golden) == []
+    near = "l,s,p_left\n1,0.50000000000000011,5e-13\n2,-0.25,-1e-12\n3,nan,0\n"
+    assert golden_mismatches(near, golden) == []
+    far = "l,s,p_left\n1,0.5000001,1e-13\n4,-0.25,0\n3,0.5,2e-12\n"
+    assert golden_mismatches(far, golden) == [
+        "l: 1 cells differ", "s: largest difference nan",
+        "p_left: largest difference 2.000e-12"]
+    rows = "l,s,p_left\n1,0.5,1e-13\n9,9,9\n2,-0.25,0\n9,9,9\n3,nan,0\n"
+    assert golden_mismatches(rows, golden, stride=2) == []
+    assert golden_mismatches(rows, golden)[0].startswith("shape:")
+
+
 def _fmt(x) -> str:
     """Row-wise cell format the column writer must reproduce."""
     if isinstance(x, str):
@@ -510,7 +560,8 @@ class TestWriter:
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: Path(p).stem)
 def test_checked_in_config(tmp_path, path):
     # exit 0, byte-identical reruns of the config and of its sidecar's
-    # resolved config, and the results the datasets exist for
+    # resolved config, the checked-in golden, and the results the datasets
+    # exist for
     name = Path(path).stem
     outs = [tmp_path / f"{name}_{i}.csv" for i in (1, 2, 3)]
     for out in outs[:2]:
@@ -522,6 +573,9 @@ def test_checked_in_config(tmp_path, path):
     assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
     results = side.get("results", {})
     config = resolve_config(json.loads(Path(path).read_text()), {})
+    bad = golden_mismatches(outs[0].read_text(), (GOLDEN / f"{name}.csv").read_text(),
+                            GOLDEN_STRIDE.get(config["task"], 1))
+    assert not bad, "; ".join(bad)
     want_pairs = {"mzm_single_pair": 1, "mzm_three_pairs": 3}.get(name)
     if want_pairs is not None:
         assert results["pairs"] == want_pairs

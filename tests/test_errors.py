@@ -10,7 +10,7 @@ import pytest
 from kitaev_de import (InvalidParameterError, ModelSpec, Variant,
                        block_diagonal_entropy, comparative_scan,
                        correlator_kernel, detect_critical_points, dispersion,
-                       minimum_gap, mode_count, momentum_grid,
+                       fit_volume_law, minimum_gap, mode_count, momentum_grid,
                        open_chain_correlations, pair_correlation, pfaffian,
                        sigma_x_correlator, sigma_z_correlator, susceptibility,
                        trajectory, winding_number, zero_modes)
@@ -120,6 +120,12 @@ SITES = [
     # chain would drop out of the product instead of failing
     ("sites", lambda: ed_sigma_z_product(_closed_state(), [1, 4])),
     ("sites", lambda: ed_sigma_x_product(PAIRING, 4, [-1, 2])),
+    # NaN failed the antisymmetry comparison silently, inf ran into a warning
+    ("mat", lambda: pfaffian([[0.0, math.nan], [-math.nan, 0.0]])),
+    ("mat", lambda: pfaffian([[0.0, math.inf], [-math.inf, 0.0]])),
+    # all-zero sizes divided the volume-law slope by zero
+    ("sizes", lambda: fit_volume_law([0, 0, 0], [1.0, 2.0, 3.0])),
+    ("sizes", lambda: fit_volume_law([100, -200, 300], [1.0, 2.0, 3.0])),
 ]
 
 

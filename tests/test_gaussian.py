@@ -1,4 +1,6 @@
 """Wick correlators against the exact-diagonalization oracle; Pfaffian engine."""
+import math
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,18 @@ class TestOpenChain:
             for b in range(mid, mid + 4):
                 assert pair_correlation(ker, a - mid, b - mid) == pytest.approx(
                     dense.m[a, b], abs=1e-4)
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec.pairing(j=1.0, delta=1.0, mu=1.5),
+        ModelSpec.pairing_hopping(j=0.4, delta=0.8, mu=-3.2, alpha=math.inf,
+                                  beta=math.inf, r=3)], ids=["pairing", "pairing_hopping"])
+    def test_bulk_matches_kernel_at_infinite_exponents(self, spec):
+        # at alpha (= beta) = inf the ring keeps every distance-1 bond, so it
+        # is the bulk of its own open chain
+        ker = correlator_kernel(spec, n=2048, l_max=6)
+        dense = open_chain_correlations(spec, 600)
+        want = [ker.value(r) for r in range(-6, 7)]
+        assert np.abs(dense.m[300, 294:307] - want).max() <= 1e-12
 
 
 class TestSigmaZ:

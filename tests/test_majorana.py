@@ -64,7 +64,7 @@ class TestCoupling:
             build_coupling(spec, 20)
         with pytest.raises(SpectrumOverflowError):
             zero_modes(spec, 20)
-        big = ModelSpec.pairing(j=1.5e308, delta=-1.5e308, mu=0.1)
+        big = ModelSpec.pairing(j=1e308, delta=-1e308, mu=0.1)
         assert np.isfinite(build_coupling(big, 20)).all()
         assert mode_count(big, 20) == abs(winding_number(big).nu) == 1
 

@@ -44,12 +44,33 @@ class TestMomentumGrid:
 
 class TestDispersion:
     def test_single_term_limit_alpha_inf(self):
-        # only l=1 survives: y-numerator is (delta/2) sin k
+        # on the antiperiodic grid the distance-1 ranges l = 1 and n - 1 add
+        # up to the single-term form: the y-numerator is delta sin k
         spec = ModelSpec.pairing(j=1.0, delta=0.7, mu=0.3)
-        for k in (-2.0, -0.5, 0.9, 2.7):
-            y, z = numerators_at(spec, k, 64)
-            assert y == pytest.approx(0.35 * math.sin(k), abs=1e-14)
-            assert z == pytest.approx(math.cos(k) + 0.3, abs=1e-14)
+        k = momentum_grid(64)
+        for q in (k[5], k[21], k[40], k[60]):
+            y, z = numerators_at(spec, q, 64)
+            assert y == pytest.approx(0.7 * math.sin(q), abs=1e-14)
+            assert z == pytest.approx(math.cos(q) + 0.3, abs=1e-14)
+
+    @pytest.mark.parametrize("make, cy, cz, c0", [
+        (lambda a: ModelSpec.pairing(j=1.0, delta=0.7, mu=0.3, alpha=a), 0.7, 1.0, 0.3),
+        (lambda a: ModelSpec.pairing_hopping(j=-0.8, delta=0.9, mu=0.4, alpha=a,
+                                             beta=a, r=3), 0.9, -0.8, 0.2)],
+        ids=["pairing", "pairing_hopping"])
+    def test_alpha_inf_is_the_distance_one_limit(self, make, cy, cz, c0):
+        # an infinite exponent keeps the distance-1 ranges l = 1 and n - 1,
+        # so it is the large-exponent limit at any momentum and length
+        for n in (8, 64, 1000):
+            for k in (-2.0, -0.5, 0.9, 2.7):
+                got = numerators_at(make(math.inf), k, n)
+                want = numerators_at(make(60.0), k, n)
+                assert np.abs(np.subtract(got, want)).max() <= 1e-15
+        # on the antiperiodic grid sin(k (n - 1)) = sin k, so the pairing-only
+        # ring is the plain Kitaev chain with y = delta sin k
+        k, y, z = grid_numerators(make(math.inf), 64)
+        assert np.abs(y - cy * np.sin(k)).max() <= 1e-15
+        assert np.abs(z - (cz * np.cos(k) + c0)).max() <= 1e-15
 
     def test_large_mu_polarizes(self):
         spec = ModelSpec.pairing(j=1.0, delta=1.0, mu=1e6)
@@ -157,9 +178,12 @@ class TestOneGapRule:
 
 class TestHarmonicSums:
     def test_alpha_inf_is_n_independent(self):
+        # grids of lengths 16 m, m odd, all hold the momenta (2 j + 1) pi / 16,
+        # where the alpha = inf ring does not depend on the length (the
+        # rounding of k (n - 1) grows with n, so the lengths stay moderate)
         spec = ModelSpec.pairing(j=1.0, delta=1.0, mu=0.2)
-        for k in (-1.2, 0.7):
-            vals = [numerators_at(spec, k, n)[0] for n in (64, 256, 1024)]
+        for k in (-5 * np.pi / 16, 3 * np.pi / 16):
+            vals = [numerators_at(spec, k, n)[0] for n in (16, 48, 80, 144)]
             assert np.ptp(vals) < 1e-14
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
