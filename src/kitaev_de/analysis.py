@@ -66,10 +66,20 @@ class CriticalPointReport:
         return [p.location for p in self.points]
 
 
+def _paired(points, values) -> tuple[np.ndarray, np.ndarray]:
+    """``points`` and ``values`` as float arrays of one shape, one value per
+    point, or :class:`InvalidParameterError` ``values``."""
+    points = np.asarray(points, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if values.shape != points.shape:
+        raise InvalidParameterError(
+            "values", f"need one value per point: {values.shape} != {points.shape}")
+    return points, values
+
+
 def fit_volume_law(sizes, values) -> ScalingFit:
     """Least-squares slope of ``S = s N`` (intercept forced to zero)."""
-    sizes = np.asarray(sizes, dtype=float)
-    values = np.asarray(values, dtype=float)
+    sizes, values = _paired(sizes, values)
     if sizes.size < 3:
         raise InsufficientPointsError(f"need >= 3 sizes, got {sizes.size}")
     if not (sizes > 0).all():
@@ -83,8 +93,7 @@ def fit_volume_law(sizes, values) -> ScalingFit:
 
 def fit_block_law(lengths, values) -> ScalingFit:
     """Ordinary least squares of ``S_L = a L + b log2 L + c``."""
-    lengths = np.asarray(lengths, dtype=float)
-    values = np.asarray(values, dtype=float)
+    lengths, values = _paired(lengths, values)
     if np.unique(lengths[lengths >= 2]).size < 5:
         raise InsufficientPointsError("need >= 5 distinct block lengths >= 2")
     design = np.column_stack([lengths, np.log2(lengths), np.ones_like(lengths)])
@@ -101,8 +110,7 @@ def fit_block_law(lengths, values) -> ScalingFit:
 
 def susceptibility(name: str, grid, values) -> SusceptibilityCurve:
     """Central differences ``chi_i = (q_{i+1} - q_{i-1}) / (2h)``."""
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
+    grid, values = _paired(grid, values)
     steps = np.diff(grid)
     if steps.size < 2:
         raise NonUniformGridError("need at least 3 grid points")
@@ -190,6 +198,8 @@ def block_coefficients(spec: ModelSpec, basis: str = "z",
     """Fit of the block law at one parameter point; every block entropy
     comes from one chain-rule pass over the longest block."""
     lengths = list(lengths)
+    if not lengths:
+        raise InvalidParameterError("lengths", "need at least one block length")
     kernel = correlator_kernel(spec, n=n, l_max=max(lengths))
     return fit_block_law(lengths, _block_entropies(kernel, lengths, basis))
 

@@ -229,8 +229,9 @@ def pfaffian(mat: np.ndarray) -> float:
         raise OddDimensionError(f"odd dimension {n}")
     if not np.isfinite(mat).all():
         raise InvalidParameterError("mat", "matrix entries must be finite")
-    scale = max(np.abs(mat).max(), 1.0)
-    if np.abs(mat + mat.T).max() > ANTISYM_TOL * scale:
+    # initial values keep the 0 x 0 matrix valid: its Pfaffian is 1, as Pf^2 = det
+    scale = np.abs(mat).max(initial=1.0)
+    if np.abs(mat + mat.T).max(initial=0.0) > ANTISYM_TOL * scale:
         raise InvalidParameterError("mat", "matrix is not antisymmetric within tolerance")
     m = mat.copy()
     pf = 1.0

@@ -45,6 +45,7 @@ exact-diagonalization cross-checks in the test suite.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -100,7 +101,8 @@ class ModelSpec:
             if self.beta is None or not (self.beta >= 0):
                 raise InvalidParameterError(
                     "beta", f"beta must be a nonnegative real, got {self.beta}")
-            if self.r is None or self.r < 1:
+            if (isinstance(self.r, bool) or not isinstance(self.r, numbers.Integral)
+                    or self.r < 1):
                 raise InvalidParameterError(
                     "r", f"r must be a positive integer, got {self.r}")
 

@@ -36,6 +36,7 @@ pair-counting conventions used by :mod:`kitaev_de.entropy`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,7 @@ DEGENERACY_TOL = 1e-10
 RESIDUAL_TOL = 1e-13  # Lanczos stop: Ritz residual bound / spectral scale
 CHECK_EVERY = 10      # Lanczos steps between convergence checks
 PARITY_TOL = 1e-8     # ground-vector weight allowed in the other parity block
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -265,51 +267,44 @@ def spin_ground_state(spec: ModelSpec, n: int) -> tuple[np.ndarray, float]:
 # marginals and expectation helpers
 # ---------------------------------------------------------------------------
 
-def _marginal_from_probs(probs: np.ndarray, n: int, sites) -> np.ndarray:
-    """Marginal over ``sites``; output bit a = outcome of sites[a]."""
-    sites = list(sites)
-    tensor = probs.reshape([2] * n)  # axis a corresponds to bit n-1-a
-    keep_axes = [n - 1 - s for s in sites]
-    drop = tuple(ax for ax in range(n) if ax not in keep_axes)
-    tensor = tensor.sum(axis=drop)
-    # remaining axes are ordered by descending site; put sites[-1] first,
-    # sites[0] last so that C-order flattening makes sites[a] bit a.
-    remaining = sorted(sites, reverse=True)  # site order of current axes
-    perm = [remaining.index(s) for s in reversed(sites)]
-    return tensor.transpose(perm).reshape(-1)
-
-
-def _hadamard_rotate(amps: np.ndarray, n: int, sites) -> np.ndarray:
-    """Apply a Hadamard on each selected qubit of a state vector."""
-    out = amps.copy()
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for s in sites:
-        t = out.reshape(-1, 2, 1 << s) if s > 0 else out.reshape(-1, 2, 1)
-        a = t[:, 0, :].copy()
-        b = t[:, 1, :].copy()
-        t[:, 0, :] = (a + b) * inv_sqrt2
-        t[:, 1, :] = (a - b) * inv_sqrt2
-        out = t.reshape(-1)
-    return out
+def _site(s, n: int, name: str = "sites") -> int:
+    """``s`` as an ``int``, or :class:`InvalidParameterError` ``name`` unless
+    it is an integer in ``0 .. n - 1``: the oracle reads sites as bits of the
+    basis index, so any other value would read the wrong bit or none."""
+    if isinstance(s, bool) or not isinstance(s, numbers.Integral) or not 0 <= s < n:
+        raise InvalidParameterError(name, f"site {s!r} is not an integer in 0 .. {n - 1}")
+    return int(s)
 
 
 def ed_diagonal_marginal(state: FockGroundState, sites, basis: str = "z") -> np.ndarray:
-    """Diagonal (measurement) distribution of the selected sites.
+    """Diagonal (measurement) distribution of the distinct ``sites``: the
+    squared amplitudes binned by the measured bits, outcome bit ``a`` being
+    bit ``sites[a]`` of the basis index.
 
     Z basis: probabilities over occupation bitstrings of ``sites``.
-    X basis: distribution of joint ``sigma_x`` outcomes of the same state read
+    X basis: the same after one Hadamard per measured qubit, the state read
     as a spin state (open chains only); outcome bit 1 means ``sigma_x = -1``.
     """
+    sites = [_site(s, state.n) for s in sites]
+    if len(set(sites)) < len(sites):
+        raise InvalidParameterError("sites", f"a site is listed twice in {sites}")
+    amps = state.amplitudes
     basis = basis.lower()
-    if basis == "z":
-        return _marginal_from_probs(np.abs(state.amplitudes) ** 2, state.n, sites)
     if basis == "x":
         if state.boundary != "open":
             raise InvalidParameterError(
                 "basis", "sigma_x marginals are defined for open chains only")
-        rotated = _hadamard_rotate(state.amplitudes, state.n, sites)
-        return _marginal_from_probs(np.abs(rotated) ** 2, state.n, sites)
-    raise InvalidParameterError("basis", f"unknown basis {basis!r}")
+        for s in sites:
+            pair = amps.reshape(-1, 2, 1 << s)  # axis 1 is bit s
+            amps = np.stack([pair[:, 0] + pair[:, 1], pair[:, 0] - pair[:, 1]],
+                            axis=1).reshape(-1) * _INV_SQRT2
+    elif basis != "z":
+        raise InvalidParameterError("basis", f"unknown basis {basis!r}")
+    idx = np.arange(amps.size)
+    outcome = np.zeros_like(idx)
+    for a, s in enumerate(sites):
+        outcome |= ((idx >> s) & 1) << a
+    return np.bincount(outcome, weights=amps ** 2, minlength=1 << len(sites))
 
 
 def _mask(sites, n: int) -> int:
@@ -317,9 +312,7 @@ def _mask(sites, n: int) -> int:
     ``sigma^2 = 1``."""
     mask = 0
     for s in sites:
-        if not 0 <= s < n:
-            raise InvalidParameterError("sites", f"site {s} is not in 0 .. {n - 1}")
-        mask ^= 1 << int(s)
+        mask ^= 1 << _site(s, n)
     return mask
 
 
@@ -345,6 +338,7 @@ def ed_pair_correlator(state: FockGroundState, a: int, b: int) -> float:
     ``prod_{m<a} z_m``, ``B_b`` with ``prod_{m<b} z_m z_b``.  ``A`` is
     Hermitian, so ``<A_a B_b> = (A_a v).(B_b v)``.
     """
+    a, b = _site(a, state.n, "a"), _site(b, state.n, "b")
     v = state.amplitudes
     idx, z, jw = _spins(state.n)
     av = (jw[:, a] * v)[idx ^ (1 << a)]

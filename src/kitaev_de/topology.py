@@ -76,10 +76,10 @@ class PhaseScan:
 
 
 def _check_samples(samples: int) -> None:
-    """At least 256 samples; :func:`~kitaev_de.model.momentum_grid` rejects
-    an odd count like every other closed-chain grid."""
-    if samples < 256:
-        raise InvalidParameterError("samples", f"need samples >= 256, got {samples}")
+    """An even count of at least 256 samples: an odd closed-chain grid has
+    an unpaired mode at pi (:func:`~kitaev_de.model.momentum_grid`)."""
+    if samples < 256 or samples % 2:
+        raise InvalidParameterError("samples", f"need even samples >= 256, got {samples}")
 
 
 def _winding(y: np.ndarray, z: np.ndarray) -> int:

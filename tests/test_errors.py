@@ -8,16 +8,19 @@ import numpy as np
 import pytest
 
 from kitaev_de import (InvalidParameterError, ModelSpec, Variant,
-                       block_diagonal_entropy, comparative_scan,
-                       correlator_kernel, detect_critical_points, dispersion,
+                       block_coefficients, block_diagonal_entropy,
+                       comparative_scan, correlator_kernel,
+                       detect_critical_points, dispersion, fit_block_law,
                        fit_volume_law, minimum_gap, mode_count, momentum_grid,
                        open_chain_correlations, pair_correlation, pfaffian,
                        sigma_x_correlator, sigma_z_correlator, susceptibility,
-                       trajectory, winding_number, zero_modes)
+                       sweep_block_coefficients, trajectory, winding_number,
+                       zero_modes)
 from kitaev_de.majorana import MAX_OPEN_SITES
 from kitaev_de.model import open_chain_weights
 from kitaev_de.oracle import (ed_diagonal_marginal, ed_ground_state,
-                              ed_sigma_x_product, ed_sigma_z_product)
+                              ed_pair_correlator, ed_sigma_x_product,
+                              ed_sigma_z_product)
 from kitaev_de.topology import nu_change_locations
 
 PACKAGE = Path(__file__).parent.parent / "src" / "kitaev_de"
@@ -126,6 +129,34 @@ SITES = [
     # all-zero sizes divided the volume-law slope by zero
     ("sizes", lambda: fit_volume_law([0, 0, 0], [1.0, 2.0, 3.0])),
     ("sizes", lambda: fit_volume_law([100, -200, 300], [1.0, 2.0, 3.0])),
+    # the oracle's one site check: before it, numpy's bare ValueError or
+    # IndexError, a "negative shift count", or a silent read of site 1 for 1.5
+    ("sites", lambda: ed_diagonal_marginal(_closed_state(), [0, 4])),
+    ("sites", lambda: ed_diagonal_marginal(_closed_state(), [-1])),
+    ("sites", lambda: ed_diagonal_marginal(_closed_state(), [2, 2])),
+    ("sites", lambda: ed_diagonal_marginal(_closed_state(), [1.5])),
+    ("sites", lambda: ed_sigma_z_product(_closed_state(), [1.5])),
+    ("a", lambda: ed_pair_correlator(_closed_state(), 4, 0)),
+    ("a", lambda: ed_pair_correlator(_closed_state(), -1, 0)),
+    ("b", lambda: ed_pair_correlator(_closed_state(), 0, 4)),
+    ("b", lambda: ed_pair_correlator(_closed_state(), 0, -1)),
+    # a float r built a range-3 ring and an open chain that ran into a TypeError
+    ("r", lambda: ModelSpec.pairing_hopping(r=2.5)),
+    ("r", lambda: ModelSpec.pairing_hopping(r=3.0)),
+    ("r", lambda: ModelSpec.pairing_hopping(r=True)),
+    # one value per point: susceptibility returned 6 chi values for 8
+    # interior points, the fits ended in numpy errors
+    ("values", lambda: susceptibility("x", np.arange(10.0), np.arange(8.0))),
+    ("values", lambda: fit_volume_law([100, 200, 300], [1.0, 2.0])),
+    ("values", lambda: fit_block_law(range(4, 10), np.ones(5))),
+    # an odd sample count was named n by momentum_grid
+    ("samples", lambda: winding_number(PAIRING, samples=1025)),
+    ("samples", lambda: trajectory(PAIRING, samples=1025)),
+    # no block length ended in max()'s bare ValueError
+    ("lengths", lambda: block_coefficients(PAIRING, lengths=[])),
+    ("lengths", lambda: sweep_block_coefficients(PAIRING, "mu", [0.5], lengths=[])),
+    ("lengths", lambda: comparative_scan(PAIRING, "mu", [0.5], channels=["a"],
+                                         lengths=[])),
 ]
 
 

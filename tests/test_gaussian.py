@@ -318,6 +318,10 @@ class TestPfaffian:
         a = rng.standard_normal((n, n))
         return a - a.T
 
+    def test_empty_matrix(self):
+        # Pf^2 = det holds at size 0 too
+        assert pfaffian(np.zeros((0, 0))) == 1.0 == np.linalg.det(np.zeros((0, 0)))
+
     def test_two_by_two(self):
         assert pfaffian(np.array([[0.0, 2.5], [-2.5, 0.0]])) == 2.5
 

@@ -324,14 +324,23 @@ class TestMarginals:
         spec = random_gapped_spec(rng, trivial=True)
         n = 6
         state = ed_ground_state(spec, n, "open")
-        sites = [1, 3, 4]
-        p = ed_diagonal_marginal(state, sites, "z")
-        probs = np.abs(state.amplitudes) ** 2
-        brute = np.zeros(8)
-        for idx, pr in enumerate(probs):
-            out = sum(((idx >> s) & 1) << a for a, s in enumerate(sites))
-            brute[out] += pr
-        assert np.allclose(p, brute, atol=1e-13)
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        for sites in ([1, 3, 4], [4, 0, 5, 2], [], list(range(n))[::-1]):
+            for basis in ("z", "x"):
+                # dense rotation: a Hadamard on each measured qubit in the X
+                # basis; Kronecker factors run from the most significant bit
+                rot = np.ones((1, 1))
+                for q in reversed(range(n)):
+                    rot = np.kron(rot, hadamard if basis == "x" and q in sites
+                                  else np.eye(2))
+                probs = (rot @ state.amplitudes) ** 2
+                brute = np.zeros(1 << len(sites))
+                for idx, pr in enumerate(probs):
+                    out = sum(((idx >> s) & 1) << a for a, s in enumerate(sites))
+                    brute[out] += pr
+                p = ed_diagonal_marginal(state, sites, basis)
+                assert np.abs(p - brute).max() < 1e-14, (sites, basis)
+        assert ed_diagonal_marginal(state, [], "x").tolist() == pytest.approx([1.0])
 
     def test_x_marginal_requires_open(self, rng):
         spec = random_gapped_spec(rng, trivial=True)
