@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _block_entropies, de_density, global_entanglement
+from .entropy import _block_entropies, _block_lengths, de_density, global_entanglement
 from .errors import (IllConditionedError, InsufficientPointsError,
                      InvalidParameterError, NonUniformGridError)
 from .gaussian import correlator_kernel
@@ -96,6 +96,8 @@ def fit_block_law(lengths, values) -> ScalingFit:
     lengths, values = _paired(lengths, values)
     if np.unique(lengths[lengths >= 2]).size < 5:
         raise InsufficientPointsError("need >= 5 distinct block lengths >= 2")
+    if (lengths <= 0).any():  # NaN passes on to the finiteness check
+        raise InvalidParameterError("lengths", "every block length must be positive")
     design = np.column_stack([lengths, np.log2(lengths), np.ones_like(lengths)])
     if not np.isfinite(design).all():  # LAPACK's least squares may not return
         raise IllConditionedError("block-law design matrix is not finite")
@@ -197,9 +199,7 @@ def block_coefficients(spec: ModelSpec, basis: str = "z",
                        n: int = DEFAULT_GRID) -> ScalingFit:
     """Fit of the block law at one parameter point; every block entropy
     comes from one chain-rule pass over the longest block."""
-    lengths = list(lengths)
-    if not lengths:
-        raise InvalidParameterError("lengths", "need at least one block length")
+    lengths = _block_lengths(lengths)
     kernel = correlator_kernel(spec, n=n, l_max=max(lengths))
     return fit_block_law(lengths, _block_entropies(kernel, lengths, basis))
 

@@ -35,7 +35,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InvalidParameterError, NormalizationFailureError
+from .errors import InvalidParameterError, NormalizationFailureError, _integer
 from .gaussian import CorrelationSource, _bond_matrix, _check_sites, _pair_matrix
 from .model import DEFAULT_GRID, ModelSpec, _gapped_grid
 
@@ -151,14 +151,19 @@ def _chain_rule(m: np.ndarray):
         mats = nxt.reshape(k, k, p.size)
 
 
+def _block_lengths(lengths) -> list[int]:
+    """``lengths`` as a list of at least one int in ``1 .. MAX_BLOCK``."""
+    lengths = [_integer(l, "lengths", 1, MAX_BLOCK) for l in lengths]
+    if not lengths:
+        raise InvalidParameterError("lengths", "need at least one block length")
+    return lengths
+
+
 def _block_levels(source: CorrelationSource, lengths, basis: str, start: int):
     """One chain-rule pass over the block of ``max(lengths)`` sites at
     ``start``: the joint distribution of its first j sites (basis ``z``) or of
     their j - 1 bonds (basis ``x``) for j = 1, 2, ..."""
-    l = max(lengths)
-    if not 1 <= min(lengths) <= l <= MAX_BLOCK:
-        raise InvalidParameterError(
-            "lengths", f"block lengths must be in 1..{MAX_BLOCK}, got {lengths}")
+    l = max(_block_lengths(lengths))
     _check_sites(source, (start, start + l - 1), "start")
     sites = np.arange(start, start + l)
     if basis == "z":

@@ -2,8 +2,12 @@
 
 Every argument check in the library raises :class:`InvalidParameterError`
 naming the argument; the command line reports it as an error in the field of
-that name.  The other errors are numerical failures of valid arguments.
+that name.  Every count, length and site passes one integer rule,
+:func:`_integer`: Python and numpy integers in the caller's range, no bools
+or floats.  The other errors are numerical failures of valid arguments.
 """
+import math
+import operator
 
 
 class KitaevDEError(Exception):
@@ -18,6 +22,21 @@ class InvalidParameterError(KitaevDEError, ValueError):
     def __init__(self, param: str, message: str):
         super().__init__(message)
         self.param = param
+
+
+def _integer(value, name: str, low=-math.inf, high=math.inf) -> int:
+    """``value`` as an ``int`` if ``operator.index`` takes it (a tenth of the
+    cost of an ``Integral`` test; grid sizes pass here several times per sweep
+    point), it is not a bool and ``low <= value <= high``, else
+    :class:`InvalidParameterError` ``name``."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or isinstance(value, bool) or not low <= index <= high:
+        raise InvalidParameterError(
+            name, f"{name} = {value!r} is not an integer in {low} .. {high}")
+    return index
 
 
 class GaplessSpecError(KitaevDEError):

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import (DegenerateGroundStateError, GaplessSpecError,
                      InvalidParameterError, OddDimensionError,
-                     SpectrumOverflowError)
+                     SpectrumOverflowError, _integer)
 from .majorana import _reflected
 from .model import DEFAULT_GRID, ModelSpec, _min_gap, grid_numerators
 
@@ -58,10 +58,7 @@ class CorrelatorKernel:
     n: int
 
     def value(self, r: int) -> float:
-        if abs(r) > self.l_max:
-            raise InvalidParameterError(
-                "r", f"|R|={abs(r)} exceeds tabulated l_max={self.l_max}")
-        return float(self.g[r + self.l_max])
+        return float(self.g[_integer(r, "r", -self.l_max, self.l_max) + self.l_max])
 
 
 @dataclass(frozen=True)
@@ -88,10 +85,8 @@ def correlator_kernel(spec: ModelSpec, n: int = DEFAULT_GRID,
     Requires ``l_max < n/4`` for kernel accuracy and a gapped spectrum
     (minimum grid gap above 1e-8), otherwise the integrand is discontinuous.
     """
-    if l_max < 0:
-        raise InvalidParameterError("l_max", f"need l_max >= 0, got {l_max}")
-    if not l_max < n / 4:
-        raise InvalidParameterError("n", f"l_max={l_max} must be < n/4 = {n / 4}")
+    l_max = _integer(l_max, "l_max", 0)
+    n = _integer(n, "n", 4 * l_max + 1)  # l_max < n / 4
     # q is built, scaled and transformed in place and eps is freed before the
     # FFT: with few and small temporaries malloc keeps reusing its pages
     # instead of returning them to the OS and faulting them in on every call.
@@ -143,21 +138,20 @@ def open_chain_correlations(spec: ModelSpec, n: int) -> DenseCorrelations:
     return DenseCorrelations(m=m, energy=-0.5 * total, eps_min=eps_min)
 
 
-def _check_sites(source: CorrelationSource, sites, param: str) -> None:
-    """A dense source holds the sites 0 .. n - 1 of its open chain; a kernel
-    takes any integer sites, since only their differences matter."""
-    if isinstance(source, DenseCorrelations) and not all(0 <= s < len(source.m)
-                                                         for s in sites):
-        raise InvalidParameterError(param, f"sites {[int(s) for s in sites]} must "
-                                    f"lie in 0..{len(source.m) - 1}")
+def _check_sites(source: CorrelationSource, sites, param: str) -> list[int]:
+    """``sites`` as ints.  A dense source holds the sites 0 .. n - 1 of its
+    open chain; a kernel takes any integer sites, since only their
+    differences matter."""
+    if isinstance(source, DenseCorrelations):
+        return [_integer(s, param, 0, len(source.m) - 1) for s in sites]
+    return [_integer(s, param) for s in sites]
 
 
 def pair_correlation(source: CorrelationSource, a: int, b: int) -> float:
     """``<A_a B_b>`` from either source type."""
+    (a,), (b,) = _check_sites(source, [a], "a"), _check_sites(source, [b], "b")
     if isinstance(source, CorrelatorKernel):
         return source.value(b - a)
-    for name, site in (("a", a), ("b", b)):
-        _check_sites(source, [site], name)
     return float(source.m[a, b])
 
 
@@ -183,8 +177,7 @@ def _bond_matrix(source: CorrelationSource, bonds: np.ndarray) -> np.ndarray:
 def sigma_z_correlator(source: CorrelationSource, sites) -> float:
     """``< prod_{j in sites} sigma_z_j >`` with ``sigma_z = 1 - 2 n``; as
     ``sigma_z^2 = 1``, sites listed twice drop out before the 20-site limit."""
-    sites, count = np.unique(np.asarray(list(sites), dtype=int), return_counts=True)
-    _check_sites(source, sites, "sites")
+    sites, count = np.unique(_check_sites(source, sites, "sites"), return_counts=True)
     sites = sites[count % 2 == 1]
     if sites.size == 0:
         return 1.0
@@ -200,8 +193,7 @@ def sigma_x_correlator(source: CorrelationSource, sites) -> float:
     ranges ``[s_1, s_2) u [s_3, s_4) u ...``, whose bond determinant is the
     correlator.
     """
-    sites = sorted(sites)
-    _check_sites(source, sites, "sites")
+    sites = sorted(_check_sites(source, sites, "sites"))
     if len(sites) % 2 == 1:
         return 0.0
     bonds = [m for i in range(0, len(sites), 2)
@@ -222,9 +214,9 @@ def pfaffian(mat: np.ndarray) -> float:
     relative to ``||M||``.
     """
     mat = np.asarray(mat, dtype=float)
-    n = mat.shape[0]
-    if mat.shape != (n, n):
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidParameterError("mat", "pfaffian requires a square matrix")
+    n = len(mat)
     if n % 2 == 1:
         raise OddDimensionError(f"odd dimension {n}")
     if not np.isfinite(mat).all():

@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidParameterError, SpectrumOverflowError, TolAmbiguousError
+from .errors import InvalidParameterError, SpectrumOverflowError, TolAmbiguousError, _integer
 from .model import ModelSpec, Variant, _gapped_grid, open_chain_weights
 
 DEFAULT_TOL = 1e-8
@@ -90,13 +90,10 @@ def _reflected(spec: ModelSpec, n: int) -> np.ndarray:
     columns of W its left singular vectors and ``W[::-1]`` its right ones up
     to sign (see the module docstring).  Toeplitz K makes ``K[:, ::-1]``
     bit-exactly symmetric, so an eigensolver reading one triangle loses
-    nothing.  Chains above ``MAX_OPEN_SITES`` are rejected before anything is
-    allocated.
+    nothing.  Chains of other than ``1 .. MAX_OPEN_SITES`` sites are rejected
+    before anything is allocated.
     """
-    if n > MAX_OPEN_SITES:
-        raise InvalidParameterError(
-            "n", f"open-chain solve limited to n <= {MAX_OPEN_SITES}, got {n}")
-    return build_coupling(spec, n)[:, ::-1]
+    return build_coupling(spec, _integer(n, "n", 1, MAX_OPEN_SITES))[:, ::-1]
 
 
 def _gated(spec: ModelSpec, n: int, tol: float) -> np.ndarray:
@@ -105,8 +102,8 @@ def _gated(spec: ModelSpec, n: int, tol: float) -> np.ndarray:
     closed-chain grid and at most ``MAX_OPEN_SITES`` sites."""
     if not 0 < tol < 1:
         raise InvalidParameterError("tol", f"need 0 < tol < 1, got {tol}")
-    if spec.variant is Variant.LONG_RANGE_PAIRING_HOPPING and n <= 2 * spec.r:
-        raise InvalidParameterError("n", f"need n > 2r = {2 * spec.r}, got {n}")
+    if spec.variant is Variant.LONG_RANGE_PAIRING_HOPPING:
+        _integer(n, "n", 2 * spec.r + 1)  # n > 2r: the two edges do not overlap
     _gapped_grid(spec, GAP_SAMPLES)
     return _reflected(spec, n)
 

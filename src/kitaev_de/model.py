@@ -45,14 +45,13 @@ exact-diagonalization cross-checks in the test suite.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import GaplessSpecError, InvalidParameterError, SpectrumOverflowError
+from .errors import GaplessSpecError, InvalidParameterError, SpectrumOverflowError, _integer
 
 GAP_TOL = 1e-8  # quasiparticle energies at or below this count as gapless
 DEFAULT_GRID = 8192  # antiperiodic grid size for kernels and global entanglement
@@ -101,10 +100,7 @@ class ModelSpec:
             if self.beta is None or not (self.beta >= 0):
                 raise InvalidParameterError(
                     "beta", f"beta must be a nonnegative real, got {self.beta}")
-            if (isinstance(self.r, bool) or not isinstance(self.r, numbers.Integral)
-                    or self.r < 1):
-                raise InvalidParameterError(
-                    "r", f"r must be a positive integer, got {self.r}")
+            _integer(self.r, "r", 1)
 
     @classmethod
     def pairing(cls, j=1.0, delta=1.0, mu=0.0, alpha=math.inf):
@@ -137,8 +133,8 @@ def momentum_grid(n: int) -> np.ndarray:
     breaks the (k, -k) pair structure every closed-chain quantity relies on,
     so they are rejected.
     """
-    if n < 2 or n % 2:
-        raise InvalidParameterError("n", f"need an even chain length >= 2, got {n}")
+    if _integer(n, "n", 2) % 2:
+        raise InvalidParameterError("n", f"need an even chain length, got {n}")
     kp = (2.0 * np.pi / n) * (np.arange(n // 2) + 0.5)
     return np.concatenate((-kp[::-1], kp))
 
@@ -224,6 +220,7 @@ def grid_numerators(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray, np
     :class:`SpectrumOverflowError` when the peak harmonic sums bound
     ``hypot(y, z)`` by more than the float range."""
     cy, cz, c0, hopping = _coefficients(spec)
+    n = _integer(n, "n", 2)  # before the cache, which takes 64.0 for the key 64
     k, sin_sum, cos_sum, (sin_peak, cos_peak) = _grid_harmonics(n, spec.alpha, *hopping)
     if not math.isfinite(math.hypot(abs(cy) * sin_peak, abs(cz) * cos_peak + abs(c0))):
         raise SpectrumOverflowError("the couplings overflow hypot(y, z)")
@@ -296,8 +293,7 @@ def dispersion(spec: ModelSpec, k: float, n: int) -> ModeData:
     Raises :class:`GaplessSpecError` when ``eps <= GAP_TOL``, i.e. the gap
     closes at this momentum; callers decide how to proceed.
     """
-    if n < 2:
-        raise InvalidParameterError("n", f"need n >= 2, got {n}")
+    n = _integer(n, "n", 2)
     if not (-np.pi < k <= np.pi):
         raise InvalidParameterError("k", f"k must lie in (-pi, pi], got {k}")
     y, z = numerators_at(spec, float(k), n)
@@ -336,8 +332,7 @@ def open_chain_weights(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray]
     gets empty arrays; fewer sites raise an :class:`InvalidParameterError`
     naming ``n``.
     """
-    if n < 1:
-        raise InvalidParameterError("n", f"an open chain needs n >= 1 sites, got n = {n}")
+    n = _integer(n, "n", 1)
     l = np.arange(1, n, dtype=float)
     hop = np.zeros(n - 1)
     if spec.variant is Variant.LONG_RANGE_PAIRING:

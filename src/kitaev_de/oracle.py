@@ -36,12 +36,11 @@ pair-counting conventions used by :mod:`kitaev_de.entropy`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGroundStateError, InvalidParameterError
+from .errors import DegenerateGroundStateError, InvalidParameterError, _integer
 from .model import ModelSpec, Variant, _range_weights, open_chain_weights
 
 MAX_SITES = 12
@@ -222,8 +221,7 @@ def ed_ground_state(spec: ModelSpec, n: int, boundary: str = "open") -> FockGrou
     weight in each block: one Krylov vector meets an exact doublet across
     the blocks only once, as a mixture of its two states.
     """
-    if not 2 <= n <= MAX_SITES:
-        raise InvalidParameterError("n", f"oracle supports 2 <= n <= {MAX_SITES}, got {n}")
+    n = _integer(n, "n", 2, MAX_SITES)
     vals, vec = _lowest_two(_hamiltonian(spec, n, boundary))
     if vals[1] - vals[0] < DEGENERACY_TOL:
         raise DegenerateGroundStateError(
@@ -245,7 +243,7 @@ def ed_ground_state(spec: ModelSpec, n: int, boundary: str = "open") -> FockGrou
 def ed_spectrum(spec: ModelSpec, n: int, boundary: str = "open") -> np.ndarray:
     """Full many-body spectrum, sorted: the union of the spectra of the two
     parity blocks of ``2**(n-1)`` states each (dense; keep n small)."""
-    h = _hamiltonian(spec, n, boundary).toarray()
+    h = _hamiltonian(spec, _integer(n, "n", 2), boundary).toarray()
     odd = _odd(np.arange(h.shape[0]))
     return np.sort(np.concatenate([np.linalg.eigvalsh(h[np.ix_(block, block)])
                                    for block in (~odd, odd)]))
@@ -267,25 +265,17 @@ def spin_ground_state(spec: ModelSpec, n: int) -> tuple[np.ndarray, float]:
 # marginals and expectation helpers
 # ---------------------------------------------------------------------------
 
-def _site(s, n: int, name: str = "sites") -> int:
-    """``s`` as an ``int``, or :class:`InvalidParameterError` ``name`` unless
-    it is an integer in ``0 .. n - 1``: the oracle reads sites as bits of the
-    basis index, so any other value would read the wrong bit or none."""
-    if isinstance(s, bool) or not isinstance(s, numbers.Integral) or not 0 <= s < n:
-        raise InvalidParameterError(name, f"site {s!r} is not an integer in 0 .. {n - 1}")
-    return int(s)
-
-
 def ed_diagonal_marginal(state: FockGroundState, sites, basis: str = "z") -> np.ndarray:
     """Diagonal (measurement) distribution of the distinct ``sites``: the
     squared amplitudes binned by the measured bits, outcome bit ``a`` being
-    bit ``sites[a]`` of the basis index.
+    bit ``sites[a]`` of the basis index.  Every oracle reader takes integer
+    sites in ``0 .. n - 1`` only: another value would read a wrong bit or none.
 
     Z basis: probabilities over occupation bitstrings of ``sites``.
     X basis: the same after one Hadamard per measured qubit, the state read
     as a spin state (open chains only); outcome bit 1 means ``sigma_x = -1``.
     """
-    sites = [_site(s, state.n) for s in sites]
+    sites = [_integer(s, "sites", 0, state.n - 1) for s in sites]
     if len(set(sites)) < len(sites):
         raise InvalidParameterError("sites", f"a site is listed twice in {sites}")
     amps = state.amplitudes
@@ -312,7 +302,7 @@ def _mask(sites, n: int) -> int:
     ``sigma^2 = 1``."""
     mask = 0
     for s in sites:
-        mask ^= 1 << _site(s, n)
+        mask ^= 1 << _integer(s, "sites", 0, n - 1)
     return mask
 
 
@@ -338,7 +328,7 @@ def ed_pair_correlator(state: FockGroundState, a: int, b: int) -> float:
     ``prod_{m<a} z_m``, ``B_b`` with ``prod_{m<b} z_m z_b``.  ``A`` is
     Hermitian, so ``<A_a B_b> = (A_a v).(B_b v)``.
     """
-    a, b = _site(a, state.n, "a"), _site(b, state.n, "b")
+    a, b = _integer(a, "a", 0, state.n - 1), _integer(b, "b", 0, state.n - 1)
     v = state.amplitudes
     idx, z, jw = _spins(state.n)
     av = (jw[:, a] * v)[idx ^ (1 << a)]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GaplessSpecError, InvalidParameterError
+from .errors import GaplessSpecError, InvalidParameterError, _integer
 from .model import ModelSpec, _gapped_grid, _modes, grid_numerators
 
 DEFAULT_SAMPLES = 4096
@@ -78,8 +78,8 @@ class PhaseScan:
 def _check_samples(samples: int) -> None:
     """An even count of at least 256 samples: an odd closed-chain grid has
     an unpaired mode at pi (:func:`~kitaev_de.model.momentum_grid`)."""
-    if samples < 256 or samples % 2:
-        raise InvalidParameterError("samples", f"need even samples >= 256, got {samples}")
+    if _integer(samples, "samples", 256) % 2:
+        raise InvalidParameterError("samples", f"need even samples, got {samples}")
 
 
 def _winding(y: np.ndarray, z: np.ndarray) -> int:

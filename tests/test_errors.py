@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from kitaev_de import (InvalidParameterError, ModelSpec, Variant,
-                       block_coefficients, block_diagonal_entropy,
-                       comparative_scan, correlator_kernel,
+                       block_coefficients, block_diagonal_distribution,
+                       block_diagonal_entropy, comparative_scan,
+                       correlator_kernel, de_density,
                        detect_critical_points, dispersion, fit_block_law,
                        fit_volume_law, minimum_gap, mode_count, momentum_grid,
                        open_chain_correlations, pair_correlation, pfaffian,
@@ -20,7 +21,7 @@ from kitaev_de.majorana import MAX_OPEN_SITES
 from kitaev_de.model import open_chain_weights
 from kitaev_de.oracle import (ed_diagonal_marginal, ed_ground_state,
                               ed_pair_correlator, ed_sigma_x_product,
-                              ed_sigma_z_product)
+                              ed_sigma_z_product, ed_spectrum)
 from kitaev_de.topology import nu_change_locations
 
 PACKAGE = Path(__file__).parent.parent / "src" / "kitaev_de"
@@ -49,6 +50,35 @@ def test_finds_an_untyped_raise():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_argument_check_is_typed(path):
     assert untyped_raises(path.read_text()) == []
+
+
+def integer_rule_uses(source: str) -> list[int]:
+    """Lines of ``source`` that import ``numbers`` or use ``operator.index``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[0] == "numbers" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "numbers" or (
+                node.module == "operator" and any(a.name == "index" for a in node.names))
+        else:
+            hit = (isinstance(node, ast.Attribute) and node.attr == "index"
+                   and isinstance(node.value, ast.Name) and node.value.id == "operator")
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_finds_an_integer_rule_use():
+    src = ("import numbers\nfrom numbers import Integral\nfrom operator import index\n"
+           "y = operator.index(3)\nimport operator\nz = x.index(3)\n")
+    assert integer_rule_uses(src) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_integer_rule_has_one_home(path):
+    # errors._integer is the one check of every count, length and site
+    assert bool(integer_rule_uses(path.read_text())) == (path.name == "errors.py")
 
 
 def _kernel():
@@ -157,6 +187,67 @@ SITES = [
     ("lengths", lambda: sweep_block_coefficients(PAIRING, "mu", [0.5], lengths=[])),
     ("lengths", lambda: comparative_scan(PAIRING, "mu", [0.5], channels=["a"],
                                          lengths=[])),
+    # one integer rule for every count, length and site: a float twin of a
+    # valid value, a half-integer and a bool per argument.  Before it, numpy's
+    # TypeError, IndexError or KeyError, or a silent result (a float grid
+    # size, a bool block length, site 1 read for 1.5)
+    ("n", lambda: momentum_grid(64.0)),
+    ("n", lambda: minimum_gap(PAIRING, 64.0)),
+    ("n", lambda: dispersion(PAIRING, 0.1, 8.5)),
+    ("n", lambda: de_density(PAIRING, True)),
+    ("samples", lambda: trajectory(PAIRING, samples=1024.0)),
+    ("samples", lambda: winding_number(PAIRING, samples=1024.0)),
+    ("samples", lambda: winding_number(PAIRING, samples=1024.5)),
+    ("samples", lambda: trajectory(PAIRING, samples=True)),
+    ("n", lambda: open_chain_weights(PAIRING, 4.0)),
+    ("n", lambda: mode_count(PAIRING, 20.0)),
+    ("n", lambda: open_chain_correlations(PAIRING, 4.5)),
+    ("n", lambda: open_chain_correlations(PAIRING, True)),
+    ("n", lambda: zero_modes(PAIRING, True)),
+    ("n", lambda: ed_ground_state(PAIRING, 4.0)),
+    ("n", lambda: ed_ground_state(PAIRING, 4.5)),
+    ("n", lambda: ed_ground_state(PAIRING, True)),
+    ("n", lambda: ed_sigma_x_product(PAIRING, 4.0, [0, 1])),
+    ("n", lambda: correlator_kernel(PAIRING, n=1024.0)),
+    ("n", lambda: correlator_kernel(PAIRING, n=1024.5)),
+    ("n", lambda: correlator_kernel(PAIRING, n=True, l_max=0)),
+    ("l_max", lambda: correlator_kernel(PAIRING, n=64, l_max=4.0)),
+    ("l_max", lambda: correlator_kernel(PAIRING, n=64, l_max=4.5)),
+    ("l_max", lambda: correlator_kernel(PAIRING, n=64, l_max=True)),
+    ("r", lambda: _kernel().value(2.0)),
+    ("r", lambda: _kernel().value(1.5)),
+    ("r", lambda: _kernel().value(True)),
+    ("sites", lambda: sigma_z_correlator(_kernel(), [1.5])),
+    ("sites", lambda: sigma_z_correlator(_dense(), [1.5])),
+    ("sites", lambda: sigma_z_correlator(_dense(), [2.0])),
+    ("sites", lambda: sigma_z_correlator(_kernel(), [True])),
+    ("sites", lambda: sigma_x_correlator(_kernel(), [0, 2.0])),
+    ("sites", lambda: sigma_x_correlator(_dense(), [0.5, 2])),
+    ("sites", lambda: sigma_x_correlator(_dense(), [True, 2])),
+    ("a", lambda: pair_correlation(_kernel(), 1.5, 0)),
+    ("b", lambda: pair_correlation(_dense(), 0, 2.0)),
+    ("a", lambda: pair_correlation(_dense(), True, 0)),
+    ("sites", lambda: ed_sigma_z_product(_closed_state(), [2.0])),
+    ("sites", lambda: ed_diagonal_marginal(_closed_state(), [True])),
+    ("a", lambda: ed_pair_correlator(_closed_state(), 1.0, 0)),
+    ("b", lambda: ed_pair_correlator(_closed_state(), 0, True)),
+    ("lengths", lambda: block_diagonal_entropy(_kernel(), 4.0)),
+    ("lengths", lambda: block_diagonal_entropy(_kernel(), 2.5)),
+    ("lengths", lambda: block_diagonal_entropy(_kernel(), True)),
+    ("lengths", lambda: block_diagonal_distribution(_dense(), 3.0)),
+    ("lengths", lambda: block_coefficients(PAIRING, lengths=[4.5, 5, 6, 7, 8])),
+    ("lengths", lambda: block_coefficients(PAIRING, lengths=[4, 5, 6, 7, 8.0])),
+    ("start", lambda: block_diagonal_entropy(_kernel(), 2, start=2.0)),
+    ("start", lambda: block_diagonal_entropy(_dense(), 2, start=1.5)),
+    ("start", lambda: block_diagonal_entropy(_dense(), 2, start=True)),
+    # np.log2 warned on a block length of 0 or below before the fit failed
+    ("lengths", lambda: fit_block_law([0, 2, 3, 4, 5, 6], np.ones(6))),
+    ("lengths", lambda: fit_block_law([-1, 2, 3, 4, 5, 6], np.ones(6))),
+    # a matrix that is not 2-D ended in an IndexError
+    ("mat", lambda: pfaffian(3.0)),
+    ("mat", lambda: pfaffian([0.0, 1.0])),
+    ("n", lambda: ed_spectrum(PAIRING, 4.0, "antiperiodic")),
+    ("n", lambda: ed_spectrum(PAIRING, True, "antiperiodic")),
 ]
 
 
@@ -167,3 +258,21 @@ def test_check_names_argument(param, call):
         call()
     assert info.value.param == param
     assert isinstance(info.value, ValueError)
+
+
+def test_numpy_integers_match_python_ints():
+    # rng.choice and np.arange hand out numpy integers as counts and sites
+    i = np.int64
+    assert de_density(PAIRING, i(64)) == de_density(PAIRING, 64)
+    want = correlator_kernel(PAIRING, n=64, l_max=4)
+    got = correlator_kernel(PAIRING, n=i(64), l_max=i(4))
+    assert got.g.tobytes() == want.g.tobytes() and (got.n, got.l_max) == (64, 4)
+    for source in (_kernel(), _dense()):
+        assert sigma_z_correlator(source, np.arange(1, 4)) == sigma_z_correlator(
+            source, [1, 2, 3])
+    assert (block_coefficients(PAIRING, lengths=np.arange(4, 9))
+            == block_coefficients(PAIRING, lengths=range(4, 9)))
+    want, got = ed_ground_state(PAIRING, 4), ed_ground_state(PAIRING, i(4))
+    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+    assert got.energy == want.energy
+
