@@ -224,8 +224,11 @@ def comparative_scan(spec: ModelSpec, name: str, values,
 
     Each requested channel is one pass over the grid (``a``, ``b`` and
     ``c`` share theirs); raises :class:`InvalidParameterError` on a channel
-    not in :data:`CHANNELS`.
+    not in :data:`CHANNELS`, or on a string, which would iterate by character.
     """
+    if isinstance(channels, str):
+        raise InvalidParameterError(
+            "channels", f"need a collection of channel names, got the string {channels!r}")
     unknown = sorted(set(channels) - set(CHANNELS))
     if unknown:
         raise InvalidParameterError(

@@ -32,8 +32,7 @@ import numpy as np
 from . import __version__
 from .analysis import (CHANNELS, DEFAULT_N_DENSITY, block_coefficients,
                        comparative_scan, detect_critical_points, fit_volume_law,
-                       susceptibility, sweep_de_density,
-                       sweep_global_entanglement)
+                       susceptibility, sweep_de_density)
 from .entropy import (MAX_BLOCK, block_diagonal_entropy, global_entanglement,
                       pure_state_diagonal_entropy)
 from .errors import InvalidParameterError, KitaevDEError
@@ -43,7 +42,7 @@ from .model import DEFAULT_GRID, ModelSpec, Variant
 from .topology import DEFAULT_SAMPLES, _SWEEPABLE, trajectory, winding_number
 
 TASKS = ("winding", "trajectory", "mzm", "de-pure", "de-block", "ge",
-         "fit-volume", "fit-block", "sweep", "critical-scan", "compare")
+         "fit-volume", "fit-block", "critical-scan", "compare")
 
 DEFAULTS = {
     "task": None,
@@ -65,7 +64,6 @@ DEFAULTS = {
     "step": 0.01,
     "kappa": 10.0,
     "tol": 1e-8,
-    "quantity": "s",      # sweep quantity: s | E
     "channels": "s,a,b,c,E,nu",
     "sizes": "200:2000:200",   # fit-volume chain sizes start:stop:step
     "out": "out.csv",
@@ -74,16 +72,15 @@ DEFAULTS = {
 _TASK_N = {"winding": DEFAULT_SAMPLES, "trajectory": DEFAULT_SAMPLES, "mzm": 100,
            "de-pure": DEFAULT_N_DENSITY, "de-block": DEFAULT_GRID,
            "ge": DEFAULT_GRID, "fit-volume": DEFAULT_N_DENSITY,
-           "fit-block": DEFAULT_GRID, "sweep": DEFAULT_N_DENSITY,
-           "critical-scan": DEFAULT_N_DENSITY, "compare": DEFAULT_N_DENSITY}
+           "fit-block": DEFAULT_GRID, "critical-scan": DEFAULT_N_DENSITY,
+           "compare": DEFAULT_N_DENSITY}
 
 _INT_FIELDS = ("variant", "r", "n", "l", "l_min", "l_max")
 _FLOAT_FIELDS = ("j", "delta", "mu", "alpha", "beta", "start", "stop", "step",
                  "kappa", "tol")
 _FINITE_FIELDS = ("start", "stop", "step")
-_CHOICES = {"task": TASKS, "basis": ("z", "x"), "param": _SWEEPABLE,
-            "quantity": ("s", "E")}
-_SWEEP_TASKS = ("sweep", "critical-scan", "compare")
+_CHOICES = {"task": TASKS, "basis": ("z", "x"), "param": _SWEEPABLE}
+_SWEEP_TASKS = ("critical-scan", "compare")
 _VARIANTS = {1: Variant.LONG_RANGE_PAIRING, 2: Variant.LONG_RANGE_PAIRING_HOPPING}
 # library argument -> CLI field, where the names differ
 _ARGUMENT_FIELDS = {"samples": "n"}
@@ -171,9 +168,8 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
         if not isinstance(config[field], str):
             raise ValidationError(f"field '{field}' must be a string, "
                                   f"got {config[field]!r}")
-    if config["n"] is None:  # an E sweep runs on the kernel grid
-        e_sweep = (config["task"], config["quantity"]) == ("sweep", "E")
-        config["n"] = DEFAULT_GRID if e_sweep else _TASK_N[config["task"]]
+    if config["n"] is None:
+        config["n"] = _TASK_N[config["task"]]
     for field in _INT_FIELDS:
         config[field] = _coerce(field, config[field], int)
     for field in _FLOAT_FIELDS:
@@ -300,14 +296,6 @@ def run_task(config: dict) -> dict:
         write_csv(out, ["l", "entropy_bits"], list(zip(*fit.points)))
         results = {"a": fit.params[0], "b": fit.params[1], "c": fit.params[2],
                    "residual_rms": fit.residual_rms}
-    elif task == "sweep":
-        grid = _grid(config)
-        name = config["param"]
-        if config["quantity"] == "s":
-            vals = sweep_de_density(spec, name, grid, config["n"])
-        else:
-            vals = sweep_global_entanglement(spec, name, grid, config["n"])
-        write_csv(out, [name, config["quantity"]], [grid, vals])
     elif task == "critical-scan":
         grid = _grid(config)
         name = config["param"]

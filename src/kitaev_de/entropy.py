@@ -35,7 +35,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InvalidParameterError, NormalizationFailureError, _integer
+from .errors import InvalidParameterError, NormalizationFailureError, _basis, _integer
 from .gaussian import CorrelationSource, _bond_matrix, _check_sites, _pair_matrix
 from .model import DEFAULT_GRID, ModelSpec, _gapped_grid
 
@@ -162,15 +162,14 @@ def _block_lengths(lengths) -> list[int]:
 def _block_levels(source: CorrelationSource, lengths, basis: str, start: int):
     """One chain-rule pass over the block of ``max(lengths)`` sites at
     ``start``: the joint distribution of its first j sites (basis ``z``) or of
-    their j - 1 bonds (basis ``x``) for j = 1, 2, ..."""
+    their j - 1 bonds (basis ``x``) for j = 1, 2, ...; ``basis`` is the
+    lower-case name :func:`_basis` returns."""
     l = max(_block_lengths(lengths))
     _check_sites(source, (start, start + l - 1), "start")
     sites = np.arange(start, start + l)
     if basis == "z":
         return _chain_rule(_pair_matrix(source, sites, sites))
-    if basis == "x":
-        return chain([np.ones(1)], _chain_rule(_bond_matrix(source, sites[:-1])))
-    raise InvalidParameterError("basis", f"unknown basis {basis!r}")
+    return chain([np.ones(1)], _chain_rule(_bond_matrix(source, sites[:-1])))
 
 
 def block_diagonal_distribution(source: CorrelationSource, l: int,
@@ -184,7 +183,7 @@ def block_diagonal_distribution(source: CorrelationSource, l: int,
     rule is more than 1e-12 negative or the total deviates from 1 by more
     than 1e-6, both of which signal a convention bug upstream.
     """
-    basis = basis.lower()
+    basis = _basis(basis)
     *_, p = _block_levels(source, [l], basis, start)
     if basis == "x":
         x = np.arange(1 << l)
@@ -196,7 +195,7 @@ def _block_entropies(source: CorrelationSource, lengths, basis: str = "z",
                      start: int = 0) -> list[float]:
     """Entropies (bits) of the blocks of each length in ``lengths``, all read
     off one chain-rule pass over the longest block."""
-    basis = basis.lower()
+    basis = _basis(basis)
     levels = enumerate(_block_levels(source, lengths, basis, start), 1)
     s = {l: float(-_xlogx(p).sum() / _LN2) for l, p in levels if l in lengths}
     return [s[l] + 1.0 if basis == "x" else s[l] for l in lengths]
@@ -205,5 +204,6 @@ def _block_entropies(source: CorrelationSource, lengths, basis: str = "z",
 def block_diagonal_entropy(source: CorrelationSource, l: int,
                            basis: str = "z", start: int = 0) -> EntropyReport:
     """Shannon entropy (bits) of the block diagonal distribution."""
+    basis = _basis(basis)
     value, = _block_entropies(source, [l], basis, start)
-    return EntropyReport(value=value, basis=basis.lower(), size=l)
+    return EntropyReport(value=value, basis=basis, size=l)

@@ -4,9 +4,11 @@ Every argument check in the library raises :class:`InvalidParameterError`
 naming the argument; the command line reports it as an error in the field of
 that name.  Every count, length and site passes one integer rule,
 :func:`_integer`: Python and numpy integers in the caller's range, no bools
-or floats.  The other errors are numerical failures of valid arguments.
+or floats.  Every coupling passes :func:`_real` and every basis name
+:func:`_basis`.  The other errors are numerical failures of valid arguments.
 """
 import math
+import numbers
 import operator
 
 
@@ -37,6 +39,26 @@ def _integer(value, name: str, low=-math.inf, high=math.inf) -> int:
         raise InvalidParameterError(
             name, f"{name} = {value!r} is not an integer in {low} .. {high}")
     return index
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float if it is a real number, not a bool, within the
+    float range, else :class:`InvalidParameterError` ``name``."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:  # an integer or fraction beyond the float range
+            pass
+    raise InvalidParameterError(
+        name, f"{name} = {value!r} is not a real number within the float range")
+
+
+def _basis(value) -> str:
+    """``value`` in lower case if it is a string naming the ``z`` or ``x``
+    basis, else :class:`InvalidParameterError` ``basis``."""
+    if isinstance(value, str) and value.lower() in ("z", "x"):
+        return value.lower()
+    raise InvalidParameterError("basis", f"unknown basis {value!r}")
 
 
 class GaplessSpecError(KitaevDEError):

@@ -51,7 +51,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GaplessSpecError, InvalidParameterError, SpectrumOverflowError, _integer
+from .errors import (GaplessSpecError, InvalidParameterError, SpectrumOverflowError,
+                     _integer, _real)
 
 GAP_TOL = 1e-8  # quasiparticle energies at or below this count as gapless
 DEFAULT_GRID = 8192  # antiperiodic grid size for kernels and global entanglement
@@ -71,8 +72,9 @@ class ModelSpec:
     ``beta`` and ``r`` belong to the pairing+hopping variant only; the
     constructor rejects them for the pairing-only variant and requires them
     otherwise, so a valid instance never carries meaningless fields.
-    ``j``, ``delta`` and ``mu`` must be finite; ``alpha`` and ``beta`` may be
-    infinite (the nearest-neighbour limit).  A rejected field raises an
+    Every coupling is a real number (not a bool); ``j``, ``delta`` and ``mu``
+    must be finite, and ``alpha`` and ``beta`` may be infinite (the
+    nearest-neighbour limit).  A rejected field raises an
     :class:`InvalidParameterError` naming it, checked in declaration order.
     """
 
@@ -86,10 +88,10 @@ class ModelSpec:
 
     def __post_init__(self):
         for name in ("j", "delta", "mu"):
-            if not math.isfinite(getattr(self, name)):
+            if not math.isfinite(_real(getattr(self, name), name)):
                 raise InvalidParameterError(
                     name, f"{name} must be finite, got {getattr(self, name)}")
-        if not (self.alpha >= 0):
+        if not _real(self.alpha, "alpha") >= 0:
             raise InvalidParameterError("alpha", f"alpha must be >= 0, got {self.alpha}")
         if self.variant is Variant.LONG_RANGE_PAIRING:
             if self.beta is not None or self.r is not None:
@@ -97,7 +99,7 @@ class ModelSpec:
                     "beta" if self.beta is not None else "r",
                     "beta/r are not part of the pairing-only variant")
         else:
-            if self.beta is None or not (self.beta >= 0):
+            if self.beta is None or not _real(self.beta, "beta") >= 0:
                 raise InvalidParameterError(
                     "beta", f"beta must be a nonnegative real, got {self.beta}")
             _integer(self.r, "r", 1)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGroundStateError, InvalidParameterError, _integer
+from .errors import DegenerateGroundStateError, InvalidParameterError, _basis, _integer
 from .model import ModelSpec, Variant, _range_weights, open_chain_weights
 
 MAX_SITES = 12
@@ -62,18 +62,15 @@ class FockGroundState:
     boundary: str
 
 
-def _spins(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Basis indices, ``z[i, j] = 1 - 2 n_j`` and the Jordan-Wigner strings
-    ``jw[i, k] = prod_{m<k} z[i, m]`` for ``k = 0..n``."""
-    idx = np.arange(1 << n)
-    z = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)) & 1)
-    jw = np.cumprod(np.column_stack([np.ones(idx.size), z]), axis=1)
-    return idx, z, jw
-
-
 def _odd(idx: np.ndarray) -> np.ndarray:
     """True where ``idx`` has an odd number of set bits (odd fermion parity)."""
     return np.bitwise_count(idx) % 2 == 1
+
+
+def _sign(idx: np.ndarray, mask) -> np.ndarray:
+    """``prod z_m`` over the sites ``m`` of the bit ``mask`` for each basis
+    index, ``z = 1 - 2 n``: -1 where an odd number of them is occupied."""
+    return 1.0 - 2.0 * _odd(idx & mask)
 
 
 def _bonds(spec: ModelSpec, n: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
@@ -137,16 +134,22 @@ class _Operator:
 
 def _hamiltonian(spec: ModelSpec, n: int, boundary: str) -> _Operator:
     """Many-body Hamiltonian: one signed bit flip per bond of :func:`_bonds`
-    plus the ``(mu/2) sum z`` diagonal (module docstring)."""
+    plus the ``(mu/2) sum z`` diagonal (module docstring).
+
+    Every sign is :func:`_sign` of a mask: the string ``prod_{a<m<b} z_m`` of
+    ``(1 << b) - (2 << a)`` and ``z_a z_b`` of the flipped bits.  Neither
+    changes when bits ``a`` and ``b`` flip, so ``H[i, i ^ flip]``, the
+    amplitude at ``i ^ flip``, is the amplitude at ``i``.
+    """
     t, d = _bonds(spec, n, boundary)
     a, b = np.nonzero((t != 0.0) | (d != 0.0))
     jx, jy = -(t[a, b] + d[a, b]) / 2.0, -(t[a, b] - d[a, b]) / 2.0
-    idx, z, jw = _spins(n)
-    amp = jw[:, a + 1] * jw[:, b] * (jx - jy * z[:, a] * z[:, b])
-    # the flip of state j lands on i = j ^ mask, so H[i, i ^ mask] = amp[i ^ mask]
-    cols = idx ^ np.append(0, (1 << a) | (1 << b))[:, None]
-    return _Operator(cols, np.vstack([0.5 * spec.mu * z.sum(axis=1),
-                                      np.take_along_axis(amp.T, cols[1:], axis=1)]))
+    idx = np.arange(1 << n)[None, :]
+    flip = ((1 << a) | (1 << b))[:, None]
+    amp = _sign(idx, ((1 << b) - (2 << a))[:, None]) * (
+        jx[:, None] - jy[:, None] * _sign(idx, flip))
+    diagonal = 0.5 * spec.mu * (n - 2.0 * np.bitwise_count(idx))
+    return _Operator(np.vstack([idx, idx ^ flip]), np.vstack([diagonal, amp]))
 
 
 def _orthogonalise(w: np.ndarray, basis: np.ndarray) -> float:
@@ -279,8 +282,7 @@ def ed_diagonal_marginal(state: FockGroundState, sites, basis: str = "z") -> np.
     if len(set(sites)) < len(sites):
         raise InvalidParameterError("sites", f"a site is listed twice in {sites}")
     amps = state.amplitudes
-    basis = basis.lower()
-    if basis == "x":
+    if _basis(basis) == "x":
         if state.boundary != "open":
             raise InvalidParameterError(
                 "basis", "sigma_x marginals are defined for open chains only")
@@ -288,8 +290,6 @@ def ed_diagonal_marginal(state: FockGroundState, sites, basis: str = "z") -> np.
             pair = amps.reshape(-1, 2, 1 << s)  # axis 1 is bit s
             amps = np.stack([pair[:, 0] + pair[:, 1], pair[:, 0] - pair[:, 1]],
                             axis=1).reshape(-1) * _INV_SQRT2
-    elif basis != "z":
-        raise InvalidParameterError("basis", f"unknown basis {basis!r}")
     idx = np.arange(amps.size)
     outcome = np.zeros_like(idx)
     for a, s in enumerate(sites):
@@ -310,7 +310,7 @@ def ed_sigma_z_product(state: FockGroundState, sites) -> float:
     """``< prod_{j in sites} sigma_z_j >`` with ``sigma_z = 1 - 2 n``: each
     basis state contributes with the parity of its occupied ``sites``."""
     idx = np.arange(state.amplitudes.size)
-    sign = 1.0 - 2.0 * _odd(idx & _mask(sites, state.n))
+    sign = _sign(idx, _mask(sites, state.n))
     return float(np.dot(np.abs(state.amplitudes) ** 2, sign))
 
 
@@ -330,7 +330,7 @@ def ed_pair_correlator(state: FockGroundState, a: int, b: int) -> float:
     """
     a, b = _integer(a, "a", 0, state.n - 1), _integer(b, "b", 0, state.n - 1)
     v = state.amplitudes
-    idx, z, jw = _spins(state.n)
-    av = (jw[:, a] * v)[idx ^ (1 << a)]
-    bv = (jw[:, b] * z[:, b] * v)[idx ^ (1 << b)]
+    idx = np.arange(v.size)
+    av = (_sign(idx, (1 << a) - 1) * v)[idx ^ (1 << a)]
+    bv = (_sign(idx, (2 << b) - 1) * v)[idx ^ (1 << b)]
     return float(av @ bv)

@@ -1,5 +1,14 @@
 """Shared deterministic random-spec generators and references for the test
 suite."""
+import os
+
+# One BLAS thread per test process, set before numpy loads.  Beside another
+# process running multi-threaded BLAS, the two processes' worker threads
+# oversubscribe a small host: on 2 cores c2's N = 800 eigvalsh then took up
+# to 5 s instead of 0.1 s.  Variables already set by the caller win.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import math
 
 import numpy as np

@@ -72,16 +72,16 @@ class TestValidation:
     @pytest.mark.parametrize("flags,message", [
         (["--task", "winding", "--mu", "nan"], "mu must be finite"),
         (["--task", "winding", "--mu", "inf"], "mu must be finite"),
-        (["--task", "sweep", "--start", "0", "--stop", "1", "--step", "0"],
+        (["--task", "compare", "--start", "0", "--stop", "1", "--step", "0"],
          "'step'"),
         (["--task", "fit-volume", "--sizes", "200:abc:2"], "'sizes'"),
         (["--task", "mzm", "--variant", "2", "--r", "3", "--beta", "0",
           "--alpha", "0", "--n", "6"], "'n'"),
-        (["--task", "sweep", "--start", "nan", "--stop", "1"], "'start'"),
-        (["--task", "sweep", "--start", "0", "--stop", "inf"], "'stop'"),
-        (["--task", "sweep", "--start", "0", "--stop", "1", "--step", "1e-300"],
+        (["--task", "compare", "--start", "nan", "--stop", "1"], "'start'"),
+        (["--task", "compare", "--start", "0", "--stop", "inf"], "'stop'"),
+        (["--task", "compare", "--start", "0", "--stop", "1", "--step", "1e-300"],
          "'step'"),
-        (["--task", "sweep", "--param", "alpha", "--start", "-1", "--stop", "1"],
+        (["--task", "compare", "--param", "alpha", "--start", "-1", "--stop", "1"],
          "'alpha'"),
         (["--task", "ge", "--n", "7"], "'n'"),
         (["--task", "de-block", "--l", "8", "--n", "32"], "'n'"),
@@ -93,16 +93,16 @@ class TestValidation:
         (["--task", "ge", "--n", "1.5"], "'n'"),
         (["--task", "winding", "--variant", "3"], "'variant'"),
         (["--task", "de-block", "--basis", "y"], "'basis'"),
-        (["--task", "sweep", "--param", "foo", "--start", "0", "--stop", "1"],
+        (["--task", "compare", "--param", "foo", "--start", "0", "--stop", "1"],
          "'param'"),
-        (["--task", "sweep", "--quantity", "q", "--start", "0", "--stop", "1"],
-         "'quantity'"),
+        (["--task", "compare", "--quantity", "E", "--start", "0", "--stop", "1"],
+         "'--quantity'"),
         (["--task", "winding", "--n", "abc"], "'n'"),
         (["--task", "winding", "--bogus", "1"], "'--bogus'"),
         (["--task", "winding", "--mu", "--j", "1"], "'mu'"),
         (["--task=winding", "--mu="], "'mu'"),
         (["--task", "trajectory", "--n", "257"], "'n'"),
-        (["--task", "sweep", "--start", "1", "--stop", "0"], "'stop'"),
+        (["--task", "compare", "--start", "1", "--stop", "0"], "'stop'"),
         (["--task", "critical-scan", "--start", "0", "--stop", "1", "--step",
           "0.1", "--kappa", "0"], "'kappa'"),
         (["--task", "critical-scan", "--start", "0", "--stop", "1", "--step",
@@ -199,7 +199,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("flags", [
         ["--task", "winding", "--mu", "-1e-3"],
-        ["--task", "sweep", "--start", "-2e-1", "--stop", "0"],
+        ["--task", "compare", "--start", "-2e-1", "--stop", "0"],
         ["--task", "winding", "--n", "1e3"]])
     def test_flags_read_like_config(self, tmp_path, flags):
         # a flag value is the config value of the same string
@@ -216,7 +216,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("values,field", [
         ({"task": "ge", "n": "abc"}, "'n'"),
-        ({"task": "sweep", "start": 0, "stop": 1, "step": "x"}, "'step'"),
+        ({"task": "compare", "start": 0, "stop": 1, "step": "x"}, "'step'"),
         ({"task": "critical-scan", "start": 0, "stop": 1, "kappa": "x"},
          "'kappa'"),
         ({"task": "ge", "mu": "abc"}, "'mu'"),
@@ -224,8 +224,11 @@ class TestValidation:
         ({"task": "ge", "n": 2.5}, "'n'"),
         ({"task": "ge", "alpha": [1]}, "'alpha'"),
         ({"task": "ge", "j": None}, "'j'"),
-        ({"task": "sweep", "start": 0, "stop": 1, "param": "x"}, "'param'"),
-        ({"task": "ge", "out": 5}, "'out'")])
+        ({"task": "compare", "start": 0, "stop": 1, "param": "x"}, "'param'"),
+        ({"task": "ge", "out": 5}, "'out'"),
+        # a field and a task the CLI no longer has
+        ({"task": "compare", "start": 0, "stop": 1, "quantity": "E"}, "'quantity'"),
+        ({"task": "sweep", "start": 0, "stop": 1}, "'task'")])
     def test_bad_config_value_names_field(self, tmp_path, capsys, values, field):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"out": str(tmp_path / "o.csv"), **values}))
@@ -437,30 +440,34 @@ class TestOutputs:
                         "x", "--out", str(out2)]) == 0
         assert out2.read_text().startswith("l,basis,entropy_bits\n6,x,")
 
-    def test_sweep_quantity(self, tmp_path):
+    def test_compare_s_uses_n(self, tmp_path):
         out = tmp_path / "s.csv"
-        assert run_cli(["--task", "sweep", "--variant", "1", "--delta", "1",
+        assert run_cli(["--task", "compare", "--variant", "1", "--delta", "1",
                         "--param", "mu", "--start", "1.2", "--stop", "1.4",
-                        "--step", "0.05", "--quantity", "s", "--n", "400",
+                        "--step", "0.05", "--channels", "s", "--n", "400",
                         "--out", str(out)]) == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "mu,s"
         assert len(lines) == 6
+        grid = _grid({"start": 1.2, "stop": 1.4, "step": 0.05})
+        want = kitaev_de.sweep_de_density(kitaev_de.ModelSpec.pairing(), "mu", grid, 400)
+        assert [float(r.split(",")[1]) for r in lines[1:]] == want.tolist()
 
-    def test_e_sweep_uses_n(self, tmp_path):
-        args = ["--task", "sweep", "--variant", "1", "--mu", "0.5", "--param",
-                "delta", "--start", "0.5", "--stop", "0.7", "--step", "0.1",
-                "--quantity", "E"]
+    def test_compare_e_ignores_n(self, tmp_path):
+        # E runs on the 8192-point kernel grid whatever n is
+        args = ["--task", "compare", "--channels", "E", "--variant", "1", "--mu",
+                "0.5", "--param", "delta", "--start", "0.5", "--stop", "0.7",
+                "--step", "0.1"]
         assert run_cli(args + ["--n", "40", "--out", str(tmp_path / "a.csv")]) == 0
         assert run_cli(args + ["--out", str(tmp_path / "b.csv")]) == 0
         spec = kitaev_de.ModelSpec.pairing(mu=0.5)
-        for name, n in (("a", 40), ("b", 8192)):
+        want = kitaev_de.sweep_global_entanglement(spec, "delta", [0.5, 0.6, 0.7], 8192)
+        for name, n in (("a", 40), ("b", 2000)):
             side = json.loads((tmp_path / f"{name}.json").read_text())
             assert side["config"]["n"] == n
             rows = (tmp_path / f"{name}.csv").read_text().strip().split("\n")[1:]
-            want = kitaev_de.sweep_global_entanglement(spec, "delta", [0.5, 0.6, 0.7], n)
             assert [float(r.split(",")[1]) for r in rows] == want.tolist()
-        assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_winding_uses_n(self, tmp_path):
         spec = kitaev_de.ModelSpec.pairing(mu=-0.5)
@@ -655,14 +662,13 @@ _FUZZ_FIELDS = {
     "param": st.sampled_from(["mu", "delta", "j", "alpha", "beta", "r"]),
     "start": st.one_of(_REAL, _JUNK), "stop": st.one_of(_REAL, _JUNK),
     "step": st.one_of(st.sampled_from([0.5, 1.0, 0.0, -0.5, 1e-300, 1e300]), _JUNK),
-    "quantity": st.sampled_from(["s", "E", "q"]),
     "tol": st.one_of(st.sampled_from([1e-8, 0.0, -1.0]), _JUNK),
     "kappa": st.one_of(st.sampled_from([10.0, 0.0, -1.0]), _JUNK),
     "channels": st.sampled_from(["s,nu", "E", "a,b,c", "", "s,q", " nu , s "]),
     "sizes": st.sampled_from(["20:60:20", "40:20:-10", "2:2:1", "20:60:0",
                               "3:9:2", "a:b:c", "20:60", ""]),
 }
-_GRID_TASKS = ("sweep", "critical-scan", "compare")
+_GRID_TASKS = ("critical-scan", "compare")
 
 
 class TestFuzz:
@@ -670,7 +676,7 @@ class TestFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(task=st.sampled_from(["winding", "trajectory", "mzm", "de-pure",
                                  "de-block", "ge", "fit-volume", "fit-block",
-                                 "sweep", "critical-scan", "compare"]),
+                                 "critical-scan", "compare"]),
            values=st.lists(st.sampled_from(sorted(_FUZZ_FIELDS)), max_size=6,
                            unique=True).flatmap(lambda keys: st.fixed_dictionaries(
                                {k: _FUZZ_FIELDS[k] for k in keys})),

@@ -248,6 +248,21 @@ SITES = [
     ("mat", lambda: pfaffian([0.0, 1.0])),
     ("n", lambda: ed_spectrum(PAIRING, 4.0, "antiperiodic")),
     ("n", lambda: ed_spectrum(PAIRING, True, "antiperiodic")),
+    # a coupling that is not a real number within the float range ended in a
+    # TypeError or OverflowError, or was taken as a number (a bool)
+    ("j", lambda: ModelSpec.pairing(j="1")),
+    ("j", lambda: ModelSpec.pairing(j=None)),
+    ("alpha", lambda: ModelSpec.pairing(alpha="inf")),
+    ("beta", lambda: ModelSpec.pairing_hopping(beta="x")),
+    ("mu", lambda: ModelSpec.pairing(mu=True)),
+    ("j", lambda: ModelSpec.pairing(j=10**400)),
+    ("alpha", lambda: ModelSpec.pairing(alpha=10**400)),
+    # a basis that is not a string ended in an AttributeError
+    ("basis", lambda: block_diagonal_entropy(_kernel(), 4, basis=1)),
+    ("basis", lambda: ed_diagonal_marginal(_closed_state(), [0], basis=1)),
+    # a string of channels iterated by character
+    ("channels", lambda: comparative_scan(PAIRING, "mu", [0.0], channels="nu")),
+    ("channels", lambda: comparative_scan(PAIRING, "mu", [0.0], channels="sE")),
 ]
 
 

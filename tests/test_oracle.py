@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 from kitaev_de import DegenerateGroundStateError, ModelSpec
 from kitaev_de.model import Variant, grid_numerators, open_chain_weights
-from kitaev_de.oracle import (_Operator, _hamiltonian, _lowest_two, _spins,
+from kitaev_de.oracle import (_Operator, _bonds, _hamiltonian, _lowest_two,
                               ed_diagonal_marginal, ed_ground_state,
                               ed_pair_correlator, ed_sigma_z_product,
                               ed_spectrum, eigen_residual, spin_ground_state)
@@ -246,7 +246,40 @@ class TestEnergyIdentities:
         assert abs(state.energy + eps.sum()) > 1.0  # full-grid sum is wrong
 
 
+def _z_table(n):
+    """``z[i, j] = 1 - 2 n_j`` of every basis index ``i``."""
+    return 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+
+
+def table_operator(spec, n, boundary):
+    """``(cols, vals)`` of the Hamiltonian with every sign read off a
+    ``2^n x n`` table of z and its cumulative Jordan-Wigner strings
+    ``jw[i, k] = prod_{m<k} z[i, m]``, each amplitude at the flipped index."""
+    t, d = _bonds(spec, n, boundary)
+    a, b = np.nonzero((t != 0.0) | (d != 0.0))
+    jx, jy = -(t[a, b] + d[a, b]) / 2.0, -(t[a, b] - d[a, b]) / 2.0
+    idx, z = np.arange(1 << n), _z_table(n)
+    jw = np.cumprod(np.column_stack([np.ones(idx.size), z]), axis=1)
+    amp = jw[:, a + 1] * jw[:, b] * (jx - jy * z[:, a] * z[:, b])
+    cols = idx ^ np.append(0, (1 << a) | (1 << b))[:, None]
+    return cols, np.vstack([0.5 * spec.mu * z.sum(axis=1),
+                            np.take_along_axis(amp.T, cols[1:], axis=1)])
+
+
 class TestBuilder:
+    @pytest.mark.parametrize("boundary", ["open", "antiperiodic"])
+    def test_parity_signs_match_the_table_bit_for_bit(self, boundary):
+        rng = np.random.default_rng(2602)
+        for i in range(60):
+            draw = random_pairing_spec if i % 2 else random_pairing_hopping_spec
+            spec, n = draw(rng), int(rng.integers(2, 11))
+            if spec.r is not None and spec.r >= n and boundary == "antiperiodic":
+                continue
+            got = _hamiltonian(spec, n, boundary)
+            cols, vals = table_operator(spec, n, boundary)
+            assert np.array_equal(got.cols, cols)
+            assert got.vals.tobytes() == vals.tobytes()
+
     @pytest.mark.parametrize("boundary", ["open", "antiperiodic"])
     def test_matches_cj_reference(self, boundary):
         for spec in BUILDER_SPECS:
@@ -314,7 +347,7 @@ class TestMarginals:
         rng = np.random.default_rng(6000 + n)
         state = ed_ground_state(random_gapped_spec(rng, trivial=True), n, "open")
         probs = np.abs(state.amplitudes) ** 2
-        z = _spins(n)[1]
+        z = _z_table(n)
         for _ in range(10):
             sites = rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist()
             want = float(np.dot(probs, z[:, sites].prod(axis=1)))
