@@ -19,7 +19,7 @@ from .errors import (IllConditionedError, InsufficientPointsError,
                      InvalidParameterError, NonUniformGridError)
 from .gaussian import correlator_kernel
 from .model import DEFAULT_GRID, ModelSpec
-from .topology import _sweep, winding_number
+from .topology import _sweep, _swept_specs, winding_number
 
 DEFAULT_KAPPA = 10.0
 DEFAULT_N_DENSITY = 2000
@@ -185,13 +185,13 @@ def detect_critical_points(curve: SusceptibilityCurve,
 def sweep_de_density(spec: ModelSpec, name: str, values,
                      n: int = DEFAULT_N_DENSITY) -> np.ndarray:
     """``s(parameter)`` over a sweep; NaN where the grid gap closes."""
-    return _sweep(spec, name, values, lambda sp: de_density(sp, n))
+    return _sweep(_swept_specs(spec, name, values), lambda sp: de_density(sp, n))
 
 
 def sweep_global_entanglement(spec: ModelSpec, name: str, values,
                               n: int = DEFAULT_GRID) -> np.ndarray:
     """``E(parameter)`` over a sweep; NaN where the grid gap closes."""
-    return _sweep(spec, name, values, lambda sp: global_entanglement(sp, n))
+    return _sweep(_swept_specs(spec, name, values), lambda sp: global_entanglement(sp, n))
 
 
 def block_coefficients(spec: ModelSpec, basis: str = "z",
@@ -212,7 +212,7 @@ def sweep_block_coefficients(spec: ModelSpec, name: str, values,
                              basis: str = "z", lengths=DEFAULT_BLOCK_RANGE,
                              n: int = DEFAULT_GRID) -> np.ndarray:
     """(a, b, c) block-law coefficients along a sweep; rows are grid points."""
-    return _sweep(spec, name, values, _coefficients(basis, lengths, n), 3)
+    return _sweep(_swept_specs(spec, name, values), _coefficients(basis, lengths, n), 3)
 
 
 def comparative_scan(spec: ModelSpec, name: str, values,
@@ -222,9 +222,10 @@ def comparative_scan(spec: ModelSpec, name: str, values,
                      n_kernel: int = DEFAULT_GRID) -> dict[str, np.ndarray]:
     """Aligned table of diagnostic channels over one parameter sweep.
 
-    Each requested channel is one pass over the grid (``a``, ``b`` and
-    ``c`` share theirs); raises :class:`InvalidParameterError` on a channel
-    not in :data:`CHANNELS`, or on a string, which would iterate by character.
+    Each point's spec is built once, and each requested channel is one pass
+    over that list (``a``, ``b`` and ``c`` share theirs); raises
+    :class:`InvalidParameterError` on a channel not in :data:`CHANNELS`, or
+    on a string, which would iterate by character.
     """
     if isinstance(channels, str):
         raise InvalidParameterError(
@@ -235,18 +236,20 @@ def comparative_scan(spec: ModelSpec, name: str, values,
             "channels", f"unknown channels {unknown}; expected names from {CHANNELS}")
     values = np.asarray(values, dtype=float)
     table: dict[str, np.ndarray] = {name: values}
+    # every channel reads this one list, so none calls a public sweep_*
+    # driver, which would build its own; sweep_block_coefficients must stay
+    # uncalled besides: the benchmark's tracer reads a `threads` argument,
+    # since removed, from each of its spans and raises KeyError
+    specs = _swept_specs(spec, name, values)
     if "s" in channels:
-        table["s"] = sweep_de_density(spec, name, values, n_density)
+        table["s"] = _sweep(specs, lambda sp: de_density(sp, n_density))
     if any(c in channels for c in "abc"):
-        # not sweep_block_coefficients: the benchmark's tracer reads a
-        # pool-size argument, since removed, from every span of that function
-        coeffs = _sweep(spec, name, values,
-                        _coefficients(basis, lengths, n_kernel), 3)
+        coeffs = _sweep(specs, _coefficients(basis, lengths, n_kernel), 3)
         for i, c in enumerate("abc"):
             if c in channels:
                 table[c] = coeffs[:, i]
     if "E" in channels:
-        table["E"] = sweep_global_entanglement(spec, name, values, n_kernel)
+        table["E"] = _sweep(specs, lambda sp: global_entanglement(sp, n_kernel))
     if "nu" in channels:
-        table["nu"] = _sweep(spec, name, values, lambda sp: winding_number(sp).nu)
+        table["nu"] = _sweep(specs, lambda sp: winding_number(sp).nu)
     return table

@@ -160,10 +160,22 @@ def zero_modes(spec: ModelSpec, n: int, tol: float = DEFAULT_TOL) -> list[ZeroMo
 
 
 def mode_count(spec: ModelSpec, n: int, tol: float = DEFAULT_TOL) -> int:
-    """Number of Majorana zero-mode pairs (equals |nu| in the bulk).
+    """Number of Majorana zero-mode pairs below the relative cutoff ``tol``.
 
     The count is ``len(zero_modes(spec, n, tol)) // 2``, with the same checks
     and the same cutoff rule, read from the eigenvalues of ``K P`` alone: no
     eigenvectors are computed.
+
+    It equals ``|nu|`` only where the edge splitting falls below the cutoff,
+    as for the nu = 3 chain and the nearest-neighbour chain.  For the
+    pairing-only chain at finite ``alpha`` (J = Delta = 1, mu = +-0.5,
+    nu = 1 for alpha in {0.5, 1.5, 3}) the count at ``tol = 1e-8`` is 0 at
+    n in {100, 400, 800} for alpha in {0.5, 1.5}; at alpha = 3 it is 0 at
+    n = 100, ambiguous (:class:`TolAmbiguousError`) at n = 400, and 1
+    (mu = 0.5) or ambiguous (mu = -0.5) at n = 800.  ``min|lam| / max|lam|``
+    falls algebraically, 2.4e-4, 3.0e-5 and 1.1e-5 at n = 100, 400, 800 for
+    alpha = 1.5, mu = 0.5; at alpha = 0.5 it stays near 1e-2, a massive edge
+    state (Vodola et al., PRL 113, 156402, 2014).  A count from the scaling
+    with n is ROADMAP item 16.
     """
     return len(_null(np.abs(np.linalg.eigvalsh(_gated(spec, n, tol))), tol))

@@ -16,8 +16,10 @@ The closed-chain grid is its k > 0 half plus that half's exact mirror
 the pairing sum and even for the hopping sum, so ``(y, z)(-k) = (-y, z)(k)``
 holds bit for bit.  The ground state factorises over ``(k, -k)`` pairs, so
 the gap checks and the reductions built on them -- the diagonal entropy s,
-the global entanglement E and the winding number -- read only the k > 0 half
-(:func:`_gapped_grid`); per-mode results keep the full grid.
+the global entanglement E, the winding number and :func:`minimum_gap` --
+scale and read only the k > 0 half of the cached harmonic sums
+(:func:`_numerators` with ``positive``, through :func:`_gapped_grid`);
+per-mode results and :func:`grid_numerators` keep the full grid.
 
 Conventions
 -----------
@@ -74,8 +76,9 @@ class ModelSpec:
     otherwise, so a valid instance never carries meaningless fields.
     Every coupling is a real number (not a bool); ``j``, ``delta`` and ``mu``
     must be finite, and ``alpha`` and ``beta`` may be infinite (the
-    nearest-neighbour limit).  A rejected field raises an
-    :class:`InvalidParameterError` naming it, checked in declaration order.
+    nearest-neighbour limit); ``variant`` must be a :class:`Variant`
+    member.  A rejected field raises an :class:`InvalidParameterError`
+    naming it, checked in declaration order.
     """
 
     variant: Variant
@@ -87,6 +90,9 @@ class ModelSpec:
     r: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.variant, Variant):
+            raise InvalidParameterError(
+                "variant", f"variant must be a Variant member, got {self.variant!r}")
         for name in ("j", "delta", "mu"):
             if not math.isfinite(_real(getattr(self, name), name)):
                 raise InvalidParameterError(
@@ -217,16 +223,27 @@ def _grid_harmonics(n: int, alpha: float, *hopping):
     return k_sorted, sin_sum, cos_sum, peaks
 
 
-def grid_numerators(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Anderson-vector numerators ``(k, y, z)`` on the full antiperiodic grid;
-    :class:`SpectrumOverflowError` when the peak harmonic sums bound
-    ``hypot(y, z)`` by more than the float range."""
+def _numerators(spec: ModelSpec, n: int, positive: bool = False):
+    """Anderson-vector numerators ``(k, y, z)`` on the n-point grid, or on its
+    n/2 momenta ``k > 0`` when ``positive``; the rule ``y = c_y sin_sum``,
+    ``z = c_z cos_sum + c_0`` scales only the slices it returns, each entry
+    as on the full grid.  :class:`SpectrumOverflowError` when the peak
+    harmonic sums bound ``hypot(y, z)`` by more than the float range."""
     cy, cz, c0, hopping = _coefficients(spec)
     n = _integer(n, "n", 2)  # before the cache, which takes 64.0 for the key 64
     k, sin_sum, cos_sum, (sin_peak, cos_peak) = _grid_harmonics(n, spec.alpha, *hopping)
     if not math.isfinite(math.hypot(abs(cy) * sin_peak, abs(cz) * cos_peak + abs(c0))):
         raise SpectrumOverflowError("the couplings overflow hypot(y, z)")
+    if positive:
+        k, sin_sum, cos_sum = k[n // 2:], sin_sum[n // 2:], cos_sum[n // 2:]
     return k, cy * sin_sum, cz * cos_sum + c0
+
+
+def grid_numerators(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Anderson-vector numerators ``(k, y, z)`` on the full antiperiodic grid;
+    :class:`SpectrumOverflowError` when the peak harmonic sums bound
+    ``hypot(y, z)`` by more than the float range."""
+    return _numerators(spec, n)
 
 
 def _energies(y, z) -> np.ndarray:
@@ -257,10 +274,10 @@ def _gapped_grid(spec: ModelSpec, n: int):
     The grid and its numerators mirror exactly, ``(y, z)(-k) = (-y, z)(k)``,
     so the energies are even and the half holds every closed-chain
     reduction: one term per ``(k, -k)`` pair, and the whole grid's minimum
-    gap to the last bit.
+    gap to the last bit.  Only that half of the cached harmonic sums is
+    scaled into numerators.
     """
-    _, y, z = grid_numerators(spec, n)
-    y, z = y[n // 2:], z[n // 2:]
+    _, y, z = _numerators(spec, n, positive=True)
     eps = _energies(y, z)
     return y, z, eps, _min_gap(eps)
 
@@ -320,8 +337,9 @@ def solve_chain(spec: ModelSpec, n: int) -> list[ModeData]:
 
 
 def minimum_gap(spec: ModelSpec, n: int) -> float:
-    """``min_k eps_k`` over the antiperiodic grid of n momenta."""
-    _, y, z = grid_numerators(spec, n)
+    """``min_k eps_k`` over the antiperiodic grid of n momenta, read from its
+    k > 0 half, whose energies the k < 0 half mirrors exactly."""
+    _, y, z = _numerators(spec, n, positive=True)
     return float(_energies(y, z).min())
 
 

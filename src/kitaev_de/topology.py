@@ -114,21 +114,23 @@ def trajectory(spec: ModelSpec, samples: int = DEFAULT_SAMPLES) -> Trajectory:
     return Trajectory(k=k, hy=hy, hz=hz, gapless=gapless)
 
 
-def _with_param(spec: ModelSpec, name: str, value: float) -> ModelSpec:
+def _swept_specs(spec: ModelSpec, name: str, values) -> list[ModelSpec]:
+    """``spec`` with ``name = v`` for each v: the points of one sweep, each
+    built and validated once however many channels then read it."""
     if name not in _SWEEPABLE:
         raise InvalidParameterError(
             "name", f"unknown sweep parameter {name!r}; use one of {_SWEEPABLE}")
-    return replace(spec, **{name: float(value)})
+    return [replace(spec, **{name: float(v)}) for v in values]
 
 
-def _sweep(spec: ModelSpec, name: str, values, fn, width: int = 1) -> np.ndarray:
-    """``fn(spec with name = v)`` for each v, in one pass over ``values``;
+def _sweep(specs, fn, width: int = 1) -> np.ndarray:
+    """``fn(sp)`` for each spec of a :func:`_swept_specs` list, in one pass;
     NaN where the grid gap closes.  ``width`` > 1 gives one row of that many
     values per point, ``width`` = 1 a flat array."""
-    out = np.full((len(values), width) if width > 1 else len(values), np.nan)
-    for i, v in enumerate(values):
+    out = np.full((len(specs), width) if width > 1 else len(specs), np.nan)
+    for i, sp in enumerate(specs):
         try:
-            out[i] = fn(_with_param(spec, name, v))
+            out[i] = fn(sp)
         except GaplessSpecError:
             pass
     return out
@@ -148,8 +150,9 @@ def phase_boundary_scan(spec: ModelSpec, x_name: str, x_values,
 
     x_values = np.asarray(x_values, dtype=float)
     y_values = None if y_name is None else np.asarray(y_values, dtype=float)
-    rows = [spec] if y_name is None else [_with_param(spec, y_name, y) for y in y_values]
-    grid = np.array([_sweep(row, x_name, x_values, cell, 2) for row in rows])
+    rows = [spec] if y_name is None else _swept_specs(spec, y_name, y_values)
+    grid = np.array([_sweep(_swept_specs(row, x_name, x_values), cell, 2)
+                     for row in rows])
     grid = grid.reshape(len(rows), x_values.size, 2)  # also for no rows
     return PhaseScan(x_name=x_name, x_values=x_values, y_name=y_name,
                      y_values=y_values, nu=grid[..., 0], min_gap=grid[..., 1])
@@ -159,7 +162,8 @@ def nu_change_locations(spec: ModelSpec, name: str, values,
                         samples: int = 1024) -> list[float]:
     """Midpoints of a 1D sweep where nu changes (or the gap closes)."""
     xs = np.asarray(values, dtype=float)
-    nu = _sweep(spec, name, xs, lambda sp: winding_number(sp, samples=samples).nu)
+    nu = _sweep(_swept_specs(spec, name, xs),
+                lambda sp: winding_number(sp, samples=samples).nu)
     gapless = np.isnan(nu)
     changed = (nu[:-1] != nu[1:]) & ~(gapless[:-1] & gapless[1:])
     return (0.5 * (xs[:-1] + xs[1:]))[changed].tolist()

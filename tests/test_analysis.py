@@ -8,6 +8,7 @@ from kitaev_de import (IllConditionedError, InsufficientPointsError, ModelSpec,
                        sweep_block_coefficients, sweep_de_density,
                        sweep_global_entanglement)
 from kitaev_de.analysis import comparative_scan
+from kitaev_de.topology import DEFAULT_SAMPLES
 
 from conftest import grid_gapless_spec
 
@@ -208,19 +209,41 @@ class TestComparativeScan:
         assert all(v.size == mus.size for v in table.values())
 
     def test_gapless_points_are_nan(self):
-        # the gap closes on a momentum of the 256-point grid at the first
-        # point only; each sweep writes NaN there and a value at the second
-        spec = grid_gapless_spec(256)
+        # the gap closes on a momentum of the n-point grid at the first
+        # point only; each sweep writes NaN there and a value at the second.
+        # n is the winding number's default grid, which the nu channel reads
+        n = DEFAULT_SAMPLES
+        spec = grid_gapless_spec(n)
         mus = [spec.mu, 1.5]
-        s = sweep_de_density(spec, "mu", mus, 256)
-        e = sweep_global_entanglement(spec, "mu", mus, 256)
-        coef = sweep_block_coefficients(spec, "mu", mus, lengths=range(2, 8), n=256)
+        s = sweep_de_density(spec, "mu", mus, n)
+        e = sweep_global_entanglement(spec, "mu", mus, n)
+        coef = sweep_block_coefficients(spec, "mu", mus, lengths=range(2, 8), n=n)
         assert s.shape == e.shape == (2,) and coef.shape == (2, 3)
         assert np.isnan(s[0]) and np.isnan(e[0]) and np.isnan(coef[0]).all()
         assert np.isfinite(s[1]) and np.isfinite(e[1]) and np.isfinite(coef[1]).all()
-        table = comparative_scan(spec, "mu", mus, channels=("s", "a", "E"),
+        channels = ("s", "a", "E", "nu")
+        table = comparative_scan(spec, "mu", mus, channels=channels,
+                                 lengths=range(2, 8), n_density=n, n_kernel=n)
+        assert np.isnan([table[c][0] for c in channels]).all()
+        assert np.isfinite([table[c][1] for c in channels]).all()
+
+    def test_each_point_builds_one_spec(self, monkeypatch):
+        # every channel reads one list of swept specs: one construction per
+        # point, not one per point and channel
+        spec = ModelSpec.pairing(j=1.0, delta=1.0, mu=0.0, alpha=1.5)
+        built = []
+        post_init = ModelSpec.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ModelSpec, "__post_init__", counted)
+        mus = np.linspace(1.2, 1.6, 5)
+        table = comparative_scan(spec, "mu", mus, channels=("s", "a", "E", "nu"),
                                  lengths=range(2, 8), n_density=256, n_kernel=256)
-        assert np.isnan([table[c][0] for c in ("s", "a", "E")]).all()
+        assert len(built) == mus.size
+        assert [sp.mu for sp in built] == table["mu"].tolist()
 
     def test_unknown_channel_raises(self):
         spec = ModelSpec.pairing(j=1.0, delta=1.0, mu=0.0)

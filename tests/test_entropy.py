@@ -13,7 +13,7 @@ from kitaev_de import (DenseCorrelations, GaplessSpecError, ModelSpec,
                        winding_number, zero_modes)
 from kitaev_de import entropy, gaussian, model
 from kitaev_de.entropy import _binary_entropy_bits, _block_entropies, _chain_rule
-from kitaev_de.model import grid_numerators
+from kitaev_de.model import _numerators
 from kitaev_de.oracle import ed_diagonal_marginal, ed_ground_state
 
 from conftest import random_gapped_spec
@@ -328,16 +328,17 @@ class TestNaNGuards:
 
     def test_nan_numerators_fail_gap_guards(self, monkeypatch):
         # a NaN grid gap must fail every gap guard, not slip past `<= tol`,
-        # whether the NaN sits in the y or the z numerator
+        # whether the NaN sits in the y or the z numerator; every guard reads
+        # its numerators through the one helper, the full grid and the k > 0
+        # half alike
         spec = ModelSpec.pairing(mu=2.0)
         for which in (1, 2):
-            def nan_numerators(s, n):
-                out = list(grid_numerators(s, n))
+            def nan_numerators(s, n, positive=False):
+                out = list(_numerators(s, n, positive))
                 out[which] = np.full_like(out[which], np.nan)
                 return tuple(out)
 
-            for module in (gaussian, model):
-                monkeypatch.setattr(module, "grid_numerators", nan_numerators)
+            monkeypatch.setattr(model, "_numerators", nan_numerators)
             with pytest.raises(GaplessSpecError, match="grid gap"):
                 de_density(spec, 64)
             with pytest.raises(GaplessSpecError, match="grid gap"):

@@ -10,8 +10,8 @@ from kitaev_de import (GaplessSpecError, ModelSpec, SpectrumOverflowError,
                        solve_chain, trajectory, winding_number, zero_modes)
 from kitaev_de.majorana import GAP_SAMPLES
 from kitaev_de.entropy import _binary_entropy_bits
-from kitaev_de.model import (_energies, grid_numerators, numerators_at,
-                             open_chain_weights)
+from kitaev_de.model import (_energies, _gapped_grid, grid_numerators,
+                             numerators_at, open_chain_weights)
 
 from conftest import random_gapped_spec, rolled_turns
 
@@ -250,8 +250,10 @@ class TestOverflowGuard:
         ModelSpec.pairing_hopping(delta=1e308, alpha=0.0),
     ])
     def test_overflowing_numerators_rejected(self, spec):
-        with pytest.raises(SpectrumOverflowError):
-            grid_numerators(spec, 4096)
+        # the full grid and its k > 0 half share the one overflow check
+        for numerators in (grid_numerators, _gapped_grid, minimum_gap):
+            with pytest.raises(SpectrumOverflowError):
+                numerators(spec, 4096)
 
     def test_large_finite_couplings_kept(self):
         for spec in (ModelSpec.pairing(j=1e300, delta=1e300, mu=5e299, alpha=0.0),
@@ -261,6 +263,25 @@ class TestOverflowGuard:
             _, y, z = grid_numerators(spec, 4096)
             assert np.isfinite(np.hypot(y, z)).all()
             assert np.isfinite(_energies(y, z)).all()
+
+
+class TestHalfGrid:
+    @pytest.mark.parametrize("n", [256, 2000, 4096, 8192])
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda a: ModelSpec.pairing(j=1.0, delta=0.7, mu=0.6, alpha=a),
+        lambda a: ModelSpec.pairing_hopping(j=0.8, delta=1.0, mu=0.6, alpha=a, beta=a),
+    ], ids=["pairing", "pairing_hopping"])
+    def test_half_is_the_full_grid_bit_for_bit(self, make, alpha, n):
+        # scaling only the k > 0 half of the harmonic sums gives each entry
+        # of the full grid's k > 0 half, and the full grid's minimum gap
+        spec = make(alpha)
+        _, y, z = grid_numerators(spec, n)
+        eps = _energies(y, z)
+        half_y, half_z, half_eps, gap = _gapped_grid(spec, n)
+        for half, full in ((half_y, y), (half_z, z), (half_eps, eps)):
+            assert np.array_equal(half, full[n // 2:])
+        assert gap == float(eps.min()) == minimum_gap(spec, n)
 
 
 class TestEnergies:
