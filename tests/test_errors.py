@@ -174,10 +174,6 @@ SITES = [
     ("r", lambda: ModelSpec.pairing_hopping(r=2.5)),
     ("r", lambda: ModelSpec.pairing_hopping(r=3.0)),
     ("r", lambda: ModelSpec.pairing_hopping(r=True)),
-    # a variant that is no Variant member: the value name raised for beta,
-    # an unknown name built a pairing+hopping chain that wound once
-    ("variant", lambda: ModelSpec("pairing")),
-    ("variant", lambda: ModelSpec("x", 1.0, 1.0, 0.0, 0.2, 0.2, 3)),
     # one value per point: susceptibility returned 6 chi values for 8
     # interior points, the fits ended in numpy errors
     ("values", lambda: susceptibility("x", np.arange(10.0), np.arange(8.0))),
@@ -267,6 +263,10 @@ SITES = [
     # a string of channels iterated by character
     ("channels", lambda: comparative_scan(PAIRING, "mu", [0.0], channels="nu")),
     ("channels", lambda: comparative_scan(PAIRING, "mu", [0.0], channels="sE")),
+    # a variant that is no Variant member: the value name raised for beta,
+    # an unknown name built a pairing+hopping chain that wound once
+    ("variant", lambda: ModelSpec("pairing")),
+    ("variant", lambda: ModelSpec("x", 1.0, 1.0, 0.0, 0.2, 0.2, 3)),
 ]
 
 
