@@ -3,13 +3,16 @@
 Correlation sources
 -------------------
 * :class:`CorrelatorKernel` -- translation-invariant chains.  ``g[R]`` holds
-  ``G_R = (1/N) sum_k exp(i R k) exp(-2 i theta_k)``, which is real because
-  ``theta_{-k} = -theta_k``, and equals ``<A_a B_{a+R}>`` with
-  ``A = c^dag + c``, ``B = c^dag - c``.  On the sorted antiperiodic grid
-  ``k_j = -pi + 2 pi (j + 1/2) / N`` the phase factors as
-  ``exp(i R k_j) = (-1)^R exp(i pi R / N) exp(2 pi i R j / N)``, so the whole
-  table is one inverse FFT: ``G_R = (-1)^R exp(i pi R / N) ifft(q)[R mod N]``
-  with ``q_j = exp(-2 i theta_{k_j})``.
+  ``G_R = (1/N) sum_k exp(i R k) exp(-2 i theta_k)``, which equals
+  ``<A_a B_{a+R}>`` with ``A = c^dag + c``, ``B = c^dag - c``.  As
+  ``theta_{-k} = -theta_k``, each k < 0 term is the complex conjugate of its
+  k > 0 partner, so ``G_R = (2/N) Re sum_{k>0} exp(i R k) q_k`` with
+  ``q_k = exp(-2 i theta_k) = -(z + i y) / eps``: real by construction and
+  read from the k > 0 half alone.  There ``k_m = (2 pi / N)(m + 1/2)`` for
+  ``m < N/2`` and the phase factors as
+  ``exp(i R k_m) = exp(i pi R / N) exp(2 pi i R m / N)``, so the whole table
+  is one inverse FFT of ``q`` padded with zeros to length N:
+  ``G_R = 2 Re(exp(i pi R / N) ifft(q)[R mod N])``.
 * :class:`DenseCorrelations` -- open chains; the full matrix ``m[a, b] =
   <A_a B_b>``.  In these operators the open chain reads
   ``H = -(1/2) sum_{ab} K_{ab} A_a B_b`` with the real coupling matrix K of
@@ -43,9 +46,8 @@ from .errors import (DegenerateGroundStateError, GaplessSpecError,
                      InvalidParameterError, OddDimensionError,
                      SpectrumOverflowError, _integer)
 from .majorana import _reflected
-from .model import DEFAULT_GRID, ModelSpec, _min_gap, grid_numerators
+from .model import DEFAULT_GRID, ModelSpec, _gapped_grid
 
-KERNEL_IMAG_TOL = 1e-10
 ANTISYM_TOL = 1e-12  # pfaffian: largest ||M + M^T|| relative to ||M||
 
 
@@ -77,33 +79,34 @@ def correlator_kernel(spec: ModelSpec, n: int = DEFAULT_GRID,
                       l_max: int = 32) -> CorrelatorKernel:
     """Tabulate ``G_R`` by the discrete momentum sum over the n-point grid.
 
-    The sum is evaluated for every ``R = -l_max .. l_max`` at once by one
-    length-n inverse FFT of ``q = exp(-2 i theta)`` over the sorted grid,
-    ``G_R = (-1)^R exp(i pi R / n) ifft(q)[R mod n]`` (see the module
-    docstring), in O(n log n).
+    The k > 0 half of the grid holds the sum (see the module docstring):
+    ``q = -(z + i y) / eps`` from :func:`~kitaev_de.model._gapped_grid`
+    fills the first n/2 entries of a zeroed length-n buffer, and one inverse
+    FFT gives every ``R = -l_max .. l_max`` at once,
+    ``G_R = 2 Re(exp(i pi R / n) ifft(q)[R mod n])``, in O(n log n).
 
     Requires ``l_max < n/4`` for kernel accuracy and a gapped spectrum
     (minimum grid gap above 1e-8), otherwise the integrand is discontinuous.
+    An infinite numerator passes the gap check as ``eps = inf`` but leaves
+    ``q`` NaN, so a non-finite ``G`` raises :class:`GaplessSpecError` too.
     """
     l_max = _integer(l_max, "l_max", 0)
     n = _integer(n, "n", 4 * l_max + 1)  # l_max < n / 4
-    # q is built, scaled and transformed in place and eps is freed before the
-    # FFT: with few and small temporaries malloc keeps reusing its pages
-    # instead of returning them to the OS and faulting them in on every call.
-    q = np.empty(n, complex)
-    _, q.imag, q.real = grid_numerators(spec, n)
-    eps = np.abs(q)  # |z + i y|, as model._energies
-    _min_gap(eps)
-    q *= -1.0 / eps  # exp(-2 i theta), the same bits as q /= -eps
-    del eps
+    y, z, eps, _ = _gapped_grid(spec, n)
+    q = np.zeros(n, complex)
+    half = q[:n // 2]
+    half.real, half.imag = z, y
+    half *= -1.0 / eps  # exp(-2 i theta), the same bits as half /= -eps
+    # y, z and eps are freed first, and the transform is not ifft(q, out=q):
+    # in some heap layouts either left glibc a heap top to trim and fault in
+    # again on every block point (the caveat in ROADMAP aim 1)
+    del y, z, eps
     r = np.arange(-l_max, l_max + 1)
-    g = (-1.0) ** r * np.exp(1j * np.pi * r / n) * np.fft.ifft(q, out=q)[r % n]
-    if not np.abs(g.imag).max() <= KERNEL_IMAG_TOL:
-        raise GaplessSpecError(
-            f"kernel imaginary part {np.abs(g.imag).max():.3e} exceeds tolerance")
-    real = np.ascontiguousarray(g.real)
-    real.flags.writeable = False
-    return CorrelatorKernel(g=real, l_max=l_max, n=n)
+    g = 2.0 * (np.exp(1j * np.pi * r / n) * np.fft.ifft(q)[r % n]).real
+    if not np.isfinite(g).all():
+        raise GaplessSpecError("kernel is not finite: a numerator is infinite")
+    g.flags.writeable = False
+    return CorrelatorKernel(g=g, l_max=l_max, n=n)
 
 
 def open_chain_correlations(spec: ModelSpec, n: int) -> DenseCorrelations:

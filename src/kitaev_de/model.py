@@ -16,10 +16,11 @@ The closed-chain grid is its k > 0 half plus that half's exact mirror
 the pairing sum and even for the hopping sum, so ``(y, z)(-k) = (-y, z)(k)``
 holds bit for bit.  The ground state factorises over ``(k, -k)`` pairs, so
 the gap checks and the reductions built on them -- the diagonal entropy s,
-the global entanglement E, the winding number and :func:`minimum_gap` --
-scale and read only the k > 0 half of the cached harmonic sums
-(:func:`_numerators` with ``positive``, through :func:`_gapped_grid`);
-per-mode results and :func:`grid_numerators` keep the full grid.
+the global entanglement E, the winding number, the pair-correlation kernel
+``G_R`` and :func:`minimum_gap` -- scale and read only the k > 0 half of the
+cached harmonic sums (:func:`_numerators` with ``positive``, through
+:func:`_gapped_grid`); per-mode results and :func:`grid_numerators` keep the
+full grid.
 
 Conventions
 -----------
@@ -258,18 +259,10 @@ def _energies(y, z) -> np.ndarray:
     return np.abs(w)
 
 
-def _min_gap(eps: np.ndarray) -> float:
-    """``eps.min()``; :class:`GaplessSpecError` unless it is above
-    ``GAP_TOL`` (NaN fails too)."""
-    gap = float(eps.min())
-    if not gap > GAP_TOL:
-        raise GaplessSpecError(f"min grid gap {gap:.3e} <= {GAP_TOL}")
-    return gap
-
-
 def _gapped_grid(spec: ModelSpec, n: int):
     """``(y, z, eps, gap)`` on the n/2 momenta ``k > 0`` of the n-point grid,
-    with ``gap`` the minimum of ``eps`` checked by :func:`_min_gap`.
+    with ``gap`` the minimum of ``eps``; :class:`GaplessSpecError` unless
+    it is above ``GAP_TOL`` (NaN fails too).
 
     The grid and its numerators mirror exactly, ``(y, z)(-k) = (-y, z)(k)``,
     so the energies are even and the half holds every closed-chain
@@ -279,7 +272,10 @@ def _gapped_grid(spec: ModelSpec, n: int):
     """
     _, y, z = _numerators(spec, n, positive=True)
     eps = _energies(y, z)
-    return y, z, eps, _min_gap(eps)
+    gap = float(eps.min())
+    if not gap > GAP_TOL:
+        raise GaplessSpecError(f"min grid gap {gap:.3e} <= {GAP_TOL}")
+    return y, z, eps, gap
 
 
 def _modes(spec: ModelSpec, y, z):

@@ -28,7 +28,6 @@ from .errors import GaplessSpecError, InvalidParameterError, _integer
 from .model import ModelSpec, _gapped_grid, _modes, grid_numerators
 
 DEFAULT_SAMPLES = 4096
-_TWO_PI = 2.0 * math.pi
 
 _SWEEPABLE = ("mu", "delta", "j", "alpha", "beta")
 
@@ -84,22 +83,30 @@ def _check_samples(samples: int) -> None:
 
 def _winding(y: np.ndarray, z: np.ndarray) -> int:
     """Turns of the numerator trajectory over the closed grid, from the
-    numerators on its k > 0 half (see the module docstring).  Each step's
-    wrap is the integer its remainder modulo 2 pi nearest zero takes out:
-    ``rint`` of the step in turns within the half, ``math.remainder`` across
-    k = 0 and k = pi."""
+    numerators on its k > 0 half (see the module docstring).  Every step of
+    the loop lies in [-2 pi, 2 pi], so it wraps across the branch cut exactly
+    when its size exceeds pi, and then takes one turn out against its sign.
+    A step of exactly pi (half a turn) has a chord through the origin and no
+    direction, so the winding is undefined: :class:`GaplessSpecError`."""
     phi = np.arctan2(y, z)
-    wraps = 2 * int(np.rint(np.diff(phi) / _TWO_PI).sum())
-    for step in (2.0 * float(phi[0]), -2.0 * float(phi[-1])):
-        wraps += round((step - math.remainder(step, _TWO_PI)) / _TWO_PI)
-    return -wraps
+    steps = np.diff(phi)
+    half = steps[np.abs(steps) >= math.pi].tolist()
+    ends = [2.0 * float(phi[0]), -2.0 * float(phi[-1])]  # across k = 0, pi
+    # each step on the half is also a step on its mirror (module docstring)
+    cut = 2 * half + [step for step in ends if abs(step) >= math.pi]
+    if math.pi in map(abs, cut):
+        raise GaplessSpecError("a step of the numerator loop is exactly half a "
+                               "turn: the winding is undefined")
+    return sum(1 if step < 0 else -1 for step in cut)
 
 
 def winding_number(spec: ModelSpec, samples: int = DEFAULT_SAMPLES) -> WindingResult:
     """Winding number of a gapped spec.
 
     Raises :class:`GaplessSpecError` when the minimal sampled gap is at or
-    below ``GAP_TOL``, or NaN (the winding is undefined at a transition).
+    below ``GAP_TOL``, or NaN (the winding is undefined at a transition),
+    and when a step of the sampled loop is exactly half a turn (as for a
+    chain without pairing whose band crosses zero between grid points).
     """
     _check_samples(samples)
     y, z, _, gap = _gapped_grid(spec, samples)
@@ -114,12 +121,19 @@ def trajectory(spec: ModelSpec, samples: int = DEFAULT_SAMPLES) -> Trajectory:
     return Trajectory(k=k, hy=hy, hz=hz, gapless=gapless)
 
 
-def _swept_specs(spec: ModelSpec, name: str, values) -> list[ModelSpec]:
+def _swept_specs(spec: ModelSpec, name: str, values,
+                 param: str = "values") -> list[ModelSpec]:
     """``spec`` with ``name = v`` for each v: the points of one sweep, each
-    built and validated once however many channels then read it."""
+    built and validated once however many channels then read it.
+    :class:`InvalidParameterError` ``param`` unless ``values`` is a 1-D
+    sequence."""
     if name not in _SWEEPABLE:
         raise InvalidParameterError(
             "name", f"unknown sweep parameter {name!r}; use one of {_SWEEPABLE}")
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise InvalidParameterError(
+            param, f"need a 1-D sequence of values, got shape {values.shape}")
     return [replace(spec, **{name: float(v)}) for v in values]
 
 
@@ -150,8 +164,9 @@ def phase_boundary_scan(spec: ModelSpec, x_name: str, x_values,
 
     x_values = np.asarray(x_values, dtype=float)
     y_values = None if y_name is None else np.asarray(y_values, dtype=float)
-    rows = [spec] if y_name is None else _swept_specs(spec, y_name, y_values)
-    grid = np.array([_sweep(_swept_specs(row, x_name, x_values), cell, 2)
+    rows = ([spec] if y_name is None
+            else _swept_specs(spec, y_name, y_values, "y_values"))
+    grid = np.array([_sweep(_swept_specs(row, x_name, x_values, "x_values"), cell, 2)
                      for row in rows])
     grid = grid.reshape(len(rows), x_values.size, 2)  # also for no rows
     return PhaseScan(x_name=x_name, x_values=x_values, y_name=y_name,

@@ -328,9 +328,9 @@ class TestNaNGuards:
 
     def test_nan_numerators_fail_gap_guards(self, monkeypatch):
         # a NaN grid gap must fail every gap guard, not slip past `<= tol`,
-        # whether the NaN sits in the y or the z numerator; every guard reads
-        # its numerators through the one helper, the full grid and the k > 0
-        # half alike
+        # whether the NaN sits in the y or the z numerator; s, E, the kernel,
+        # the winding number and the zero modes' bulk check all read the
+        # k > 0 half through the one helper, and its one gap check catches it
         spec = ModelSpec.pairing(mu=2.0)
         for which in (1, 2):
             def nan_numerators(s, n, positive=False):

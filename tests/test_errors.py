@@ -14,9 +14,10 @@ from kitaev_de import (InvalidParameterError, ModelSpec, Variant,
                        detect_critical_points, dispersion, fit_block_law,
                        fit_volume_law, minimum_gap, mode_count, momentum_grid,
                        open_chain_correlations, pair_correlation, pfaffian,
-                       sigma_x_correlator, sigma_z_correlator, susceptibility,
-                       sweep_block_coefficients, trajectory, winding_number,
-                       zero_modes)
+                       phase_boundary_scan, sigma_x_correlator,
+                       sigma_z_correlator, susceptibility,
+                       sweep_block_coefficients, sweep_de_density, trajectory,
+                       winding_number, zero_modes)
 from kitaev_de.majorana import MAX_OPEN_SITES
 from kitaev_de.model import open_chain_weights
 from kitaev_de.oracle import (ed_diagonal_marginal, ed_ground_state,
@@ -267,6 +268,11 @@ SITES = [
     # an unknown name built a pairing+hopping chain that wound once
     ("variant", lambda: ModelSpec("pairing")),
     ("variant", lambda: ModelSpec("x", 1.0, 1.0, 0.0, 0.2, 0.2, 3)),
+    # sweep values that are not a 1-D sequence ended in a bare TypeError
+    ("values", lambda: sweep_de_density(PAIRING, "mu", 0.5)),
+    ("values", lambda: comparative_scan(PAIRING, "mu", 0.5, ["s"])),
+    ("values", lambda: nu_change_locations(PAIRING, "mu", 0.5)),
+    ("y_values", lambda: phase_boundary_scan(PAIRING, "mu", [0.0, 1.0], "delta")),
 ]
 
 

@@ -6,12 +6,12 @@ import pytest
 
 from kitaev_de import (DegenerateGroundStateError, GaplessSpecError, ModelSpec,
                        OddDimensionError, SpectrumOverflowError, build_coupling,
-                       correlator_kernel, minimum_gap, open_chain_correlations,
-                       pair_correlation, pfaffian, sigma_x_correlator,
-                       sigma_z_correlator)
-from kitaev_de import gaussian
+                       correlator_kernel, global_entanglement, minimum_gap,
+                       open_chain_correlations, pair_correlation, pfaffian,
+                       sigma_x_correlator, sigma_z_correlator)
+from kitaev_de import model
 from kitaev_de.majorana import _reflected
-from kitaev_de.model import grid_numerators
+from kitaev_de.model import _gapped_grid, _numerators, grid_numerators
 from kitaev_de.oracle import (ed_ground_state, ed_pair_correlator,
                               ed_sigma_x_product, ed_sigma_z_product)
 
@@ -80,15 +80,28 @@ class TestKernel:
 
     @pytest.mark.parametrize("n", [64, 8192])
     def test_reciprocal_scaling_keeps_division_bits(self, rng, n):
-        # the kernel scales q by -1/eps: numpy divides a complex by a real
-        # through the reciprocal, so the bits are those of q / -eps
+        # the kernel scales the k > 0 half of q by -1/eps: numpy divides a
+        # complex by a real through the reciprocal, so the bits are those of
+        # q / -eps
         for _ in range(30):
             spec = random_gapped_spec(rng, n=n)
-            q = np.empty(n, complex)
-            _, q.imag, q.real = grid_numerators(spec, n)
-            eps = np.abs(q)
+            y, z, eps, _ = _gapped_grid(spec, n)
+            q = np.empty(n // 2, complex)
+            q.real, q.imag = z, y
             got, want = q * (-1.0 / eps), q / -eps
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_global_entanglement_is_one_minus_g0_squared(self, rng):
+        # E = 1 - <sigma_z>^2 and <sigma_z> = G_0: the half-grid kernel and
+        # the half-grid mean of E agree on both variants
+        variants = set()
+        for n in (256, 2000, 8192):
+            for _ in range(20):
+                spec = random_gapped_spec(rng, n=n)
+                variants.add(spec.variant)
+                g0 = correlator_kernel(spec, n=n, l_max=1).value(0)
+                assert abs(global_entanglement(spec, n) - (1.0 - g0 * g0)) <= 1e-14
+        assert len(variants) == 2
 
     def test_gapless_raises(self):
         from conftest import grid_gapless_spec
@@ -99,14 +112,17 @@ class TestKernel:
         with pytest.raises(ValueError):
             correlator_kernel(ModelSpec.pairing(mu=2.0), n=64, l_max=16)
 
-    def test_nan_numerators_fail_imaginary_guard(self, monkeypatch):
+    def test_infinite_numerator_fails_finiteness_check(self, monkeypatch):
         # an infinite numerator passes the gap guard (eps = inf) but makes
-        # q = exp(-2 i theta) NaN, which the imaginary-part guard must catch
+        # q = exp(-2 i theta) NaN, which the finiteness check must catch
         spec = ModelSpec.pairing(mu=2.0)
-        k, y, z = grid_numerators(spec, 64)
-        monkeypatch.setattr(gaussian, "grid_numerators",
-                            lambda s, n: (k, np.full_like(y, np.inf), z))
-        with pytest.raises(GaplessSpecError, match="imaginary"), \
+
+        def infinite_y(s, n, positive=False):
+            k, y, z = _numerators(s, n, positive)
+            return k, np.full_like(y, np.inf), z
+
+        monkeypatch.setattr(model, "_numerators", infinite_y)
+        with pytest.raises(GaplessSpecError, match="not finite"), \
                 np.errstate(invalid="ignore"):
             correlator_kernel(spec, n=64, l_max=4)
 

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and only the
+per-mode outputs read the full momentum grid."""
 import ast
 from pathlib import Path
 
@@ -30,3 +31,26 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def callers(name: str) -> set[tuple[str, str]]:
+    """``(module, function)`` for every library function whose body calls
+    ``name``, by plain name or as an attribute."""
+    found = set()
+    for path in MODULES:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and name in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    found.add((path.stem, fn.name))
+    return found
+
+
+def test_only_per_mode_outputs_read_the_full_grid():
+    # every closed-chain reduction reads the k > 0 half through
+    # model._gapped_grid; the full grid serves the per-mode outputs alone
+    assert callers("grid_numerators") == {("model", "solve_chain"),
+                                          ("topology", "trajectory")}
+    assert ("gaussian", "correlator_kernel") in callers("_gapped_grid")

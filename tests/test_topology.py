@@ -128,6 +128,27 @@ class TestWindingNumber:
         with pytest.raises(GaplessSpecError):
             winding_number(grid_gapless_spec(4096), samples=4096)
 
+    @pytest.mark.parametrize("delta", [0.0, -0.0])
+    def test_no_pairing_has_no_winding(self, delta):
+        # with no pairing y is a signed zero, so where the band crosses zero
+        # between grid points phi steps exactly half a turn; that step has no
+        # direction, and nu was read from the sign of zero (1 or -1)
+        for mu in (-0.3, 0.3):
+            with pytest.raises(GaplessSpecError, match="half a turn"):
+                winding_number(ModelSpec.pairing(delta=delta, mu=mu))
+        for mu in (-1.5, 1.5):  # z keeps one sign: no step is a half turn
+            assert winding_number(ModelSpec.pairing(delta=delta, mu=mu)).nu == 0.0
+
+    @pytest.mark.parametrize("y,z", [([1.0, 1.0], [0.0, 1.0]),   # across k = 0
+                                     ([1.0, 1.0], [1.0, 0.0]),   # across k = pi
+                                     ([0.0, 0.0], [1.0, -1.0])],  # within the half
+                             ids=["zero", "pi", "half"])
+    def test_half_turn_steps_raise(self, y, z):
+        # phi = +-pi/2 at an end makes the crossing step 2 phi exactly half
+        # a turn, like a step from phi = 0 to pi within the half
+        with pytest.raises(GaplessSpecError, match="half a turn"):
+            _winding(np.array(y), np.array(z))
+
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             winding_number(ModelSpec.pairing(mu=2.0), samples=64)
