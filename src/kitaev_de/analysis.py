@@ -66,11 +66,15 @@ class CriticalPointReport:
         return [p.location for p in self.points]
 
 
-def _paired(points, values) -> tuple[np.ndarray, np.ndarray]:
-    """``points`` and ``values`` as float arrays of one shape, one value per
-    point, or :class:`InvalidParameterError` ``values``."""
+def _paired(points, values, param: str) -> tuple[np.ndarray, np.ndarray]:
+    """``points`` and ``values`` as 1-D float arrays of one length, one value
+    per point; :class:`InvalidParameterError` ``param`` unless the points
+    are 1-D, else ``values`` unless they pair up."""
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
+    if points.ndim != 1:
+        raise InvalidParameterError(
+            param, f"need a 1-D sequence of points, got shape {points.shape}")
     if values.shape != points.shape:
         raise InvalidParameterError(
             "values", f"need one value per point: {values.shape} != {points.shape}")
@@ -79,11 +83,11 @@ def _paired(points, values) -> tuple[np.ndarray, np.ndarray]:
 
 def fit_volume_law(sizes, values) -> ScalingFit:
     """Least-squares slope of ``S = s N`` (intercept forced to zero)."""
-    sizes, values = _paired(sizes, values)
+    sizes, values = _paired(sizes, values, "sizes")
     if sizes.size < 3:
         raise InsufficientPointsError(f"need >= 3 sizes, got {sizes.size}")
-    if not (sizes > 0).all():
-        raise InvalidParameterError("sizes", "every size must be positive")
+    if not ((sizes > 0) & (sizes < np.inf)).all():  # NaN fails too
+        raise InvalidParameterError("sizes", "every size must be positive and finite")
     s = float(np.dot(sizes, values) / np.dot(sizes, sizes))
     resid = values - s * sizes
     return ScalingFit(kind="volume", params=(s,),
@@ -93,7 +97,7 @@ def fit_volume_law(sizes, values) -> ScalingFit:
 
 def fit_block_law(lengths, values) -> ScalingFit:
     """Ordinary least squares of ``S_L = a L + b log2 L + c``."""
-    lengths, values = _paired(lengths, values)
+    lengths, values = _paired(lengths, values, "lengths")
     if np.unique(lengths[lengths >= 2]).size < 5:
         raise InsufficientPointsError("need >= 5 distinct block lengths >= 2")
     if (lengths <= 0).any():  # NaN passes on to the finiteness check
@@ -112,7 +116,7 @@ def fit_block_law(lengths, values) -> ScalingFit:
 
 def susceptibility(name: str, grid, values) -> SusceptibilityCurve:
     """Central differences ``chi_i = (q_{i+1} - q_{i-1}) / (2h)``."""
-    grid, values = _paired(grid, values)
+    grid, values = _paired(grid, values, "grid")
     steps = np.diff(grid)
     if steps.size < 2:
         raise NonUniformGridError("need at least 3 grid points")

@@ -6,13 +6,17 @@ Correlation sources
   ``G_R = (1/N) sum_k exp(i R k) exp(-2 i theta_k)``, which equals
   ``<A_a B_{a+R}>`` with ``A = c^dag + c``, ``B = c^dag - c``.  As
   ``theta_{-k} = -theta_k``, each k < 0 term is the complex conjugate of its
-  k > 0 partner, so ``G_R = (2/N) Re sum_{k>0} exp(i R k) q_k`` with
-  ``q_k = exp(-2 i theta_k) = -(z + i y) / eps``: real by construction and
-  read from the k > 0 half alone.  There ``k_m = (2 pi / N)(m + 1/2)`` for
-  ``m < N/2`` and the phase factors as
-  ``exp(i R k_m) = exp(i pi R / N) exp(2 pi i R m / N)``, so the whole table
-  is one inverse FFT of ``q`` padded with zeros to length N:
-  ``G_R = 2 Re(exp(i pi R / N) ifft(q)[R mod N])``.
+  k > 0 partner, so ``G_R = (2/N) Re sum_m exp(i R k_m) q_m`` over the
+  ``M = N/2`` momenta ``k_m = pi (2m + 1) / N`` with
+  ``q_m = exp(-2 i theta(k_m)) = -(z + i y) / eps``: real by construction and
+  read from the k > 0 half alone.  Under ``Re`` an odd term may be
+  conjugated, and ``conj(exp(i R k_{2p+1}))`` is
+  ``exp(i pi R / N) exp(2 pi i R (M - 1 - p) / M)``, while the even term
+  ``m = 2j`` is ``exp(i pi R / N) exp(2 pi i R j / M)``.  So with Makhoul's
+  even/odd reordering (J. Makhoul, IEEE Trans. ASSP 28, 27, 1980)
+  ``v = (q_0, q_2, q_4, ..., conj q_5, conj q_3, conj q_1)`` the whole
+  table is one FFT of length M:
+  ``G_R = Re(exp(i pi R / N) sum_j v_j exp(2 pi i R j / M)) / M``.
 * :class:`DenseCorrelations` -- open chains; the full matrix ``m[a, b] =
   <A_a B_b>``.  In these operators the open chain reads
   ``H = -(1/2) sum_{ab} K_{ab} A_a B_b`` with the real coupling matrix K of
@@ -80,29 +84,40 @@ def correlator_kernel(spec: ModelSpec, n: int = DEFAULT_GRID,
     """Tabulate ``G_R`` by the discrete momentum sum over the n-point grid.
 
     The k > 0 half of the grid holds the sum (see the module docstring):
-    ``q = -(z + i y) / eps`` from :func:`~kitaev_de.model._gapped_grid`
-    fills the first n/2 entries of a zeroed length-n buffer, and one inverse
-    FFT gives every ``R = -l_max .. l_max`` at once,
-    ``G_R = 2 Re(exp(i pi R / n) ifft(q)[R mod n])``, in O(n log n).
+    ``q = -(z + i y) / eps`` from :func:`~kitaev_de.model._gapped_grid`,
+    reordered by Makhoul's identity into ``v = (q_0, q_2, ..., conj q_3,
+    conj q_1)`` (even indices ascending, then odd ones conjugated and
+    descending; J. Makhoul, IEEE Trans. ASSP 28, 27, 1980), goes through one
+    FFT of length ``n/2``, which gives every ``R = -l_max .. l_max`` at once,
+    ``G_R = Re(exp(i pi R / n) fft(v)[-R mod n/2]) / (n/2)``, in
+    O(n log n).
 
-    Requires ``l_max < n/4`` for kernel accuracy and a gapped spectrum
-    (minimum grid gap above 1e-8), otherwise the integrand is discontinuous.
-    An infinite numerator passes the gap check as ``eps = inf`` but leaves
-    ``q`` NaN, so a non-finite ``G`` raises :class:`GaplessSpecError` too.
+    Requires ``l_max < n/4`` for kernel accuracy (so the lags are distinct
+    modulo n/2) and a gapped spectrum (minimum grid gap above 1e-8),
+    otherwise the integrand is discontinuous.  An infinite numerator passes
+    the gap check as ``eps = inf`` but leaves ``q`` NaN, so a non-finite
+    ``G`` raises :class:`GaplessSpecError` too.
     """
     l_max = _integer(l_max, "l_max", 0)
     n = _integer(n, "n", 4 * l_max + 1)  # l_max < n / 4
     y, z, eps, _ = _gapped_grid(spec, n)
-    q = np.zeros(n, complex)
-    half = q[:n // 2]
-    half.real, half.imag = z, y
-    half *= -1.0 / eps  # exp(-2 i theta), the same bits as half /= -eps
-    # y, z and eps are freed first, and the transform is not ifft(q, out=q):
-    # in some heap layouts either left glibc a heap top to trim and fault in
-    # again on every block point (the caveat in ROADMAP aim 1)
-    del y, z, eps
+    inv = -1.0 / eps  # exp(-2 i theta) = (z + i y) inv, the bits of q / -eps
+    half = n // 2
+    v = np.empty(half, complex)
+    even = (half + 1) // 2
+    # the scaled numerators go straight into v's float views, with no complex
+    # q; y, z, eps and inv are freed before the transform and v before the
+    # read, and the transform is fft(v), not ifft(v): the other forms tried
+    # faulted more often in block-z runs (the glibc caveat in ROADMAP aim 1)
+    for part, num in ((v.real, z), (v.imag, y)):
+        np.multiply(num[::2], inv[::2], out=part[:even])
+        np.multiply(num[1::2][::-1], inv[1::2][::-1], out=part[even:])
+    np.negative(v.imag[even:], out=v.imag[even:])  # conj of the odd q
+    del y, z, eps, inv
     r = np.arange(-l_max, l_max + 1)
-    g = 2.0 * (np.exp(1j * np.pi * r / n) * np.fft.ifft(q)[r % n]).real
+    f = np.fft.fft(v)
+    del v
+    g = (np.exp(1j * np.pi * r / n) * f[-r % half]).real / half
     if not np.isfinite(g).all():
         raise GaplessSpecError("kernel is not finite: a numerator is infinite")
     g.flags.writeable = False

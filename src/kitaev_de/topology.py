@@ -157,17 +157,23 @@ def phase_boundary_scan(spec: ModelSpec, x_name: str, x_values,
 
     Gapless cells are kept (NaN in every field) rather than raised; boundary
     cells are those where nu changes between neighbours or the gap closed.
+    Without ``y_name`` the grid is one row, and ``y_values`` must be None.
     """
     def cell(sp):
         res = winding_number(sp, samples=samples)
         return res.nu, res.min_gap
 
     x_values = np.asarray(x_values, dtype=float)
-    y_values = None if y_name is None else np.asarray(y_values, dtype=float)
-    rows = ([spec] if y_name is None
-            else _swept_specs(spec, y_name, y_values, "y_values"))
-    grid = np.array([_sweep(_swept_specs(row, x_name, x_values, "x_values"), cell, 2)
-                     for row in rows])
+    # built before the rows, so that x_values is checked even with no rows
+    rows = [_swept_specs(spec, x_name, x_values, "x_values")]
+    if y_name is None:
+        if y_values is not None:
+            raise InvalidParameterError("y_values", "y_values given without y_name")
+    else:
+        y_values = np.asarray(y_values, dtype=float)
+        rows = [_swept_specs(row, x_name, x_values, "x_values")
+                for row in _swept_specs(spec, y_name, y_values, "y_values")]
+    grid = np.array([_sweep(row, cell, 2) for row in rows])
     grid = grid.reshape(len(rows), x_values.size, 2)  # also for no rows
     return PhaseScan(x_name=x_name, x_values=x_values, y_name=y_name,
                      y_values=y_values, nu=grid[..., 0], min_gap=grid[..., 1])

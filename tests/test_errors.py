@@ -273,6 +273,18 @@ SITES = [
     ("values", lambda: comparative_scan(PAIRING, "mu", 0.5, ["s"])),
     ("values", lambda: nu_change_locations(PAIRING, "mu", 0.5)),
     ("y_values", lambda: phase_boundary_scan(PAIRING, "mu", [0.0, 1.0], "delta")),
+    # with no rows a scalar x_values was never checked and came back 0-d;
+    # y_values without y_name was dropped
+    ("x_values", lambda: phase_boundary_scan(PAIRING, "mu", 0.5, "delta", [])),
+    ("y_values", lambda: phase_boundary_scan(PAIRING, "mu", [0.0, 1.0], y_values=[0.1])),
+    # points that are not 1-D ended in a bare ValueError or TypeError, or
+    # gave a curve that detect_critical_points could not read
+    ("sizes", lambda: fit_volume_law(np.ones((3, 1)), np.ones((3, 1)))),
+    ("lengths", lambda: fit_block_law(np.arange(4.0, 10.0).reshape(6, 1), np.ones((6, 1)))),
+    ("grid", lambda: susceptibility("x", np.arange(4.0).reshape(2, 2), np.ones((2, 2)))),
+    ("grid", lambda: susceptibility("x", np.arange(18.0).reshape(9, 2), np.ones((9, 2)))),
+    # an infinite size warned and gave a NaN slope
+    ("sizes", lambda: fit_volume_law([4, 5, math.inf], [1.0, 2.0, 3.0])),
 ]
 
 

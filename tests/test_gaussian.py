@@ -9,7 +9,7 @@ from kitaev_de import (DegenerateGroundStateError, GaplessSpecError, ModelSpec,
                        correlator_kernel, global_entanglement, minimum_gap,
                        open_chain_correlations, pair_correlation, pfaffian,
                        sigma_x_correlator, sigma_z_correlator)
-from kitaev_de import model
+from kitaev_de import gaussian, model
 from kitaev_de.majorana import _reflected
 from kitaev_de.model import _gapped_grid, _numerators, grid_numerators
 from kitaev_de.oracle import (ed_ground_state, ed_pair_correlator,
@@ -54,7 +54,7 @@ class TestKernel:
         assert ker.value(2) != pytest.approx(ker.value(-2), abs=1e-6)
         assert np.abs(ker.g).max() <= 1.0 + 1e-12
 
-    @pytest.mark.parametrize("n", [10, 64, 2048, 8192])
+    @pytest.mark.parametrize("n", [10, 64, 2002, 2048, 8192])
     def test_matches_direct_momentum_sum(self, rng, n):
         # reference: G_R = (1/n) sum_k exp(i R k) q_k term by term at both
         # ends of the table and 100 random lags, for random specs including a
@@ -78,18 +78,42 @@ class TestKernel:
             assert got.g.shape == (2 * l_max + 1,)
             assert np.abs(got.g[lags + l_max] - want.real).max() < 1e-13
 
+    @pytest.mark.parametrize("n", [10, 2002, 8192])
+    def test_one_transform_of_half_length(self, monkeypatch, n):
+        # Makhoul's reordering: one FFT of the n/2 momenta k > 0, no padding
+        spec = ModelSpec.pairing(mu=0.5)
+        want = correlator_kernel(spec, n=n, l_max=2)  # fills the harmonics cache
+        calls = []
+
+        def recorded(name, transform):
+            def call(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return transform(a, *args, **kwargs)
+            return call
+
+        for name in np.fft.__all__:
+            if "freq" not in name and "shift" not in name:
+                monkeypatch.setattr(gaussian.np.fft, name,
+                                    recorded(name, getattr(np.fft, name)))
+        got = correlator_kernel(spec, n=n, l_max=2)
+        assert len(calls) == 1 and calls[0][1] == (n // 2,)
+        assert got.g.tobytes() == want.g.tobytes()
+
     @pytest.mark.parametrize("n", [64, 8192])
     def test_reciprocal_scaling_keeps_division_bits(self, rng, n):
-        # the kernel scales the k > 0 half of q by -1/eps: numpy divides a
-        # complex by a real through the reciprocal, so the bits are those of
-        # q / -eps
+        # the kernel scales z and y of the k > 0 half by inv = -1/eps one
+        # part at a time: the bits of q * inv, and numpy divides a complex by
+        # a real through the reciprocal, so also those of q / -eps
         for _ in range(30):
             spec = random_gapped_spec(rng, n=n)
             y, z, eps, _ = _gapped_grid(spec, n)
             q = np.empty(n // 2, complex)
             q.real, q.imag = z, y
-            got, want = q * (-1.0 / eps), q / -eps
+            inv = -1.0 / eps
+            got, want = q * inv, q / -eps
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert np.array_equal((z * inv).view(np.int64), got.real.view(np.int64))
+            assert np.array_equal((y * inv).view(np.int64), got.imag.view(np.int64))
 
     def test_global_entanglement_is_one_minus_g0_squared(self, rng):
         # E = 1 - <sigma_z>^2 and <sigma_z> = G_0: the half-grid kernel and
