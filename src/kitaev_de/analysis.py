@@ -81,6 +81,13 @@ def _paired(points, values, param: str) -> tuple[np.ndarray, np.ndarray]:
     return points, values
 
 
+def _check_finite(values: np.ndarray) -> None:
+    """:class:`InvalidParameterError` ``values`` unless every value is
+    finite; a fit would return NaN parameters or warn."""
+    if not np.isfinite(values).all():
+        raise InvalidParameterError("values", "every value must be finite")
+
+
 def fit_volume_law(sizes, values) -> ScalingFit:
     """Least-squares slope of ``S = s N`` (intercept forced to zero)."""
     sizes, values = _paired(sizes, values, "sizes")
@@ -88,6 +95,7 @@ def fit_volume_law(sizes, values) -> ScalingFit:
         raise InsufficientPointsError(f"need >= 3 sizes, got {sizes.size}")
     if not ((sizes > 0) & (sizes < np.inf)).all():  # NaN fails too
         raise InvalidParameterError("sizes", "every size must be positive and finite")
+    _check_finite(values)
     s = float(np.dot(sizes, values) / np.dot(sizes, sizes))
     resid = values - s * sizes
     return ScalingFit(kind="volume", params=(s,),
@@ -105,6 +113,7 @@ def fit_block_law(lengths, values) -> ScalingFit:
     design = np.column_stack([lengths, np.log2(lengths), np.ones_like(lengths)])
     if not np.isfinite(design).all():  # LAPACK's least squares may not return
         raise IllConditionedError("block-law design matrix is not finite")
+    _check_finite(values)
     coef, _, _, sv = np.linalg.lstsq(design, values, rcond=None)
     if not sv[0] <= COND_LIMIT * sv[-1]:  # 2-norm condition number; NaN fails
         raise IllConditionedError("block-law design matrix is ill conditioned")

@@ -20,6 +20,19 @@ levels the probabilities are the joint distribution of the first j sites,
 i.e. the j-site block distribution, so one pass over the longest block gives
 every block entropy ``S_1 .. S_L``.
 
+The pass runs in a workspace held per thread (``threading.local``): two
+ping-pong buffers for the Schur complements, one for ``u v^T`` and the
+denominators, one for the probabilities and a spare of the same size for
+``p ln p``, grown to the longest block the thread has seen (about 0.7 MB at
+L = 14), with the per-level views into them built once per row count.  A
+pass therefore allocates no array per level.  Fresh per-level arrays would
+add up to about half a megabyte per pass at L = 14, above glibc's trim
+threshold, so glibc would hand them back to the kernel and fault them in
+again on most calls, depending on what else the heap holds.  The
+levels a pass yields are views into the workspace, valid until the pass
+advances; threads do not share one, and :func:`block_diagonal_distribution`
+returns a copy, so a later pass cannot overwrite an array it returned.
+
 The X basis is the same problem on bonds: ``X_m X_{m+1} = B_m A_{m+1}``
 (Jordan-Wigner bond duality), so the L - 1 bond outcomes of an L-site block
 follow from the chain rule on the bond contraction matrix.  A site outcome
@@ -30,6 +43,7 @@ bit exactly (``S_X(1) = 1``).
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from itertools import chain
 
@@ -68,10 +82,13 @@ class EntropyReport:
     spec: ModelSpec | None = None
 
 
-def _xlogx(p: np.ndarray) -> np.ndarray:
-    """``p ln p`` elementwise, 0 at ``p = 0`` and NaN at NaN."""
-    out = np.where(p > 0, p, 1.0)
-    np.log(out, out=out)
+def _xlogx(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``p ln p`` elementwise, 0 at ``p = 0`` and NaN at NaN; into ``out``
+    (of the shape of ``p``) when given."""
+    if out is None:
+        out = np.empty_like(p)
+    out.fill(0.0)  # ln 1, where p is not positive
+    np.log(p, out=out, where=p > 0)
     out *= p
     return out
 
@@ -109,6 +126,65 @@ def global_entanglement(spec: ModelSpec, n: int = DEFAULT_GRID) -> float:
 
 
 _SIGNS = np.array([[1.0], [-1.0]])  # outcome bit 0 -> s = +1, bit 1 -> s = -1
+_NEG_SIGNS = -_SIGNS
+
+
+class _Workspace(threading.local):
+    """The buffers of one thread's chain-rule passes and their views.
+
+    Level ``j`` (0-based) of a pass over ``rows`` rows splits ``b = 2^j``
+    branches and leaves ``k = rows - 1 - j`` rows; it reads a ``(k + 1,
+    k + 1, b)`` complement and writes the ``(k, k, 2, b)`` next one into the
+    other ping-pong buffer, hence ``max_k k^2 2^(rows - k)`` floats each
+    (``k = rows`` is the copy of the input matrix).  The ``(2, b)``
+    denominators and the ``(k, k, b)`` product ``u v^T`` share one buffer.
+    The probabilities are updated in place, the ``s = -1`` half first, in a
+    buffer of ``2^rows`` floats; ``spare`` is as large, for the caller's
+    ``p ln p``."""
+
+    def __init__(self):
+        self._grow(0)
+
+    def _grow(self, rows: int) -> None:
+        side = max(k * k << (rows - k) for k in range(rows + 1))
+        self.rows = rows
+        self.mats = (np.empty(side), np.empty(side))
+        self.uv = np.empty(max([(k * k + 2) << (rows - 1 - k) for k in range(rows)],
+                               default=0))
+        self.p = np.empty(1 << rows)
+        self.spare = np.empty(1 << rows)
+        self.views = {}
+
+    def levels(self, rows: int):
+        """``(first, levels)`` of a pass over ``rows`` rows: the ``(rows,
+        rows, 1)`` view the input is copied into, and per level the tuple
+        ``(k, m11, denom, plus, minus, old, new_minus, p, u, v, uv, uv4, nxt,
+        rest)``: ``m11`` and ``u``, ``v``, ``rest`` are the corner, first
+        column, first row and remainder of the current complement; ``plus``
+        and ``minus`` the rows of the ``(2, b)`` ``denom``; ``old`` the b
+        probabilities of the previous level, ``new_minus`` the b after them
+        and ``p`` all 2b of this level; ``uv4`` is ``uv`` with an outcome
+        axis, and ``nxt`` the next complement."""
+        if rows > self.rows:
+            self._grow(rows)
+        if rows not in self.views:
+            cur = first = self.mats[0][:rows * rows].reshape(rows, rows, 1)
+            levels = []
+            for j in range(rows):
+                b, k = 1 << j, rows - 1 - j
+                denom = self.uv[:2 * b].reshape(2, b)
+                uv = self.uv[2 * b:(k * k + 2) * b].reshape(k, k, b)
+                nxt = self.mats[(j + 1) % 2][:2 * k * k * b].reshape(k, k, 2, b)
+                levels.append((k, cur[0, 0], denom, denom[0], denom[1],
+                               self.p[:b], self.p[b:2 * b], self.p[:2 * b],
+                               cur[1:, :1], cur[:1, 1:], uv, uv[:, :, None, :],
+                               nxt, cur[1:, 1:, None, :]))
+                cur = nxt.reshape(k, k, 2 * b)
+            self.views[rows] = first, levels
+        return self.views[rows]
+
+
+_WORKSPACE = _Workspace()
 
 
 def _chain_rule(m: np.ndarray):
@@ -125,12 +201,21 @@ def _chain_rule(m: np.ndarray):
     ``-CLAMP_TOL`` or a level total off 1 by more than ``NORM_TOL`` raises,
     and so does NaN; branches of zero weight keep an undivided complement,
     which their zero weight makes moot.
+
+    Every level is written into this thread's :class:`_Workspace` with
+    ``out=`` ufunc calls, and the yielded array is a view into it: it holds
+    the level only until the generator advances, and a second pass in the
+    same thread overwrites it, so a caller that keeps a level copies it.
     """
-    p = np.ones(1)
-    mats = m[:, :, None]
-    for k in range(m.shape[0] - 1, -1, -1):
-        denom = 1.0 + _SIGNS * mats[0, 0]  # (outcome, branch)
-        p = 0.5 * p * denom
+    first, levels = _WORKSPACE.levels(m.shape[0])
+    np.copyto(first, m[:, :, None])
+    _WORKSPACE.p[0] = 1.0
+    for k, m11, denom, plus, minus, old, new_minus, p, u, v, uv, uv4, nxt, rest in levels:
+        np.multiply(_SIGNS, m11, out=denom)  # (outcome, branch)
+        denom += 1.0
+        old *= 0.5
+        np.multiply(old, minus, out=new_minus)
+        np.multiply(old, plus, out=old)
         low = p.min()
         if not low >= -CLAMP_TOL:
             raise NormalizationFailureError(f"probability {low:.3e} < -{CLAMP_TOL}")
@@ -138,17 +223,15 @@ def _chain_rule(m: np.ndarray):
             np.maximum(p, 0.0, out=p)
         if not abs(p.sum() - 1.0) <= NORM_TOL:
             raise NormalizationFailureError(f"probabilities sum to {p.sum()!r}")
-        yield p.reshape(-1)
+        yield p
         if not k:
             return
-        denom[p == 0.0] = 1.0
-        scale = np.divide(-_SIGNS, denom, out=denom)  # -s / (1 + s m_11)
-        uv = mats[1:, :1] * mats[:1, 1:]
-        nxt = uv[:, :, None, :] * scale
-        del uv, scale, denom  # freed early, so malloc reuses their pages
-        nxt += mats[1:, 1:, None, :]
-        p = p.reshape(-1)
-        mats = nxt.reshape(k, k, p.size)
+        if low <= 0.0:
+            denom.reshape(-1)[p == 0.0] = 1.0
+        np.divide(_NEG_SIGNS, denom, out=denom)  # -s / (1 + s m_11)
+        np.multiply(u, v, out=uv)
+        np.multiply(uv4, denom, out=nxt)
+        nxt += rest
 
 
 def _block_lengths(lengths) -> list[int]:
@@ -188,6 +271,8 @@ def block_diagonal_distribution(source: CorrelationSource, l: int,
     if basis == "x":
         x = np.arange(1 << l)
         p = 0.5 * p[(x ^ (x >> 1)) % (1 << (l - 1))]
+    else:
+        p = p.copy()  # the pass's level is a view into its workspace
     return DiagonalDistribution(basis=basis, l=l, p=p)
 
 
@@ -197,7 +282,8 @@ def _block_entropies(source: CorrelationSource, lengths, basis: str = "z",
     off one chain-rule pass over the longest block."""
     basis = _basis(basis)
     levels = enumerate(_block_levels(source, lengths, basis, start), 1)
-    s = {l: float(-_xlogx(p).sum() / _LN2) for l, p in levels if l in lengths}
+    s = {l: float(-_xlogx(p, _WORKSPACE.spare[:p.size]).sum() / _LN2)
+         for l, p in levels if l in lengths}
     return [s[l] + 1.0 if basis == "x" else s[l] for l in lengths]
 
 

@@ -148,21 +148,16 @@ def momentum_grid(n: int) -> np.ndarray:
     return np.concatenate((-kp[::-1], kp))
 
 
-@lru_cache(maxsize=128)
 def _range_weights(exponent: float, r: int, n: int) -> np.ndarray:
     """Weights ``d_l^(-exponent)`` for ``l = 1..r`` on an n-site ring, with
     the ring distance ``d_l = min(l, n - l)``.  The pairing-only variant uses
     every range, ``r = n - 1``.  A range that reaches the ring's length
-    (``r >= n``) has no ring distance.  Cached though it runs only when
-    ``_grid_harmonics`` misses: freed arrays let glibc trim and re-fault
-    130-150 pages per benchmark block-z point (see ROADMAP)."""
+    (``r >= n``) has no ring distance."""
     if r >= n:
         raise InvalidParameterError(
             "r", f"range r = {r} must be below the {n} sites of the closed chain")
     l = np.arange(1.0, r + 1)
-    w = np.minimum(l, n - l) ** -exponent
-    w.flags.writeable = False
-    return w
+    return np.minimum(l, n - l) ** -exponent
 
 
 def _ring_weights(n: int, alpha: float, *hopping):

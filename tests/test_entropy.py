@@ -1,5 +1,9 @@
 """Diagonal entropies: momentum space, blocks in both bases, global
 entanglement; cross-checked against the exact-diagonalization oracle."""
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import xlogy
@@ -284,7 +288,9 @@ class TestChainRuleLayout:
 
     @staticmethod
     def _assert_same_levels(m):
-        got = list(_chain_rule(m))
+        # each level is a view into the pass's workspace: copy it before the
+        # pass advances
+        got = [p.copy() for p in _chain_rule(m)]
         want = list(_branch_major_chain_rule(m))
         assert len(got) == len(want) == m.shape[0]
         for g, w in zip(got, want):
@@ -308,6 +314,64 @@ class TestChainRuleLayout:
     def test_xlogx(self):
         got = entropy._xlogx(np.array([0.0, 1.0, 0.5, np.nan]))
         np.testing.assert_array_equal(got, [0.0, 0.0, 0.5 * np.log(0.5), np.nan])
+
+
+class TestWorkspace:
+    # the chain rule writes every level into one workspace per thread
+    SPECS = TestChainRuleLayout.SPEC, TestSinglePass.SPECS[0]
+
+    @pytest.mark.parametrize("basis", ["z", "x"])
+    def test_returned_distribution_survives_a_later_pass(self, basis):
+        # the first pass grows the workspace, so the later ones reuse it
+        block_coefficients(self.SPECS[1], basis)
+        ker = correlator_kernel(self.SPECS[0], n=2048, l_max=14)
+        dist = block_diagonal_distribution(ker, 10, basis)
+        kept = dist.p.copy()
+        other = correlator_kernel(self.SPECS[1], n=2048, l_max=14)
+        block_diagonal_distribution(other, 12, basis)
+        block_coefficients(self.SPECS[1], basis)
+        np.testing.assert_array_equal(dist.p, kept)
+
+    def test_threads_match_serial_runs(self):
+        bases = ("z", "x")
+        want = [[block_coefficients(sp, b) for b in bases] for sp in self.SPECS]
+        got = [[] for _ in self.SPECS]
+
+        def run(i):
+            for j in range(50):
+                got[i].append(block_coefficients(self.SPECS[i], bases[j % 2]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, fits in enumerate(got):
+            assert len(fits) == 50
+            for j, fit in enumerate(fits):
+                assert fit == want[i][j % 2]
+
+    @pytest.mark.parametrize("basis", ["z", "x"])
+    def test_warm_pass_allocates_little(self, basis):
+        # fresh arrays per level peak at 533 KB (Z) and 333 KB (X) at L = 14;
+        # what is left is numpy's iterator buffers and small masks
+        ker = correlator_kernel(self.SPECS[0], n=8192, l_max=14)
+        lengths = range(4, 15)
+        _block_entropies(ker, lengths, basis)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _block_entropies(ker, lengths, basis)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 160 * 1024
 
 
 class TestNaNGuards:

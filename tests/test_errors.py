@@ -285,6 +285,11 @@ SITES = [
     ("grid", lambda: susceptibility("x", np.arange(18.0).reshape(9, 2), np.ones((9, 2)))),
     # an infinite size warned and gave a NaN slope
     ("sizes", lambda: fit_volume_law([4, 5, math.inf], [1.0, 2.0, 3.0])),
+    # a non-finite value warned or gave NaN parameters
+    ("values", lambda: fit_volume_law([4, 5, 6], [1.0, 2.0, math.inf])),
+    ("values", lambda: fit_volume_law([4, 5, 6], [1.0, math.nan, 3.0])),
+    ("values", lambda: fit_block_law(range(4, 10), [1.0, 2, 3, 4, 5, math.nan])),
+    ("values", lambda: fit_block_law(range(4, 10), [1.0, 2, 3, 4, 5, -math.inf])),
 ]
 
 
