@@ -11,16 +11,15 @@ Closed chains use antiperiodic boundary conditions (momenta
 ``k_n = (2*pi/N)(n + 1/2)``) and the ring distance ``d_l = min(l, N - l)``;
 open-chain helpers elsewhere in the package use ``d_l = l``.
 
-The closed-chain grid is its k > 0 half plus that half's exact mirror
-(:func:`momentum_grid`), and the harmonic sums are mirrored with it, odd for
-the pairing sum and even for the hopping sum, so ``(y, z)(-k) = (-y, z)(k)``
-holds bit for bit.  The ground state factorises over ``(k, -k)`` pairs, so
-the gap checks and the reductions built on them -- the diagonal entropy s,
-the global entanglement E, the winding number, the pair-correlation kernel
-``G_R`` and :func:`minimum_gap` -- scale and read only the k > 0 half of the
-cached harmonic sums (:func:`_numerators` with ``positive``, through
-:func:`_gapped_grid`); per-mode results and :func:`grid_numerators` keep the
-full grid.
+The closed-chain symbol is stored in one form: the harmonic sums on the
+n/2 momenta k > 0, cached per ``(n, alpha, beta, r)``.  The ground state
+factorises over ``(k, -k)`` pairs, so the gap checks and the reductions built
+on them -- the diagonal entropy s, the global entanglement E, the winding
+number, the pair-correlation kernel ``G_R`` and :func:`minimum_gap` -- read
+only that half (through :func:`_gapped_grid`).  The full grid is the half
+plus its exact mirror, odd for the pairing sum and even for the hopping sum,
+so ``(y, z)(-k) = (-y, z)(k)`` holds bit for bit; only :func:`grid_numerators`
+(for the per-mode results) and :func:`momentum_grid` build it.
 
 Conventions
 -----------
@@ -79,7 +78,9 @@ class ModelSpec:
     must be finite, and ``alpha`` and ``beta`` may be infinite (the
     nearest-neighbour limit); ``variant`` must be a :class:`Variant`
     member.  A rejected field raises an :class:`InvalidParameterError`
-    naming it, checked in declaration order.
+    naming it, checked in declaration order.  An accepted instance holds the
+    checked values: a Python ``float`` for every coupling and an ``int``
+    for ``r``, whatever real or integer type was passed.
     """
 
     variant: Variant
@@ -94,11 +95,14 @@ class ModelSpec:
         if not isinstance(self.variant, Variant):
             raise InvalidParameterError(
                 "variant", f"variant must be a Variant member, got {self.variant!r}")
+        checked = {}
         for name in ("j", "delta", "mu"):
-            if not math.isfinite(_real(getattr(self, name), name)):
+            checked[name] = _real(getattr(self, name), name)
+            if not math.isfinite(checked[name]):
                 raise InvalidParameterError(
                     name, f"{name} must be finite, got {getattr(self, name)}")
-        if not _real(self.alpha, "alpha") >= 0:
+        checked["alpha"] = _real(self.alpha, "alpha")
+        if not checked["alpha"] >= 0:
             raise InvalidParameterError("alpha", f"alpha must be >= 0, got {self.alpha}")
         if self.variant is Variant.LONG_RANGE_PAIRING:
             if self.beta is not None or self.r is not None:
@@ -109,7 +113,9 @@ class ModelSpec:
             if self.beta is None or not _real(self.beta, "beta") >= 0:
                 raise InvalidParameterError(
                     "beta", f"beta must be a nonnegative real, got {self.beta}")
-            _integer(self.r, "r", 1)
+            checked.update(beta=_real(self.beta, "beta"), r=_integer(self.r, "r", 1))
+        for name, value in checked.items():  # the checked float or int, not the raw value
+            object.__setattr__(self, name, value)
 
     @classmethod
     def pairing(cls, j=1.0, delta=1.0, mu=0.0, alpha=math.inf):
@@ -132,27 +138,34 @@ class ModeData:
     gapless: bool = False  # eps <= GAP_TOL; vector and angle are then NaN
 
 
+def _positive_momenta(n: int) -> np.ndarray:
+    """The n/2 momenta ``kp = (2*pi/N)(m + 1/2)``, ``m < N/2``, of the
+    antiperiodic grid: ascending in (0, pi), no point at 0 or pi.  Odd chain
+    lengths would place an unpaired mode exactly at pi, which breaks the
+    (k, -k) pair structure every closed-chain quantity relies on, so they
+    are rejected."""
+    if _integer(n, "n", 2) % 2:
+        raise InvalidParameterError("n", f"need an even chain length, got {n}")
+    return (2.0 * np.pi / n) * (np.arange(n // 2) + 0.5)
+
+
 def momentum_grid(n: int) -> np.ndarray:
     """Antiperiodic grid ``k_n = (2*pi/N)(n + 1/2)`` mapped into (-pi, pi).
 
-    Built from its positive half ``kp = (2*pi/N)(m + 1/2)``, ``m < N/2``, as
+    Built from its positive half (:func:`_positive_momenta`) as
     ``(-kp[::-1], kp)``: sorted ascending, no point at 0 or +-pi, and every
     momentum paired with its exact negative, ``k[::-1] == -k`` bit for bit.
-    Odd chain lengths would place an unpaired mode exactly at pi, which
-    breaks the (k, -k) pair structure every closed-chain quantity relies on,
-    so they are rejected.
     """
-    if _integer(n, "n", 2) % 2:
-        raise InvalidParameterError("n", f"need an even chain length, got {n}")
-    kp = (2.0 * np.pi / n) * (np.arange(n // 2) + 0.5)
+    kp = _positive_momenta(n)
     return np.concatenate((-kp[::-1], kp))
 
 
-def _range_weights(exponent: float, r: int, n: int) -> np.ndarray:
+def _range_weights(exponent: float, r: int | None, n: int) -> np.ndarray:
     """Weights ``d_l^(-exponent)`` for ``l = 1..r`` on an n-site ring, with
-    the ring distance ``d_l = min(l, n - l)``.  The pairing-only variant uses
-    every range, ``r = n - 1``.  A range that reaches the ring's length
-    (``r >= n``) has no ring distance."""
+    the ring distance ``d_l = min(l, n - l)``.  ``r = None`` is every range,
+    ``r = n - 1``, as in the pairing-only variant.  A range that reaches the
+    ring's length (``r >= n``) has no ring distance."""
+    r = n - 1 if r is None else r
     if r >= n:
         raise InvalidParameterError(
             "r", f"range r = {r} must be below the {n} sites of the closed chain")
@@ -160,23 +173,13 @@ def _range_weights(exponent: float, r: int, n: int) -> np.ndarray:
     return np.minimum(l, n - l) ** -exponent
 
 
-def _ring_weights(n: int, alpha: float, *hopping):
-    """Ring weights of the sine (pairing) sum with alpha and of the cosine
-    (hopping) sum with ``hopping = (beta, r)``; no hopping terms: the
-    pairing-only chain, every range and the bare cos k (``None``)."""
-    if not hopping:
-        return _range_weights(alpha, n - 1, n), None
-    beta, r = hopping
-    return _range_weights(alpha, r, n), _range_weights(beta, r, n)
-
-
 def _coefficients(spec: ModelSpec):
-    """``(c_y, c_z, c_0, hopping)`` with ``y = c_y sin_sum`` and
-    ``z = c_z cos_sum + c_0`` (see the module docstring), and ``hopping``
-    the :func:`_ring_weights` terms of the cosine sum."""
+    """``(c_y, c_z, c_0)`` with ``y = c_y sin_sum`` and
+    ``z = c_z cos_sum + c_0`` (see the module docstring); the cosine sum is
+    the bare cos k when ``spec.beta`` is None."""
     if spec.variant is Variant.LONG_RANGE_PAIRING:
-        return 0.5 * spec.delta, spec.j, spec.mu, ()
-    return spec.delta, spec.j, 0.5 * spec.mu, (spec.beta, spec.r)
+        return 0.5 * spec.delta, spec.j, spec.mu
+    return spec.delta, spec.j, 0.5 * spec.mu
 
 
 def _harmonic_sum(weights: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -186,60 +189,58 @@ def _harmonic_sum(weights: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _grid_harmonics(n: int, alpha: float, *hopping):
-    """Sorted grid plus the harmonic sums entering (y, z) on the full grid.
+def _grid_harmonics(n: int, alpha: float, beta: float | None, r: int | None):
+    """The k > 0 half of the grid plus the harmonic sums entering (y, z) there.
 
-    Returns ``(k_sorted, sin_sum, cos_sum, peaks)``: the sums carry the model's
-    distance weights, ``peaks`` their largest magnitudes.  One FFT each; the
-    k < 0 half is then overwritten with the mirror of the k > 0 half, odd for
-    the sine sum and even for the cosine sum, so ``(y, z)(-k) = (-y, z)(k)``
-    holds exactly.  The key holds only ints and floats (``hopping`` as in
-    :func:`_ring_weights`), whose hashes are C-level and the same on every
-    run.
+    Returns ``(kp, sin_sum, cos_sum, peaks)`` on the n/2 momenta
+    :func:`_positive_momenta`, all read-only: the sums carry the ring
+    weights :func:`_range_weights` of ``alpha`` (sine) and ``beta`` (cosine)
+    up to range ``r``; ``beta = r = None`` is the pairing-only chain, every
+    range and the bare cos k.  ``peaks`` holds their largest magnitudes,
+    which the mirrored k < 0 half shares.  One FFT each, of which the first
+    n/2 outputs are the k > 0 momenta.  The key holds only ints, floats and
+    None, whose hashes are C-level.
     """
-    k_sorted = momentum_grid(n)
-    ws, wc = _ring_weights(n, alpha, *hopping)
+    kp = _positive_momenta(n)
 
-    def grid_sum(weights):
+    def grid_sum(exponent):
+        weights = _range_weights(exponent, r, n)
         u = np.zeros(n, dtype=complex)
         l = np.arange(1, len(weights) + 1)
         u[l % n] += weights * np.exp(1j * np.pi * l / n)
         # value at k_m = 2*pi*(m + 1/2)/n is sum_l u_l e^{2*pi*i*m*l/n};
-        # the shift moves m >= n/2 (k > pi, mapped below 0) to the front
-        return np.fft.fftshift(n * np.fft.ifft(u))
+        # m < n/2 are the momenta in (0, pi)
+        return (n * np.fft.ifft(u))[:n // 2]
 
-    sin_sum = np.ascontiguousarray(grid_sum(ws).imag)
-    cos_sum = np.ascontiguousarray(grid_sum(wc).real) if wc is not None else np.cos(k_sorted)
-    half = n // 2
-    sin_sum[:half] = -sin_sum[:half - 1:-1]
-    cos_sum[:half] = cos_sum[:half - 1:-1]
-    for arr in (k_sorted, sin_sum, cos_sum):
+    sin_sum = np.ascontiguousarray(grid_sum(alpha).imag)
+    cos_sum = np.cos(kp) if beta is None else np.ascontiguousarray(grid_sum(beta).real)
+    for arr in (kp, sin_sum, cos_sum):
         arr.flags.writeable = False
     peaks = (float(np.abs(sin_sum).max()), float(np.abs(cos_sum).max()))
-    return k_sorted, sin_sum, cos_sum, peaks
+    return kp, sin_sum, cos_sum, peaks
 
 
-def _numerators(spec: ModelSpec, n: int, positive: bool = False):
-    """Anderson-vector numerators ``(k, y, z)`` on the n-point grid, or on its
-    n/2 momenta ``k > 0`` when ``positive``; the rule ``y = c_y sin_sum``,
-    ``z = c_z cos_sum + c_0`` scales only the slices it returns, each entry
-    as on the full grid.  :class:`SpectrumOverflowError` when the peak
+def _numerators(spec: ModelSpec, n: int):
+    """Anderson-vector numerators ``(k, y, z)`` on the n/2 momenta ``k > 0``
+    of the n-point grid, by the rule ``y = c_y sin_sum``,
+    ``z = c_z cos_sum + c_0``.  :class:`SpectrumOverflowError` when the peak
     harmonic sums bound ``hypot(y, z)`` by more than the float range."""
-    cy, cz, c0, hopping = _coefficients(spec)
+    cy, cz, c0 = _coefficients(spec)
     n = _integer(n, "n", 2)  # before the cache, which takes 64.0 for the key 64
-    k, sin_sum, cos_sum, (sin_peak, cos_peak) = _grid_harmonics(n, spec.alpha, *hopping)
+    k, sin_sum, cos_sum, (sin_peak, cos_peak) = _grid_harmonics(n, spec.alpha, spec.beta, spec.r)
     if not math.isfinite(math.hypot(abs(cy) * sin_peak, abs(cz) * cos_peak + abs(c0))):
         raise SpectrumOverflowError("the couplings overflow hypot(y, z)")
-    if positive:
-        k, sin_sum, cos_sum = k[n // 2:], sin_sum[n // 2:], cos_sum[n // 2:]
     return k, cy * sin_sum, cz * cos_sum + c0
 
 
 def grid_numerators(spec: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Anderson-vector numerators ``(k, y, z)`` on the full antiperiodic grid;
-    :class:`SpectrumOverflowError` when the peak harmonic sums bound
+    """Anderson-vector numerators ``(k, y, z)`` on the full antiperiodic grid:
+    the k > 0 half and its mirror, ``(k, y, z)(-k) = (-k, -y, z)(k)`` bit for
+    bit.  :class:`SpectrumOverflowError` when the peak harmonic sums bound
     ``hypot(y, z)`` by more than the float range."""
-    return _numerators(spec, n)
+    k, y, z = _numerators(spec, n)
+    return (np.concatenate((-k[::-1], k)), np.concatenate((-y[::-1], y)),
+            np.concatenate((z[::-1], z)))
 
 
 def _energies(y, z) -> np.ndarray:
@@ -259,13 +260,12 @@ def _gapped_grid(spec: ModelSpec, n: int):
     with ``gap`` the minimum of ``eps``; :class:`GaplessSpecError` unless
     it is above ``GAP_TOL`` (NaN fails too).
 
-    The grid and its numerators mirror exactly, ``(y, z)(-k) = (-y, z)(k)``,
-    so the energies are even and the half holds every closed-chain
-    reduction: one term per ``(k, -k)`` pair, and the whole grid's minimum
-    gap to the last bit.  Only that half of the cached harmonic sums is
-    scaled into numerators.
+    The cache holds this half alone; :func:`grid_numerators` mirrors it,
+    ``(y, z)(-k) = (-y, z)(k)``, so the energies are even and the half holds
+    every closed-chain reduction: one term per ``(k, -k)`` pair, and the
+    whole grid's minimum gap to the last bit.
     """
-    _, y, z = _numerators(spec, n, positive=True)
+    _, y, z = _numerators(spec, n)
     eps = _energies(y, z)
     gap = float(eps.min())
     if not gap > GAP_TOL:
@@ -286,10 +286,11 @@ def _modes(spec: ModelSpec, y, z):
 def numerators_at(spec: ModelSpec, k, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``(y, z)`` at arbitrary momenta (direct sums; same weights as the grid)."""
     k = np.asarray(k, dtype=float)
-    cy, cz, c0, hopping = _coefficients(spec)
-    ws, wc = _ring_weights(n, spec.alpha, *hopping)
-    cos_sum = np.cos(k) if wc is None else _harmonic_sum(wc, k).real
-    return cy * _harmonic_sum(ws, k).imag, cz * cos_sum + c0
+    cy, cz, c0 = _coefficients(spec)
+    sin_sum = _harmonic_sum(_range_weights(spec.alpha, spec.r, n), k).imag
+    cos_sum = (np.cos(k) if spec.beta is None
+               else _harmonic_sum(_range_weights(spec.beta, spec.r, n), k).real)
+    return cy * sin_sum, cz * cos_sum + c0
 
 
 def bogoliubov_theta(y, z):
@@ -330,7 +331,7 @@ def solve_chain(spec: ModelSpec, n: int) -> list[ModeData]:
 def minimum_gap(spec: ModelSpec, n: int) -> float:
     """``min_k eps_k`` over the antiperiodic grid of n momenta, read from its
     k > 0 half, whose energies the k < 0 half mirrors exactly."""
-    _, y, z = _numerators(spec, n, positive=True)
+    _, y, z = _numerators(spec, n)
     return float(_energies(y, z).min())
 
 

@@ -397,8 +397,8 @@ class TestNaNGuards:
         # k > 0 half through the one helper, and its one gap check catches it
         spec = ModelSpec.pairing(mu=2.0)
         for which in (1, 2):
-            def nan_numerators(s, n, positive=False):
-                out = list(_numerators(s, n, positive))
+            def nan_numerators(s, n):
+                out = list(_numerators(s, n))
                 out[which] = np.full_like(out[which], np.nan)
                 return tuple(out)
 

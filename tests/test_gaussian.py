@@ -141,8 +141,8 @@ class TestKernel:
         # q = exp(-2 i theta) NaN, which the finiteness check must catch
         spec = ModelSpec.pairing(mu=2.0)
 
-        def infinite_y(s, n, positive=False):
-            k, y, z = _numerators(s, n, positive)
+        def infinite_y(s, n):
+            k, y, z = _numerators(s, n)
             return k, np.full_like(y, np.inf), z
 
         monkeypatch.setattr(model, "_numerators", infinite_y)

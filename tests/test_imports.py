@@ -1,5 +1,5 @@
-"""Every name a library module imports is used in that module, and only the
-per-mode outputs read the full momentum grid."""
+"""Every name a library module imports is used in that module, only the
+per-mode outputs read the full momentum grid, and only the mirror builds it."""
 import ast
 from pathlib import Path
 
@@ -54,3 +54,13 @@ def test_only_per_mode_outputs_read_the_full_grid():
     assert callers("grid_numerators") == {("model", "solve_chain"),
                                           ("topology", "trajectory")}
     assert ("gaussian", "correlator_kernel") in callers("_gapped_grid")
+
+
+def test_only_the_mirror_builds_the_full_grid():
+    # the harmonic cache holds the k > 0 half; grid_numerators mirrors it
+    # and momentum_grid mirrors the bare momenta, and no other function
+    # builds a length-n grid
+    assert callers("momentum_grid") == set()
+    assert callers("fftshift") == set()
+    assert {fn for module, fn in callers("concatenate") if module == "model"} == {
+        "grid_numerators", "momentum_grid"}

@@ -1,13 +1,15 @@
 """Momentum-space solutions, grid conventions and open-chain weights."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from kitaev_de import (GaplessSpecError, ModelSpec, SpectrumOverflowError,
                        Variant, correlator_kernel, de_density, dispersion,
-                       global_entanglement, minimum_gap, momentum_grid,
+                       global_entanglement, minimum_gap, mode_count, momentum_grid,
                        solve_chain, trajectory, winding_number, zero_modes)
+from kitaev_de import model
 from kitaev_de.majorana import GAP_SAMPLES
 from kitaev_de.entropy import _binary_entropy_bits
 from kitaev_de.model import (_energies, _gapped_grid, grid_numerators,
@@ -287,6 +289,18 @@ class TestHalfGrid:
             assert np.array_equal(half, full[n // 2:])
         assert gap == float(eps.min()) == minimum_gap(spec, n)
 
+    @pytest.mark.parametrize("spec", [
+        ModelSpec.pairing(alpha=1.5), ModelSpec.pairing_hopping(alpha=0.4, beta=1.7, r=3)],
+        ids=["pairing", "pairing_hopping"])
+    def test_cache_holds_the_half_read_only(self, spec):
+        # the harmonic cache stores the n/2 momenta k > 0 alone, and nothing
+        # writes into its arrays after the transform
+        n = 256
+        kp, sin_sum, cos_sum, _ = model._grid_harmonics(n, spec.alpha, spec.beta, spec.r)
+        for arr in (kp, sin_sum, cos_sum):
+            assert arr.shape == (n // 2,) and not arr.flags.writeable
+        assert np.array_equal(kp, momentum_grid(n)[n // 2:])
+
 
 class TestEnergies:
     def test_within_two_ulp_of_hypot(self, rng):
@@ -396,6 +410,29 @@ class TestModelSpecValidation:
             ModelSpec.pairing(**{field: value})
         with pytest.raises(ValueError, match=field):
             ModelSpec.pairing_hopping(**{field: value})
+
+    @pytest.mark.parametrize("kind", [Fraction, np.float32, np.int64, int])
+    @pytest.mark.parametrize("base", [
+        ModelSpec.pairing(j=1.0, delta=2.0, mu=0.5, alpha=1.5),
+        ModelSpec.pairing_hopping(j=-1.0, delta=1.0, mu=0.25, alpha=0.5, beta=2.0, r=3),
+    ], ids=["pairing", "pairing_hopping"])
+    def test_couplings_stored_as_checked_floats(self, base, kind):
+        # every dyadic coupling, and every integral one for the integer
+        # kinds, passed as `kind` (and r as np.int64) gives the float spec's
+        # stored fields and results
+        fields = {f: getattr(base, f) for f in ("j", "delta", "mu", "alpha", "beta", "r")
+                  if getattr(base, f) is not None}
+        typed = {f: kind(v) if kind in (Fraction, np.float32) or v == int(v) else v
+                 for f, v in fields.items()}
+        if base.r is not None:
+            typed["r"] = np.int64(base.r)
+        spec = ModelSpec(base.variant, **typed)
+        assert spec == base
+        for f, v in fields.items():
+            assert type(getattr(spec, f)) is type(v)
+        assert de_density(spec, 256) == de_density(base, 256)
+        assert winding_number(spec) == winding_number(base)
+        assert mode_count(spec, 40) == mode_count(base, 40)
 
     def test_infinite_exponents_allowed(self):
         spec = ModelSpec.pairing_hopping(alpha=math.inf, beta=math.inf)
