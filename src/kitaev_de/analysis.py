@@ -11,6 +11,7 @@ the midpoint with the largest jump in its cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,20 +104,45 @@ def fit_volume_law(sizes, values) -> ScalingFit:
                       points=tuple(zip(sizes.tolist(), values.tolist())))
 
 
-def fit_block_law(lengths, values) -> ScalingFit:
-    """Ordinary least squares of ``S_L = a L + b log2 L + c``."""
-    lengths, values = _paired(lengths, values, "lengths")
+@lru_cache(maxsize=32)
+def _block_solver(lengths: tuple) -> tuple[np.ndarray, np.ndarray | None, bool]:
+    """``(design, pinv, conditioned)`` of the block law on ``lengths``: the
+    read-only design matrix, its SVD pseudo-inverse and whether its 2-norm
+    condition number is at most :data:`COND_LIMIT`.  The pseudo-inverse is
+    None when it is not, so that no division by a zero singular value warns.
+    It depends on the lengths alone, so a sweep builds it once."""
+    lengths = np.array(lengths)
     if np.unique(lengths[lengths >= 2]).size < 5:
         raise InsufficientPointsError("need >= 5 distinct block lengths >= 2")
     if (lengths <= 0).any():  # NaN passes on to the finiteness check
         raise InvalidParameterError("lengths", "every block length must be positive")
     design = np.column_stack([lengths, np.log2(lengths), np.ones_like(lengths)])
-    if not np.isfinite(design).all():  # LAPACK's least squares may not return
+    if not np.isfinite(design).all():  # LAPACK's SVD may not return
         raise IllConditionedError("block-law design matrix is not finite")
+    design.flags.writeable = False
+    u, sv, vt = np.linalg.svd(design, full_matrices=False)
+    if not sv[0] <= COND_LIMIT * sv[-1]:  # 2-norm condition number
+        return design, None, False
+    pinv = (vt.T / sv) @ u.T
+    pinv.flags.writeable = False
+    return design, pinv, True
+
+
+def fit_block_law(lengths, values) -> ScalingFit:
+    """Least squares of ``S_L = a L + b log2 L + c``: the coefficients are
+    the design's pseudo-inverse, cached per length set, times ``values``.
+
+    Raises :class:`InsufficientPointsError` on fewer than 5 distinct lengths
+    >= 2, :class:`InvalidParameterError` on a length <= 0 or a non-finite
+    value, and :class:`IllConditionedError` on a non-finite design or one
+    whose condition number exceeds :data:`COND_LIMIT`.
+    """
+    lengths, values = _paired(lengths, values, "lengths")
+    design, pinv, conditioned = _block_solver(tuple(lengths.tolist()))
     _check_finite(values)
-    coef, _, _, sv = np.linalg.lstsq(design, values, rcond=None)
-    if not sv[0] <= COND_LIMIT * sv[-1]:  # 2-norm condition number; NaN fails
+    if not conditioned:
         raise IllConditionedError("block-law design matrix is ill conditioned")
+    coef = pinv @ values
     resid = values - design @ coef
     return ScalingFit(kind="block", params=tuple(float(c) for c in coef),
                       residual_rms=float(np.sqrt(np.mean(resid ** 2))),

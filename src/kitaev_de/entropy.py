@@ -84,11 +84,14 @@ class EntropyReport:
 
 def _xlogx(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``p ln p`` elementwise, 0 at ``p = 0`` and NaN at NaN; into ``out``
-    (of the shape of ``p``) when given."""
-    if out is None:
-        out = np.empty_like(p)
-    out.fill(0.0)  # ln 1, where p is not positive
-    np.log(p, out=out, where=p > 0)
+    (of the shape of ``p``) when given.
+
+    Every ``p`` must be >= 0 or NaN: the chain rule clamps its levels and
+    occupations lie in [0, 1].  No mask: ``p`` is raised to the smallest
+    subnormal, 5e-324, which leaves every positive double as it is and gives
+    ``0 * ln(5e-324) = 0`` at ``p = 0``."""
+    out = np.maximum(p, 5e-324, out=out)
+    np.log(out, out=out)
     out *= p
     return out
 

@@ -7,6 +7,7 @@ from kitaev_de import (IllConditionedError, InsufficientPointsError, ModelSpec,
                        fit_block_law, fit_volume_law, susceptibility,
                        sweep_block_coefficients, sweep_de_density,
                        sweep_global_entanglement)
+from kitaev_de import analysis
 from kitaev_de.analysis import comparative_scan
 from kitaev_de.topology import DEFAULT_SAMPLES
 
@@ -63,7 +64,9 @@ class TestBlockFit:
 
     def test_condition_number_from_the_fit(self):
         # six distinct lengths near 1e8 make the design's columns nearly
-        # parallel; the lstsq singular values must catch it
+        # parallel; the design's singular values must catch it, and no
+        # pseudo-inverse is built from them (the suite turns a division
+        # warning into an error)
         ls = 1e8 + np.arange(6.0)
         with pytest.raises(IllConditionedError, match="ill conditioned"):
             fit_block_law(ls, np.ones(6))
@@ -84,6 +87,43 @@ class TestBlockFit:
         fite = fit_block_law(ls, vals * np.log(2.0))
         ratio = np.array(fite.params) / np.array(fit2.params)
         assert np.allclose(ratio, np.log(2.0), atol=1e-10)
+
+
+class TestBlockSolver:
+    # fit_block_law multiplies the values by the design's pseudo-inverse,
+    # cached per length set
+
+    @pytest.mark.parametrize("lengths", [range(4, 15), range(2, 8), range(4, 13),
+                                         [9, 4, 14, 4, 6, 2, 9, 11]])
+    def test_agrees_with_lstsq(self, rng, lengths):
+        ls = np.array(lengths, dtype=float)
+        design = np.column_stack([ls, np.log2(ls), np.ones_like(ls)])
+        for _ in range(50):
+            a, b, c = rng.uniform(-1, 1, size=3)
+            vals = (a * ls + b * np.log2(ls) + c
+                    + 1e-3 * rng.standard_normal(ls.size))
+            fit = fit_block_law(ls, vals)
+            want, *_ = np.linalg.lstsq(design, vals, rcond=None)
+            np.testing.assert_allclose(fit.params, want, rtol=1e-12, atol=1e-14)
+            resid = np.sqrt(np.mean((vals - design @ want) ** 2))
+            assert fit.residual_rms == pytest.approx(resid, rel=1e-9)
+
+    def test_cached_arrays_are_read_only(self):
+        design, pinv, conditioned = analysis._block_solver(
+            tuple(float(l) for l in range(4, 15)))
+        assert conditioned
+        for a in (design, pinv):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+
+    def test_one_solver_per_sweep(self):
+        analysis._block_solver.cache_clear()
+        spec = ModelSpec.pairing(j=1.0, delta=0.7, mu=0.0, alpha=1.7)
+        coeffs = sweep_block_coefficients(spec, "mu", np.linspace(1.2, 2.0, 20),
+                                          n=2048)
+        assert np.isfinite(coeffs).all()
+        info = analysis._block_solver.cache_info()
+        assert (info.misses, info.hits) == (1, 19)
 
 
 class TestSusceptibility:

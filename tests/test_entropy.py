@@ -316,6 +316,78 @@ class TestChainRuleLayout:
         np.testing.assert_array_equal(got, [0.0, 0.0, 0.5 * np.log(0.5), np.nan])
 
 
+def _masked_xlogx(p):
+    # the masked form the mask-free one replaced: ln 1 = 0 where p <= 0
+    out = np.zeros_like(p)
+    np.log(p, out=out, where=p > 0)
+    return out * p
+
+
+class TestMaskFreeXlogx:
+    TINY = np.array([0.0, 5e-324, 1e-320, 2.2e-308, 1e-300, 1e-17, 0.25,
+                     1.0 - 2.0 ** -53, 1.0 - 1e-12, 1.0, np.nan])
+
+    def test_equals_masked_form(self, rng):
+        for p in (self.TINY, rng.uniform(size=1000) ** 40):
+            got = entropy._xlogx(p)
+            np.testing.assert_array_equal(got, _masked_xlogx(p))  # -0 == 0
+            out = np.empty_like(p)
+            assert entropy._xlogx(p, out) is out
+            np.testing.assert_array_equal(out, got)
+
+    @pytest.mark.parametrize("basis", ["z", "x"])
+    def test_level_sums_bit_identical(self, basis):
+        # the nearly polarized chain's Z levels hold exact zeros (clamped
+        # rounding negatives) and probabilities down to 1e-71
+        for spec in (*TestSinglePass.SPECS,
+                     ModelSpec.pairing(j=1.0, delta=1e-4, mu=3.0)):
+            ker = correlator_kernel(spec, n=8192, l_max=14)
+            lengths = list(range(1, 15))
+            want = [float(-_masked_xlogx(p).sum() / np.log(2.0))
+                    for p in entropy._block_levels(ker, lengths, basis, 0)]
+            if basis == "x":  # the first level is the one outcome of no bond
+                want = [w + 1.0 for w in want]
+            assert _block_entropies(ker, lengths, basis) == want
+
+
+class TestConditionalEntropy:
+    # for a stationary source S_L - S_(L-1) = H(X_L | X_(<L)) cannot rise with
+    # L (Cover & Thomas, Thm 4.2.1); in the X basis the bonds are the source
+
+    @pytest.mark.parametrize("basis", ["z", "x"])
+    def test_never_rises(self, rng, basis):
+        worst, variants = -np.inf, set()
+        for _ in range(20):
+            spec = random_gapped_spec(rng)
+            variants.add(spec.variant)
+            ker = correlator_kernel(spec, n=4096, l_max=14)
+            s = _block_entropies(ker, list(range(1, 15)), basis)
+            h = np.diff(s, prepend=0.0)  # S_0 = 0
+            worst = max(worst, np.diff(h).max())
+        assert len(variants) == 2
+        assert worst <= 1e-13
+
+
+class TestKramersWannier:
+    # variant 1 at alpha = inf with J = Delta is the transverse-field Ising
+    # chain; the duality maps the bonds X_m X_(m+1) to the sites of the chain
+    # with J and mu exchanged: S_X(L; J, mu) = 1 + S_Z(L - 1; J' = Delta' =
+    # mu, mu' = J), for either sign of J' and of mu'
+    LENGTHS = list(range(2, 13))
+
+    @pytest.mark.parametrize("j, mu", [(1.0, 0.5), (1.0, 1.7), (0.6, -0.3)])
+    @pytest.mark.parametrize("sj", [1.0, -1.0])
+    @pytest.mark.parametrize("smu", [1.0, -1.0])
+    def test_bonds_are_dual_sites(self, j, mu, sj, smu):
+        spec = ModelSpec.pairing(j=j, delta=j, mu=mu)
+        dual = ModelSpec.pairing(j=sj * mu, delta=sj * mu, mu=smu * j)
+        s_x = _block_entropies(correlator_kernel(spec, n=8192, l_max=12),
+                               self.LENGTHS, "x")
+        s_z = _block_entropies(correlator_kernel(dual, n=8192, l_max=11),
+                               [l - 1 for l in self.LENGTHS], "z")
+        np.testing.assert_allclose(s_x, np.add(s_z, 1.0), rtol=0, atol=1e-13)
+
+
 class TestWorkspace:
     # the chain rule writes every level into one workspace per thread
     SPECS = TestChainRuleLayout.SPEC, TestSinglePass.SPECS[0]
