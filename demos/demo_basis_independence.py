@@ -24,11 +24,10 @@ def main():
     mus = np.arange(0.7, 1.3 + 1e-9, 0.01)
     table = {"mu": mus}
     for basis in ("z", "x"):
-        coef = kd.sweep_block_coefficients(spec, "mu", mus, basis=basis)
-        for i, name in enumerate("abc"):
-            table[f"{name}_{basis}"] = coef[:, i]
-        for i, name in enumerate("abc"):
-            curve = kd.susceptibility("mu", mus, coef[:, i])
+        coef = kd.comparative_scan(spec, "mu", mus, ("a", "b", "c"), basis=basis)
+        for name in "abc":
+            table[f"{name}_{basis}"] = coef[name]
+            curve = kd.susceptibility("mu", mus, coef[name])
             rep = kd.detect_critical_points(curve, 10.0,
                                             channel=f"chi_mu({name},{basis})")
             locs = ", ".join(f"{p.location:+.3f}" for p in rep.points)

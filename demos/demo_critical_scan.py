@@ -22,7 +22,7 @@ def main():
     for j, stop in ((-0.8, 0.5), (0.3, 1.0)):
         spec = kd.ModelSpec.pairing_hopping(j=j, delta=1.0, mu=0.0)
         mus = np.arange(-2.0, stop + 1e-9, 0.01)
-        s = kd.sweep_de_density(spec, "mu", mus, 2000)
+        s = kd.comparative_scan(spec, "mu", mus, ["s"], n_density=2000)["s"]
         curve = kd.susceptibility("mu", mus, s)
         report = kd.detect_critical_points(curve, kappa=10.0, channel="chi_s")
         nu_locs = kd.nu_change_locations(spec, "mu", mus, samples=2048)

@@ -23,11 +23,11 @@ OUT = os.path.dirname(os.path.abspath(__file__))
 def main():
     ds = np.arange(-0.5, 0.5 + 1e-9, 0.01)
     print("== pairing-only chain, mu = 0: E is blind, a is not ==")
-    e0 = kd.sweep_global_entanglement(kd.ModelSpec.pairing(1.0, 1.0, 0.0), "delta", ds)
+    mu0 = kd.comparative_scan(kd.ModelSpec.pairing(1.0, 1.0, 0.0), "delta", ds,
+                              ("a", "E"))
+    e0 = mu0["E"]
     print(f"  E over Delta in [-0.5, 0.5]: min={e0.min():.12f} max={e0.max():.12f}")
-    coef = kd.sweep_block_coefficients(kd.ModelSpec.pairing(1.0, 1.0, 0.0),
-                                       "delta", ds)
-    rep_a = kd.detect_critical_points(kd.susceptibility("delta", ds, coef[:, 0]),
+    rep_a = kd.detect_critical_points(kd.susceptibility("delta", ds, mu0["a"]),
                                       10.0, channel="chi_delta(a)")
     print(f"  chi_Delta(a) flags: {[f'{p.location:+.3f}' for p in rep_a.points]}"
           "  (the Delta = 0 transition)")
@@ -35,11 +35,11 @@ def main():
     print("\n== GE minima do not distinguish transition from no transition ==")
     for mu, critical in ((0.8, True), (1.2, False)):
         spec = kd.ModelSpec.pairing(1.0, 1.0, mu)
-        e = kd.sweep_global_entanglement(spec, "delta", ds)
+        table = kd.comparative_scan(spec, "delta", ds, ("a", "E"))
+        e = table["E"]
         rep_e = kd.detect_critical_points(kd.susceptibility("delta", ds, e), 10.0)
-        coef_mu = kd.sweep_block_coefficients(spec, "delta", ds)
         rep = kd.detect_critical_points(
-            kd.susceptibility("delta", ds, coef_mu[:, 0]), 10.0)
+            kd.susceptibility("delta", ds, table["a"]), 10.0)
         tag = "a transition" if critical else "no transition"
         print(f"  mu={mu} ({tag} at Delta=0): GE minimum at Delta ~ "
               f"{ds[int(np.argmin(e))]:+.2f}, chi_Delta(E) flags "
@@ -47,7 +47,7 @@ def main():
               f"{[f'{p.location:+.3f}' for p in rep.points] or 'none'}")
 
     path = os.path.join(OUT, "ge_vs_blockdensity.csv")
-    np.savetxt(path, np.column_stack([ds, e0, coef[:, 0]]), delimiter=",",
+    np.savetxt(path, np.column_stack([ds, e0, mu0["a"]]), delimiter=",",
                header="delta,ge_mu0,a_mu0", comments="")
     print(f"\nwrote {path}")
 

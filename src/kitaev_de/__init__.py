@@ -14,8 +14,7 @@ imports scipy.
 from .analysis import (CriticalPointReport, ScalingFit, SusceptibilityCurve,
                        block_coefficients, comparative_scan,
                        detect_critical_points, fit_block_law, fit_volume_law,
-                       susceptibility, sweep_block_coefficients,
-                       sweep_de_density, sweep_global_entanglement)
+                       susceptibility)
 from .entropy import (DiagonalDistribution, EntropyReport,
                       block_diagonal_distribution, block_diagonal_entropy,
                       de_density, global_entanglement,

@@ -130,7 +130,8 @@ def _block_solver(lengths: tuple) -> tuple[np.ndarray, np.ndarray | None, bool]:
 
 def fit_block_law(lengths, values) -> ScalingFit:
     """Least squares of ``S_L = a L + b log2 L + c``: the coefficients are
-    the design's pseudo-inverse, cached per length set, times ``values``.
+    the design's pseudo-inverse, cached per length set, times ``values``,
+    refined once by the pseudo-inverse times the residual.
 
     Raises :class:`InsufficientPointsError` on fewer than 5 distinct lengths
     >= 2, :class:`InvalidParameterError` on a length <= 0 or a non-finite
@@ -143,6 +144,10 @@ def fit_block_law(lengths, values) -> ScalingFit:
     if not conditioned:
         raise IllConditionedError("block-law design matrix is ill conditioned")
     coef = pinv @ values
+    # one refinement step: the product alone is off the exact least squares
+    # by up to about 2e-14, the refined coefficients by a few 1e-15
+    resid = values - design @ coef
+    coef += pinv @ resid
     resid = values - design @ coef
     return ScalingFit(kind="block", params=tuple(float(c) for c in coef),
                       residual_rms=float(np.sqrt(np.mean(resid ** 2))),
@@ -218,20 +223,8 @@ def detect_critical_points(curve: SusceptibilityCurve,
 
 
 # ---------------------------------------------------------------------------
-# sweep drivers
+# block-law points and the sweep driver
 # ---------------------------------------------------------------------------
-
-def sweep_de_density(spec: ModelSpec, name: str, values,
-                     n: int = DEFAULT_N_DENSITY) -> np.ndarray:
-    """``s(parameter)`` over a sweep; NaN where the grid gap closes."""
-    return _sweep(_swept_specs(spec, name, values), lambda sp: de_density(sp, n))
-
-
-def sweep_global_entanglement(spec: ModelSpec, name: str, values,
-                              n: int = DEFAULT_GRID) -> np.ndarray:
-    """``E(parameter)`` over a sweep; NaN where the grid gap closes."""
-    return _sweep(_swept_specs(spec, name, values), lambda sp: global_entanglement(sp, n))
-
 
 def block_coefficients(spec: ModelSpec, basis: str = "z",
                        lengths=DEFAULT_BLOCK_RANGE,
@@ -243,28 +236,21 @@ def block_coefficients(spec: ModelSpec, basis: str = "z",
     return fit_block_law(lengths, _block_entropies(kernel, lengths, basis))
 
 
-def _coefficients(basis, lengths, n):
-    return lambda sp: block_coefficients(sp, basis, lengths, n).params
-
-
-def sweep_block_coefficients(spec: ModelSpec, name: str, values,
-                             basis: str = "z", lengths=DEFAULT_BLOCK_RANGE,
-                             n: int = DEFAULT_GRID) -> np.ndarray:
-    """(a, b, c) block-law coefficients along a sweep; rows are grid points."""
-    return _sweep(_swept_specs(spec, name, values), _coefficients(basis, lengths, n), 3)
-
-
 def comparative_scan(spec: ModelSpec, name: str, values,
                      channels=CHANNELS,
                      basis: str = "z", lengths=DEFAULT_BLOCK_RANGE,
                      n_density: int = DEFAULT_N_DENSITY,
                      n_kernel: int = DEFAULT_GRID) -> dict[str, np.ndarray]:
-    """Aligned table of diagnostic channels over one parameter sweep.
+    """Aligned table of diagnostic channels over one parameter sweep: the
+    package's one 1-D sweep driver of the channels in :data:`CHANNELS`.
 
     Each point's spec is built once, and each requested channel is one pass
-    over that list (``a``, ``b`` and ``c`` share theirs); raises
-    :class:`InvalidParameterError` on a channel not in :data:`CHANNELS`, or
-    on a string, which would iterate by character.
+    over that list (``a``, ``b`` and ``c`` share theirs), NaN where the grid
+    gap closes.  ``s`` reads the ``n_density``-point grid; ``a``, ``b``,
+    ``c`` (blocks of ``lengths`` in ``basis``) and ``E`` read the
+    ``n_kernel``-point grid; ``nu`` reads :func:`winding_number`'s default
+    of 4096 samples.  Raises :class:`InvalidParameterError` on a channel not
+    in :data:`CHANNELS`, or on a string, which would iterate by character.
     """
     if isinstance(channels, str):
         raise InvalidParameterError(
@@ -275,15 +261,12 @@ def comparative_scan(spec: ModelSpec, name: str, values,
             "channels", f"unknown channels {unknown}; expected names from {CHANNELS}")
     values = np.asarray(values, dtype=float)
     table: dict[str, np.ndarray] = {name: values}
-    # every channel reads this one list, so none calls a public sweep_*
-    # driver, which would build its own; sweep_block_coefficients must stay
-    # uncalled besides: the benchmark's tracer reads a `threads` argument,
-    # since removed, from each of its spans and raises KeyError
     specs = _swept_specs(spec, name, values)
     if "s" in channels:
         table["s"] = _sweep(specs, lambda sp: de_density(sp, n_density))
     if any(c in channels for c in "abc"):
-        coeffs = _sweep(specs, _coefficients(basis, lengths, n_kernel), 3)
+        coeffs = _sweep(
+            specs, lambda sp: block_coefficients(sp, basis, lengths, n_kernel).params, 3)
         for i, c in enumerate("abc"):
             if c in channels:
                 table[c] = coeffs[:, i]

@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .analysis import (CHANNELS, DEFAULT_N_DENSITY, block_coefficients,
                        comparative_scan, detect_critical_points, fit_volume_law,
-                       susceptibility, sweep_de_density)
+                       susceptibility)
 from .entropy import (MAX_BLOCK, block_diagonal_entropy, global_entanglement,
                       pure_state_diagonal_entropy)
 from .errors import InvalidParameterError, KitaevDEError
@@ -299,7 +299,7 @@ def run_task(config: dict) -> dict:
     elif task == "critical-scan":
         grid = _grid(config)
         name = config["param"]
-        vals = sweep_de_density(spec, name, grid, config["n"])
+        vals = comparative_scan(spec, name, grid, ["s"], n_density=config["n"])["s"]
         curve = susceptibility(name, grid, vals)
         report = detect_critical_points(curve, kappa=config["kappa"],
                                         channel="chi_s")

@@ -173,7 +173,7 @@ def _range_weights(exponent: float, r: int | None, n: int) -> np.ndarray:
     return np.minimum(l, n - l) ** -exponent
 
 
-def _coefficients(spec: ModelSpec):
+def _symbol_coefficients(spec: ModelSpec):
     """``(c_y, c_z, c_0)`` with ``y = c_y sin_sum`` and
     ``z = c_z cos_sum + c_0`` (see the module docstring); the cosine sum is
     the bare cos k when ``spec.beta`` is None."""
@@ -225,7 +225,7 @@ def _numerators(spec: ModelSpec, n: int):
     of the n-point grid, by the rule ``y = c_y sin_sum``,
     ``z = c_z cos_sum + c_0``.  :class:`SpectrumOverflowError` when the peak
     harmonic sums bound ``hypot(y, z)`` by more than the float range."""
-    cy, cz, c0 = _coefficients(spec)
+    cy, cz, c0 = _symbol_coefficients(spec)
     n = _integer(n, "n", 2)  # before the cache, which takes 64.0 for the key 64
     k, sin_sum, cos_sum, (sin_peak, cos_peak) = _grid_harmonics(n, spec.alpha, spec.beta, spec.r)
     if not math.isfinite(math.hypot(abs(cy) * sin_peak, abs(cz) * cos_peak + abs(c0))):
@@ -286,7 +286,7 @@ def _modes(spec: ModelSpec, y, z):
 def numerators_at(spec: ModelSpec, k, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``(y, z)`` at arbitrary momenta (direct sums; same weights as the grid)."""
     k = np.asarray(k, dtype=float)
-    cy, cz, c0 = _coefficients(spec)
+    cy, cz, c0 = _symbol_coefficients(spec)
     sin_sum = _harmonic_sum(_range_weights(spec.alpha, spec.r, n), k).imag
     cos_sum = (np.cos(k) if spec.beta is None
                else _harmonic_sum(_range_weights(spec.beta, spec.r, n), k).real)

@@ -99,7 +99,7 @@ def test_c3_critical_point_detection():
             below = kd.winding_number(replace(spec, mu=m - 0.005)).nu
             above = kd.winding_number(replace(spec, mu=m + 0.005)).nu
             assert below != above, f"J={j}: nu={below} on both sides of {m:.5f}"
-        s = kd.sweep_de_density(spec, "mu", mus, 2000)
+        s = kd.comparative_scan(spec, "mu", mus, ["s"], n_density=2000)["s"]
         rep = kd.detect_critical_points(kd.susceptibility("mu", mus, s), 10.0,
                                         channel="chi_s")
         locs = rep.locations()
@@ -147,15 +147,15 @@ def test_c5_block_law():
     # chi_mu(a) flags
     mus1 = np.arange(0.7, 1.3 + 1e-9, 0.01)
     for basis in ("z", "x"):
-        coef = kd.sweep_block_coefficients(spec_v1, "mu", mus1, basis=basis)
+        coef = kd.comparative_scan(spec_v1, "mu", mus1, ["a"], basis=basis)
         rep = kd.detect_critical_points(
-            kd.susceptibility("mu", mus1, coef[:, 0]), 10.0)
+            kd.susceptibility("mu", mus1, coef["a"]), 10.0)
         locs = rep.locations()
         ok &= len(locs) == 1 and abs(locs[0] - 1.0) <= 0.0101
         details.append(f"flag({basis})={locs}")
     mus2 = np.arange(-0.6, -0.25 + 1e-9, 0.01)
-    coef = kd.sweep_block_coefficients(spec_v2, "mu", mus2)
-    rep = kd.detect_critical_points(kd.susceptibility("mu", mus2, coef[:, 0]), 10.0)
+    coef = kd.comparative_scan(spec_v2, "mu", mus2, ["a"])
+    rep = kd.detect_critical_points(kd.susceptibility("mu", mus2, coef["a"]), 10.0)
     locs = rep.locations()
     ok &= len(locs) == 1 and abs(locs[0] - (-0.42)) <= 0.0101
     details.append(f"flag(v2)={locs}")
@@ -211,15 +211,15 @@ def test_c7_global_entanglement():
         e = kd.global_entanglement(V1(1.0, delta, 0.0))
         ok &= abs(e - 1.0) < 1e-10
     ds = np.arange(-0.5, 0.5 + 1e-9, 0.01)
-    e_sweep = kd.sweep_global_entanglement(V1(1.0, 1.0, 1.2), "delta", ds)
+    e_sweep = kd.comparative_scan(V1(1.0, 1.0, 1.2), "delta", ds, ["E"])["E"]
     rep = kd.detect_critical_points(kd.susceptibility("delta", ds, e_sweep), 10.0)
     ok &= len(rep.points) == 0
     ds2 = np.arange(0.5, 1.5 + 1e-9, 0.01)
-    e_sweep2 = kd.sweep_global_entanglement(V1(1.0, 1.0, 0.6), "delta", ds2)
+    e_sweep2 = kd.comparative_scan(V1(1.0, 1.0, 0.6), "delta", ds2, ["E"])["E"]
     rep2 = kd.detect_critical_points(kd.susceptibility("delta", ds2, e_sweep2), 10.0)
     ok &= len(rep2.points) == 0
-    coef = kd.sweep_block_coefficients(V1(1.0, 1.0, 0.0), "delta", ds)
-    rep3 = kd.detect_critical_points(kd.susceptibility("delta", ds, coef[:, 0]), 10.0)
+    coef = kd.comparative_scan(V1(1.0, 1.0, 0.0), "delta", ds, ["a"])
+    rep3 = kd.detect_critical_points(kd.susceptibility("delta", ds, coef["a"]), 10.0)
     ok &= len(rep3.points) == 1 and abs(rep3.points[0].location) <= 0.0101
     assert report("criterion 7 (GE flat at mu=0; chi continuity; a-flag)", ok,
                   f"E-flags={rep.locations()},{rep2.locations()}, "

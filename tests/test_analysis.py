@@ -1,17 +1,26 @@
 """Scaling-law fits, susceptibilities and the critical-point detector."""
+import json
+from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from kitaev_de import (IllConditionedError, InsufficientPointsError, ModelSpec,
-                       NonUniformGridError, detect_critical_points,
-                       fit_block_law, fit_volume_law, susceptibility,
-                       sweep_block_coefficients, sweep_de_density,
-                       sweep_global_entanglement)
-from kitaev_de import analysis
-from kitaev_de.analysis import comparative_scan
+from kitaev_de import (GaplessSpecError, IllConditionedError,
+                       InsufficientPointsError, ModelSpec, NonUniformGridError,
+                       block_coefficients, de_density, detect_critical_points,
+                       fit_block_law, fit_volume_law, global_entanglement,
+                       susceptibility, winding_number)
+from kitaev_de import analysis, correlator_kernel
+from kitaev_de.analysis import CHANNELS, comparative_scan
+from kitaev_de.cli import _lengths, _spec, resolve_config
+from kitaev_de.entropy import _block_entropies
 from kitaev_de.topology import DEFAULT_SAMPLES
 
-from conftest import grid_gapless_spec
+from conftest import grid_gapless_spec, random_gapped_spec
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 class TestVolumeFit:
@@ -89,9 +98,45 @@ class TestBlockFit:
         assert np.allclose(ratio, np.log(2.0), atol=1e-10)
 
 
+def _exact_least_squares(design, values) -> list[float]:
+    """Least-squares solution of ``design @ x = values``: the normal
+    equations of the float inputs solved exactly in rationals, then rounded
+    once to floats."""
+    a = [[Fraction(x) for x in row] for row in design.tolist()]
+    y = [Fraction(v) for v in values]
+    m = [[sum(r[i] * r[j] for r in a) for j in range(3)]
+         + [sum(r[i] * v for r, v in zip(a, y))] for i in range(3)]
+    for i in range(3):  # Gauss-Jordan; the pivots of A^T A are positive
+        m[i] = [x / m[i][i] for x in m[i]]
+        for k in range(3):
+            if k != i:
+                m[k] = [x - m[k][i] * p for x, p in zip(m[k], m[i])]
+    return [float(row[3]) for row in m]
+
+
 class TestBlockSolver:
     # fit_block_law multiplies the values by the design's pseudo-inverse,
-    # cached per length set
+    # cached per length set, and refines the product once with the residual
+
+    def test_refined_fit_is_exact_least_squares(self):
+        # on the checked-in block configs' specs and on seeded gapped specs,
+        # in both bases, (a, b, c) lie within 5e-15 of the exact least
+        # squares of the same float inputs; the unrefined product was off by
+        # up to 2e-14
+        cases = []
+        for path in sorted(CONFIGS.glob("block_fit_*.json")):
+            config = resolve_config(json.loads(path.read_text()), {})
+            cases.append((_spec(config), _lengths(config), config["n"]))
+        rng = np.random.default_rng(3301)
+        cases += [(random_gapped_spec(rng), list(range(4, 15)), 8192)
+                  for _ in range(20)]
+        for spec, lengths, n in cases:
+            kernel = correlator_kernel(spec, n=n, l_max=max(lengths))
+            design, *_ = analysis._block_solver(tuple(float(l) for l in lengths))
+            for basis in ("z", "x"):
+                fit = fit_block_law(lengths, _block_entropies(kernel, lengths, basis))
+                want = _exact_least_squares(design, [v for _, v in fit.points])
+                np.testing.assert_allclose(fit.params, want, rtol=0, atol=5e-15)
 
     @pytest.mark.parametrize("lengths", [range(4, 15), range(2, 8), range(4, 13),
                                          [9, 4, 14, 4, 6, 2, 9, 11]])
@@ -119,9 +164,9 @@ class TestBlockSolver:
     def test_one_solver_per_sweep(self):
         analysis._block_solver.cache_clear()
         spec = ModelSpec.pairing(j=1.0, delta=0.7, mu=0.0, alpha=1.7)
-        coeffs = sweep_block_coefficients(spec, "mu", np.linspace(1.2, 2.0, 20),
-                                          n=2048)
-        assert np.isfinite(coeffs).all()
+        table = comparative_scan(spec, "mu", np.linspace(1.2, 2.0, 20),
+                                 ("a", "b", "c"), n_kernel=2048)
+        assert np.isfinite([table[c] for c in "abc"]).all()
         info = analysis._block_solver.cache_info()
         assert (info.misses, info.hits) == (1, 19)
 
@@ -221,7 +266,7 @@ class TestDetector:
         from kitaev_de import nu_change_locations
         spec = ModelSpec.pairing_hopping(j=-0.8, delta=1.0, mu=0.0)
         mus = np.arange(-2.0, 0.5 + 1e-9, 0.01)
-        s = sweep_de_density(spec, "mu", mus, 2000)
+        s = comparative_scan(spec, "mu", mus, ["s"], n_density=2000)["s"]
         rep = detect_critical_points(susceptibility("mu", mus, s), 10.0)
         nus = nu_change_locations(spec, "mu", mus, samples=2048)
         assert len(rep.points) == len(nus)
@@ -231,7 +276,7 @@ class TestDetector:
     def test_base_change_leaves_locations(self):
         spec = ModelSpec.pairing_hopping(j=0.3, delta=1.0, mu=0.0)
         mus = np.arange(-0.2, 0.8 + 1e-9, 0.01)
-        s = sweep_de_density(spec, "mu", mus, 1000)
+        s = comparative_scan(spec, "mu", mus, ["s"], n_density=1000)["s"]
         rep_bits = detect_critical_points(susceptibility("mu", mus, s), 10.0)
         rep_nats = detect_critical_points(
             susceptibility("mu", mus, s * np.log(2.0)), 10.0)
@@ -250,22 +295,26 @@ class TestComparativeScan:
 
     def test_gapless_points_are_nan(self):
         # the gap closes on a momentum of the n-point grid at the first
-        # point only; each sweep writes NaN there and a value at the second.
-        # n is the winding number's default grid, which the nu channel reads
+        # point only, where each per-point call raises; every channel writes
+        # NaN there, and at the second point what the per-point calls
+        # return.  n is the winding number's default grid, which the nu
+        # channel reads
         n = DEFAULT_SAMPLES
+        lengths = range(2, 8)
         spec = grid_gapless_spec(n)
-        mus = [spec.mu, 1.5]
-        s = sweep_de_density(spec, "mu", mus, n)
-        e = sweep_global_entanglement(spec, "mu", mus, n)
-        coef = sweep_block_coefficients(spec, "mu", mus, lengths=range(2, 8), n=n)
-        assert s.shape == e.shape == (2,) and coef.shape == (2, 3)
-        assert np.isnan(s[0]) and np.isnan(e[0]) and np.isnan(coef[0]).all()
-        assert np.isfinite(s[1]) and np.isfinite(e[1]) and np.isfinite(coef[1]).all()
-        channels = ("s", "a", "E", "nu")
-        table = comparative_scan(spec, "mu", mus, channels=channels,
-                                 lengths=range(2, 8), n_density=n, n_kernel=n)
-        assert np.isnan([table[c][0] for c in channels]).all()
-        assert np.isfinite([table[c][1] for c in channels]).all()
+        per_point = (lambda sp: [de_density(sp, n)],
+                     lambda sp: block_coefficients(sp, lengths=lengths, n=n).params,
+                     lambda sp: [global_entanglement(sp, n)],
+                     lambda sp: [winding_number(sp).nu])
+        for fn in per_point:
+            with pytest.raises(GaplessSpecError):
+                fn(spec)
+        want = [v for fn in per_point for v in fn(replace(spec, mu=1.5))]
+        assert np.isfinite(want).all()
+        table = comparative_scan(spec, "mu", [spec.mu, 1.5], lengths=lengths,
+                                 n_density=n, n_kernel=n)
+        assert np.isnan([table[c][0] for c in CHANNELS]).all()
+        assert [table[c][1] for c in CHANNELS] == want
 
     def test_each_point_builds_one_spec(self, monkeypatch):
         # every channel reads one list of swept specs: one construction per

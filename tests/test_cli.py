@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -450,8 +451,9 @@ class TestOutputs:
         assert lines[0] == "mu,s"
         assert len(lines) == 6
         grid = _grid({"start": 1.2, "stop": 1.4, "step": 0.05})
-        want = kitaev_de.sweep_de_density(kitaev_de.ModelSpec.pairing(), "mu", grid, 400)
-        assert [float(r.split(",")[1]) for r in lines[1:]] == want.tolist()
+        spec = kitaev_de.ModelSpec.pairing()
+        want = [kitaev_de.de_density(replace(spec, mu=float(m)), 400) for m in grid]
+        assert [float(r.split(",")[1]) for r in lines[1:]] == want
 
     def test_compare_e_ignores_n(self, tmp_path):
         # E runs on the 8192-point kernel grid whatever n is
@@ -461,12 +463,13 @@ class TestOutputs:
         assert run_cli(args + ["--n", "40", "--out", str(tmp_path / "a.csv")]) == 0
         assert run_cli(args + ["--out", str(tmp_path / "b.csv")]) == 0
         spec = kitaev_de.ModelSpec.pairing(mu=0.5)
-        want = kitaev_de.sweep_global_entanglement(spec, "delta", [0.5, 0.6, 0.7], 8192)
+        want = [kitaev_de.global_entanglement(replace(spec, delta=d), 8192)
+                for d in (0.5, 0.6, 0.7)]
         for name, n in (("a", 40), ("b", 2000)):
             side = json.loads((tmp_path / f"{name}.json").read_text())
             assert side["config"]["n"] == n
             rows = (tmp_path / f"{name}.csv").read_text().strip().split("\n")[1:]
-            assert [float(r.split(",")[1]) for r in rows] == want.tolist()
+            assert [float(r.split(",")[1]) for r in rows] == want
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_winding_uses_n(self, tmp_path):

@@ -3,24 +3,26 @@ entanglement; cross-checked against the exact-diagonalization oracle."""
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import xlogy
 
 from kitaev_de import (DenseCorrelations, GaplessSpecError, ModelSpec,
-                       NormalizationFailureError, analysis, block_coefficients,
-                       block_diagonal_distribution, block_diagonal_entropy,
-                       correlator_kernel, de_density, global_entanglement,
-                       open_chain_correlations, pure_state_diagonal_entropy,
-                       sigma_x_correlator, sigma_z_correlator,
-                       winding_number, zero_modes)
+                       NormalizationFailureError, Variant, analysis,
+                       block_coefficients, block_diagonal_distribution,
+                       block_diagonal_entropy, correlator_kernel, de_density,
+                       global_entanglement, open_chain_correlations,
+                       pure_state_diagonal_entropy, sigma_x_correlator,
+                       sigma_z_correlator, winding_number, zero_modes)
 from kitaev_de import entropy, gaussian, model
 from kitaev_de.entropy import _binary_entropy_bits, _block_entropies, _chain_rule
 from kitaev_de.model import _numerators
 from kitaev_de.oracle import ed_diagonal_marginal, ed_ground_state
 
-from conftest import random_gapped_spec
+from conftest import (random_gapped_spec, random_pairing_hopping_spec,
+                      random_pairing_spec)
 
 
 class TestPureStateDE:
@@ -386,6 +388,75 @@ class TestKramersWannier:
         s_z = _block_entropies(correlator_kernel(dual, n=8192, l_max=11),
                                [l - 1 for l in self.LENGTHS], "z")
         np.testing.assert_allclose(s_x, np.add(s_z, 1.0), rtol=0, atol=1e-13)
+
+
+def _y_bond_levels(source, start: int, l: int):
+    """The chain rule on the l - 1 bonds ``Y_m Y_(m+1) = -A_m B_(m+1)`` of
+    the l-site block at ``start``: level j is the distribution of its first
+    j bonds."""
+    bonds = np.arange(start, start + l - 1)
+    return _chain_rule(-gaussian._pair_matrix(source, bonds, bonds + 1))
+
+
+def _ed_y_marginal(state, sites):
+    """Y-basis marginal of an open-chain ED state: each measured qubit
+    rotated to ``(psi_0 -+ i psi_1) / sqrt 2``, the amplitudes of
+    ``sigma_y = +-1``, then binned like ``ed_diagonal_marginal``."""
+    amps = state.amplitudes.astype(complex)
+    for s in sites:
+        pair = amps.reshape(-1, 2, 1 << s)  # axis 1 is bit s
+        amps = np.stack([pair[:, 0] - 1j * pair[:, 1], pair[:, 0] + 1j * pair[:, 1]],
+                        axis=1).reshape(-1) / np.sqrt(2.0)
+    idx = np.arange(amps.size)
+    outcome = sum(((idx >> s) & 1) << a for a, s in enumerate(sites))
+    return np.bincount(outcome, weights=np.abs(amps) ** 2, minlength=1 << len(sites))
+
+
+class TestYBasis:
+    # the gauge c -> i c flips the sign of Delta and maps sigma_x to sigma_y,
+    # so the Y basis is the X basis at -Delta, while the Z basis does not see
+    # the sign of Delta: the measurement basis changes the block entropies'
+    # values, not their form
+    LENGTHS = list(range(2, 15))
+
+    @pytest.fixture(scope="class")
+    def kernels(self):
+        rng = np.random.default_rng(1801)
+        specs = [random_gapped_spec(rng) for _ in range(8)]
+        assert {sp.variant for sp in specs} == set(Variant)
+        return [(correlator_kernel(sp, n=8192, l_max=14),
+                 correlator_kernel(replace(sp, delta=-sp.delta), n=8192, l_max=14))
+                for sp in specs]
+
+    def test_y_is_x_at_minus_delta(self, kernels):
+        for ker, flipped in kernels:
+            # bond levels 1..13 are the blocks L = 2..14; S_Y(L) = 1 + S_bond
+            s_y = [1.0 - float(entropy._xlogx(p).sum()) / np.log(2.0)
+                   for p in _y_bond_levels(ker, 0, 14)]
+            s_x = _block_entropies(flipped, self.LENGTHS, "x")
+            np.testing.assert_allclose(s_y, s_x, rtol=0, atol=1e-13)
+
+    def test_z_is_blind_to_the_sign_of_delta(self, kernels):
+        for ker, flipped in kernels:
+            np.testing.assert_allclose(_block_entropies(ker, self.LENGTHS, "z"),
+                                       _block_entropies(flipped, self.LENGTHS, "z"),
+                                       rtol=0, atol=1e-13)
+
+    def test_bonds_match_oracle(self):
+        # a site string y fixes the bond string y XOR (y >> 1), shared by y
+        # and its complement with equal weight, as in the X basis
+        rng = np.random.default_rng(1802)
+        specs = [random_pairing_spec(rng, trivial=True) for _ in range(2)]
+        specs += [random_pairing_hopping_spec(rng, trivial=True) for _ in range(2)]
+        for spec in specs:
+            state = ed_ground_state(spec, 8, "open")
+            src = open_chain_correlations(spec, 8)
+            for start, l in ((0, 4), (2, 5)):
+                *_, p_bond = _y_bond_levels(src, start, l)
+                y = np.arange(1 << l)
+                got = 0.5 * p_bond[(y ^ (y >> 1)) % 2 ** (l - 1)]
+                want = _ed_y_marginal(state, range(start, start + l))
+                assert np.abs(got - want).max() < 1e-10
 
 
 class TestWorkspace:

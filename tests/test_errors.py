@@ -15,8 +15,7 @@ from kitaev_de import (InvalidParameterError, ModelSpec, Variant,
                        fit_volume_law, minimum_gap, mode_count, momentum_grid,
                        open_chain_correlations, pair_correlation, pfaffian,
                        phase_boundary_scan, sigma_x_correlator,
-                       sigma_z_correlator, susceptibility,
-                       sweep_block_coefficients, sweep_de_density, trajectory,
+                       sigma_z_correlator, susceptibility, trajectory,
                        winding_number, zero_modes)
 from kitaev_de.majorana import MAX_OPEN_SITES
 from kitaev_de.model import open_chain_weights
@@ -185,7 +184,7 @@ SITES = [
     ("samples", lambda: trajectory(PAIRING, samples=1025)),
     # no block length ended in max()'s bare ValueError
     ("lengths", lambda: block_coefficients(PAIRING, lengths=[])),
-    ("lengths", lambda: sweep_block_coefficients(PAIRING, "mu", [0.5], lengths=[])),
+    ("lengths", lambda: comparative_scan(PAIRING, "mu", [0.5], lengths=[])),
     ("lengths", lambda: comparative_scan(PAIRING, "mu", [0.5], channels=["a"],
                                          lengths=[])),
     # one integer rule for every count, length and site: a float twin of a
@@ -269,7 +268,7 @@ SITES = [
     ("variant", lambda: ModelSpec("pairing")),
     ("variant", lambda: ModelSpec("x", 1.0, 1.0, 0.0, 0.2, 0.2, 3)),
     # sweep values that are not a 1-D sequence ended in a bare TypeError
-    ("values", lambda: sweep_de_density(PAIRING, "mu", 0.5)),
+    ("values", lambda: comparative_scan(PAIRING, "mu", 0.5)),
     ("values", lambda: comparative_scan(PAIRING, "mu", 0.5, ["s"])),
     ("values", lambda: nu_change_locations(PAIRING, "mu", 0.5)),
     ("y_values", lambda: phase_boundary_scan(PAIRING, "mu", [0.0, 1.0], "delta")),
