@@ -25,7 +25,7 @@ def main():
         s = kd.comparative_scan(spec, "mu", mus, ["s"], n_density=2000)["s"]
         curve = kd.susceptibility("mu", mus, s)
         report = kd.detect_critical_points(curve, kappa=10.0, channel="chi_s")
-        nu_locs = kd.nu_change_locations(spec, "mu", mus, samples=2048)
+        nu_locs = kd.nu_change_locations(spec, "mu", mus)
         print(f"J = {j:+.1f}:")
         print(f"  flagged susceptibility jumps: "
               + ", ".join(f"{p.location:+.3f}" for p in report.points))

@@ -42,7 +42,7 @@ def main():
     spec = kd.ModelSpec.pairing(j=1.0)
     mus = np.arange(-1.9, 1.91, 0.1)
     deltas = np.arange(-1.5, 1.51, 0.25)
-    scan = kd.phase_boundary_scan(spec, "mu", mus, "delta", deltas, samples=1024)
+    scan = kd.phase_boundary_scan(spec, "mu", mus, "delta", deltas)
     path = os.path.join(OUT, "phase_map_pairing_only.csv")
     with open(path, "w") as fh:
         fh.write("mu,delta,nu\n")
@@ -55,8 +55,7 @@ def main():
     print("\n== range-3 phase map (mu-J plane) ==")
     spec2 = kd.ModelSpec.pairing_hopping(j=0.0, delta=1.0, mu=0.0)
     js = np.arange(-1.0, 1.01, 0.1)
-    scan2 = kd.phase_boundary_scan(spec2, "mu", np.arange(-2.0, 1.01, 0.05),
-                                   "j", js, samples=1024)
+    scan2 = kd.phase_boundary_scan(spec2, "mu", np.arange(-2.0, 1.01, 0.05), "j", js)
     path = os.path.join(OUT, "phase_map_range3.csv")
     with open(path, "w") as fh:
         fh.write("mu,j,nu\n")

@@ -11,10 +11,10 @@ anchors every sign convention in the test suite.  Nothing in the package
 imports scipy.
 """
 
-from .analysis import (CriticalPointReport, ScalingFit, SusceptibilityCurve,
-                       block_coefficients, comparative_scan,
+from .analysis import (CriticalPointReport, PhaseScan, ScalingFit,
+                       SusceptibilityCurve, block_coefficients, comparative_scan,
                        detect_critical_points, fit_block_law, fit_volume_law,
-                       susceptibility)
+                       nu_change_locations, phase_boundary_scan, susceptibility)
 from .entropy import (DiagonalDistribution, EntropyReport,
                       block_diagonal_distribution, block_diagonal_entropy,
                       de_density, global_entanglement,
@@ -31,8 +31,6 @@ from .gaussian import (CorrelatorKernel, DenseCorrelations, correlator_kernel,
 from .majorana import Side, ZeroMode, build_coupling, mode_count, zero_modes
 from .model import (ModeData, ModelSpec, Variant, dispersion, minimum_gap,
                     momentum_grid, solve_chain)
-from .topology import (PhaseScan, Trajectory, WindingResult,
-                       nu_change_locations, phase_boundary_scan, trajectory,
-                       winding_number)
+from .topology import Trajectory, WindingResult, trajectory, winding_number
 
 __version__ = "0.1.0"

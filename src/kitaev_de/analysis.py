@@ -1,4 +1,5 @@
-"""Scaling-law fits, finite-difference susceptibilities and critical points.
+"""Scaling-law fits, finite-difference susceptibilities, critical points
+and every parameter scan.
 
 Topological transitions show up as discontinuities of the susceptibility
 ``chi_O(q) = dq/dO`` of a diagnostic quantity q (diagonal-entropy density s,
@@ -7,26 +8,32 @@ flagged where the first difference of chi exceeds ``kappa`` times the median
 first difference over the curve, a reproducible stand-in for reading kinks
 off a plot.  Flag clusters from one kink are merged; each reported point is
 the midpoint with the largest jump in its cluster.
+
+Every scan lives here: :func:`comparative_scan` sweeps the diagnostic
+channels, :func:`phase_boundary_scan` maps nu over one or two parameters and
+:func:`nu_change_locations` reads the changes of its one row.  Each reads nu
+from :func:`winding_number` on its default grid of 4096 samples.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .entropy import _block_entropies, _block_lengths, de_density, global_entanglement
-from .errors import (IllConditionedError, InsufficientPointsError,
-                     InvalidParameterError, NonUniformGridError)
+from .entropy import (DEFAULT_N_DENSITY, _block_entropies, _block_lengths,
+                      de_density, global_entanglement)
+from .errors import (GaplessSpecError, IllConditionedError, InsufficientPointsError,
+                     InvalidParameterError, NonUniformGridError, _basis)
 from .gaussian import correlator_kernel
 from .model import DEFAULT_GRID, ModelSpec
-from .topology import _sweep, _swept_specs, winding_number
+from .topology import winding_number
 
 DEFAULT_KAPPA = 10.0
-DEFAULT_N_DENSITY = 2000
 DEFAULT_BLOCK_RANGE = range(4, 15)
 COND_LIMIT = 1e10
 CHANNELS = ("s", "a", "b", "c", "E", "nu")
+SWEEPABLE = ("mu", "delta", "j", "alpha", "beta")
 
 
 @dataclass(frozen=True)
@@ -65,6 +72,36 @@ class CriticalPointReport:
 
     def locations(self) -> list[float]:
         return [p.location for p in self.points]
+
+
+def _nu_changes(nu: np.ndarray, neighbour: np.ndarray) -> np.ndarray:
+    """Where nu changes towards its neighbour: the two differ, or one is NaN
+    (the gap closed) and the other is not.  Two NaN neighbours lie in one
+    gapless run and are no change."""
+    return (nu != neighbour) & ~(np.isnan(nu) & np.isnan(neighbour))
+
+
+@dataclass(frozen=True)
+class PhaseScan:
+    """Grid of winding numbers over one or two parameters."""
+
+    x_name: str
+    x_values: np.ndarray
+    y_name: str | None
+    y_values: np.ndarray | None
+    nu: np.ndarray       # shape (ny, nx); NaN where gapless
+    min_gap: np.ndarray
+
+    def boundary_mask(self) -> np.ndarray:
+        """Cells where nu changes towards a neighbour or the gap closed."""
+        out = np.isnan(self.nu)
+        along_x = _nu_changes(self.nu[:, :-1], self.nu[:, 1:])
+        out[:, :-1] |= along_x
+        out[:, 1:] |= along_x
+        along_y = _nu_changes(self.nu[:-1], self.nu[1:])
+        out[:-1] |= along_y
+        out[1:] |= along_y
+        return out
 
 
 def _paired(points, values, param: str) -> tuple[np.ndarray, np.ndarray]:
@@ -223,7 +260,7 @@ def detect_critical_points(curve: SusceptibilityCurve,
 
 
 # ---------------------------------------------------------------------------
-# block-law points and the sweep driver
+# block-law points and the scans
 # ---------------------------------------------------------------------------
 
 def block_coefficients(spec: ModelSpec, basis: str = "z",
@@ -234,6 +271,39 @@ def block_coefficients(spec: ModelSpec, basis: str = "z",
     lengths = _block_lengths(lengths)
     kernel = correlator_kernel(spec, n=n, l_max=max(lengths))
     return fit_block_law(lengths, _block_entropies(kernel, lengths, basis))
+
+
+def _sweep_values(values, param: str) -> np.ndarray:
+    """``values`` as a 1-D float array; :class:`InvalidParameterError`
+    ``param`` unless it is a 1-D sequence."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise InvalidParameterError(
+            param, f"need a 1-D sequence of values, got shape {values.shape}")
+    return values
+
+
+def _swept_specs(spec: ModelSpec, name: str, values: np.ndarray) -> list[ModelSpec]:
+    """``spec`` with ``name = v`` for each v of the :func:`_sweep_values`
+    array ``values``: the points of one sweep, each built and validated once
+    however many channels then read it."""
+    if name not in SWEEPABLE:
+        raise InvalidParameterError(
+            "name", f"unknown sweep parameter {name!r}; use one of {SWEEPABLE}")
+    return [replace(spec, **{name: float(v)}) for v in values]
+
+
+def _sweep(specs, fn, width: int = 1) -> np.ndarray:
+    """``fn(sp)`` for each spec of a :func:`_swept_specs` list, in one pass;
+    NaN where the grid gap closes.  ``width`` > 1 gives one row of that many
+    values per point, ``width`` = 1 a flat array."""
+    out = np.full((len(specs), width) if width > 1 else len(specs), np.nan)
+    for i, sp in enumerate(specs):
+        try:
+            out[i] = fn(sp)
+        except GaplessSpecError:
+            pass
+    return out
 
 
 def comparative_scan(spec: ModelSpec, name: str, values,
@@ -249,8 +319,11 @@ def comparative_scan(spec: ModelSpec, name: str, values,
     gap closes.  ``s`` reads the ``n_density``-point grid; ``a``, ``b``,
     ``c`` (blocks of ``lengths`` in ``basis``) and ``E`` read the
     ``n_kernel``-point grid; ``nu`` reads :func:`winding_number`'s default
-    of 4096 samples.  Raises :class:`InvalidParameterError` on a channel not
-    in :data:`CHANNELS`, or on a string, which would iterate by character.
+    of 4096 samples.  ``basis`` and ``lengths`` are checked, and
+    ``lengths`` read, once before the first pass, so any iterable of
+    lengths serves every point.  Raises :class:`InvalidParameterError` on a
+    channel not in :data:`CHANNELS`, or on a string, which would iterate by
+    character.
     """
     if isinstance(channels, str):
         raise InvalidParameterError(
@@ -259,7 +332,8 @@ def comparative_scan(spec: ModelSpec, name: str, values,
     if unknown:
         raise InvalidParameterError(
             "channels", f"unknown channels {unknown}; expected names from {CHANNELS}")
-    values = np.asarray(values, dtype=float)
+    basis, lengths = _basis(basis), _block_lengths(lengths)
+    values = _sweep_values(values, "values")
     table: dict[str, np.ndarray] = {name: values}
     specs = _swept_specs(spec, name, values)
     if "s" in channels:
@@ -275,3 +349,42 @@ def comparative_scan(spec: ModelSpec, name: str, values,
     if "nu" in channels:
         table["nu"] = _sweep(specs, lambda sp: winding_number(sp).nu)
     return table
+
+
+def phase_boundary_scan(spec: ModelSpec, x_name: str, x_values,
+                        y_name: str | None = None, y_values=None) -> PhaseScan:
+    """Winding number over a rectangular parameter grid, read on
+    :func:`winding_number`'s default grid of 4096 samples, as
+    :func:`comparative_scan`'s ``nu`` channel reads it.
+
+    Gapless cells are kept (NaN in every field) rather than raised; boundary
+    cells are those where nu changes between neighbours or the gap closed.
+    Without ``y_name`` the grid is one row, and ``y_values`` must be None.
+    """
+    def cell(sp):
+        res = winding_number(sp)
+        return res.nu, res.min_gap
+
+    x_values = _sweep_values(x_values, "x_values")
+    # built before the rows, so that x_name is checked even with no rows
+    rows = [_swept_specs(spec, x_name, x_values)]
+    if y_name is None:
+        if y_values is not None:
+            raise InvalidParameterError("y_values", "y_values given without y_name")
+    else:
+        y_values = _sweep_values(y_values, "y_values")
+        rows = [_swept_specs(row, x_name, x_values)
+                for row in _swept_specs(spec, y_name, y_values)]
+    grid = np.array([_sweep(row, cell, 2) for row in rows])
+    grid = grid.reshape(len(rows), x_values.size, 2)  # also for no rows
+    return PhaseScan(x_name=x_name, x_values=x_values, y_name=y_name,
+                     y_values=y_values, nu=grid[..., 0], min_gap=grid[..., 1])
+
+
+def nu_change_locations(spec: ModelSpec, name: str, values) -> list[float]:
+    """Midpoints of a 1-D sweep where nu changes (or the gap closes), read
+    off the one row of :func:`phase_boundary_scan`: nu on
+    :func:`winding_number`'s default grid of 4096 samples."""
+    values = _sweep_values(values, "values")
+    nu = phase_boundary_scan(spec, name, values).nu[0]
+    return (0.5 * (values[:-1] + values[1:]))[_nu_changes(nu[:-1], nu[1:])].tolist()

@@ -3,7 +3,8 @@
 Every run writes one CSV (header row, ``%.17g`` floats, ``\\n`` line endings,
 rows ordered by grid index) plus a JSON sidecar echoing the fully resolved
 configuration (defaults materialised) and the library version, so re-running
-a sidecar reproduces the CSV byte for byte.
+a sidecar reproduces the CSV byte for byte.  The sidecar is ``out`` with its
+extension replaced by ``.json``, so ``out`` itself may not end in ``.json``.
 
 Configuration is a flat JSON object. Flags ``--field value`` or
 ``--field=value`` (``--l-min`` for ``l_min``) override its fields and are read
@@ -30,16 +31,16 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .analysis import (CHANNELS, DEFAULT_N_DENSITY, block_coefficients,
-                       comparative_scan, detect_critical_points, fit_volume_law,
-                       susceptibility)
-from .entropy import (MAX_BLOCK, block_diagonal_entropy, global_entanglement,
-                      pure_state_diagonal_entropy)
+from .analysis import (CHANNELS, DEFAULT_BLOCK_RANGE, DEFAULT_KAPPA, SWEEPABLE,
+                       block_coefficients, comparative_scan,
+                       detect_critical_points, fit_volume_law, susceptibility)
+from .entropy import (DEFAULT_N_DENSITY, MAX_BLOCK, block_diagonal_entropy,
+                      global_entanglement, pure_state_diagonal_entropy)
 from .errors import InvalidParameterError, KitaevDEError
 from .gaussian import correlator_kernel
-from .majorana import Side, zero_modes
+from .majorana import DEFAULT_TOL, Side, zero_modes
 from .model import DEFAULT_GRID, ModelSpec, Variant
-from .topology import DEFAULT_SAMPLES, _SWEEPABLE, trajectory, winding_number
+from .topology import DEFAULT_SAMPLES, trajectory, winding_number
 
 TASKS = ("winding", "trajectory", "mzm", "de-pure", "de-block", "ge",
          "fit-volume", "fit-block", "critical-scan", "compare")
@@ -55,16 +56,16 @@ DEFAULTS = {
     "r": None,
     "n": None,            # task-specific default materialised below
     "l": 8,               # de-block block length
-    "l_min": 4,
-    "l_max": 14,
+    "l_min": DEFAULT_BLOCK_RANGE[0],
+    "l_max": DEFAULT_BLOCK_RANGE[-1],
     "basis": "z",
     "param": "mu",        # sweep parameter
     "start": None,
     "stop": None,
     "step": 0.01,
-    "kappa": 10.0,
-    "tol": 1e-8,
-    "channels": "s,a,b,c,E,nu",
+    "kappa": DEFAULT_KAPPA,
+    "tol": DEFAULT_TOL,
+    "channels": ",".join(CHANNELS),
     "sizes": "200:2000:200",   # fit-volume chain sizes start:stop:step
     "out": "out.csv",
 }
@@ -79,7 +80,7 @@ _INT_FIELDS = ("variant", "r", "n", "l", "l_min", "l_max")
 _FLOAT_FIELDS = ("j", "delta", "mu", "alpha", "beta", "start", "stop", "step",
                  "kappa", "tol")
 _FINITE_FIELDS = ("start", "stop", "step")
-_CHOICES = {"task": TASKS, "basis": ("z", "x"), "param": _SWEEPABLE}
+_CHOICES = {"task": TASKS, "basis": ("z", "x"), "param": SWEEPABLE}
 _SWEEP_TASKS = ("critical-scan", "compare")
 _VARIANTS = {1: Variant.LONG_RANGE_PAIRING, 2: Variant.LONG_RANGE_PAIRING_HOPPING}
 # library argument -> CLI field, where the names differ
@@ -168,6 +169,9 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
         if not isinstance(config[field], str):
             raise ValidationError(f"field '{field}' must be a string, "
                                   f"got {config[field]!r}")
+    if os.path.splitext(config["out"])[1].lower() == ".json":
+        raise ValidationError("field 'out' must not end in .json, which names the "
+                              f"sidecar and would overwrite the CSV, got {config['out']!r}")
     if config["n"] is None:
         config["n"] = _TASK_N[config["task"]]
     for field in _INT_FIELDS:

@@ -54,6 +54,7 @@ from .gaussian import CorrelationSource, _bond_matrix, _check_sites, _pair_matri
 from .model import DEFAULT_GRID, ModelSpec, _gapped_grid
 
 MAX_BLOCK = 16
+DEFAULT_N_DENSITY = 2000  # chain size of the diagonal-entropy density
 CLAMP_TOL = 1e-12
 NORM_TOL = 1e-6
 
@@ -113,7 +114,7 @@ def pure_state_diagonal_entropy(spec: ModelSpec, n: int) -> EntropyReport:
                          basis="momentum", size=n, spec=spec)
 
 
-def de_density(spec: ModelSpec, n: int = 2000) -> float:
+def de_density(spec: ModelSpec, n: int = DEFAULT_N_DENSITY) -> float:
     """Diagonal-entropy density ``s = S_N / N`` of the pure ground state."""
     return pure_state_diagonal_entropy(spec, n).value / n
 

@@ -1,4 +1,4 @@
-"""Winding number of the Anderson-vector trajectory and phase-diagram scans.
+"""Winding number and trajectory of the Anderson vector.
 
 The winding number counts the turns of the trajectory as k sweeps the
 Brillouin zone, instead of integrating the literal ``(1/h_y) dh_z/dk`` form,
@@ -16,11 +16,14 @@ The grid and its numerators mirror exactly, ``(y, z)(-k) = (-y, z)(k)``, so
 ``phi(-k) = -phi(k)`` and each step on the k < 0 half is a step on the k > 0
 half.  The loop therefore wraps twice as often as the k > 0 half, plus the
 wraps of the steps ``2 phi`` across k = 0 and ``-2 phi`` across k = pi.
+
+The scans of nu over parameters live in :mod:`kitaev_de.analysis` and read
+it here, on the default grid of :data:`DEFAULT_SAMPLES` samples.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +31,6 @@ from .errors import GaplessSpecError, InvalidParameterError, _integer
 from .model import ModelSpec, _gapped_grid, _modes, grid_numerators
 
 DEFAULT_SAMPLES = 4096
-
-_SWEEPABLE = ("mu", "delta", "j", "alpha", "beta")
 
 
 @dataclass(frozen=True)
@@ -48,30 +49,6 @@ class Trajectory:
     hy: np.ndarray
     hz: np.ndarray
     gapless: np.ndarray  # per-point flag: eps at or below GAP_TOL
-
-
-@dataclass(frozen=True)
-class PhaseScan:
-    """Grid of winding numbers over one or two parameters."""
-
-    x_name: str
-    x_values: np.ndarray
-    y_name: str | None
-    y_values: np.ndarray | None
-    nu: np.ndarray       # shape (ny, nx); NaN where gapless
-    min_gap: np.ndarray
-
-    def boundary_mask(self) -> np.ndarray:
-        """Cells where nu changes towards a neighbour or the gap closed."""
-        out = np.isnan(self.nu)
-        diff_x = np.zeros_like(out)
-        diff_x[:, :-1] |= self.nu[:, :-1] != self.nu[:, 1:]
-        diff_x[:, 1:] |= self.nu[:, :-1] != self.nu[:, 1:]
-        diff_y = np.zeros_like(out)
-        if self.nu.shape[0] > 1:
-            diff_y[:-1, :] |= self.nu[:-1, :] != self.nu[1:, :]
-            diff_y[1:, :] |= self.nu[:-1, :] != self.nu[1:, :]
-        return out | diff_x | diff_y
 
 
 def _check_samples(samples: int) -> None:
@@ -119,72 +96,3 @@ def trajectory(spec: ModelSpec, samples: int = DEFAULT_SAMPLES) -> Trajectory:
     k, y, z = grid_numerators(spec, samples)
     _, hy, hz, gapless = _modes(spec, y, z)
     return Trajectory(k=k, hy=hy, hz=hz, gapless=gapless)
-
-
-def _swept_specs(spec: ModelSpec, name: str, values,
-                 param: str = "values") -> list[ModelSpec]:
-    """``spec`` with ``name = v`` for each v: the points of one sweep, each
-    built and validated once however many channels then read it.
-    :class:`InvalidParameterError` ``param`` unless ``values`` is a 1-D
-    sequence."""
-    if name not in _SWEEPABLE:
-        raise InvalidParameterError(
-            "name", f"unknown sweep parameter {name!r}; use one of {_SWEEPABLE}")
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise InvalidParameterError(
-            param, f"need a 1-D sequence of values, got shape {values.shape}")
-    return [replace(spec, **{name: float(v)}) for v in values]
-
-
-def _sweep(specs, fn, width: int = 1) -> np.ndarray:
-    """``fn(sp)`` for each spec of a :func:`_swept_specs` list, in one pass;
-    NaN where the grid gap closes.  ``width`` > 1 gives one row of that many
-    values per point, ``width`` = 1 a flat array."""
-    out = np.full((len(specs), width) if width > 1 else len(specs), np.nan)
-    for i, sp in enumerate(specs):
-        try:
-            out[i] = fn(sp)
-        except GaplessSpecError:
-            pass
-    return out
-
-
-def phase_boundary_scan(spec: ModelSpec, x_name: str, x_values,
-                        y_name: str | None = None, y_values=None,
-                        samples: int = 1024) -> PhaseScan:
-    """Winding number over a rectangular parameter grid.
-
-    Gapless cells are kept (NaN in every field) rather than raised; boundary
-    cells are those where nu changes between neighbours or the gap closed.
-    Without ``y_name`` the grid is one row, and ``y_values`` must be None.
-    """
-    def cell(sp):
-        res = winding_number(sp, samples=samples)
-        return res.nu, res.min_gap
-
-    x_values = np.asarray(x_values, dtype=float)
-    # built before the rows, so that x_values is checked even with no rows
-    rows = [_swept_specs(spec, x_name, x_values, "x_values")]
-    if y_name is None:
-        if y_values is not None:
-            raise InvalidParameterError("y_values", "y_values given without y_name")
-    else:
-        y_values = np.asarray(y_values, dtype=float)
-        rows = [_swept_specs(row, x_name, x_values, "x_values")
-                for row in _swept_specs(spec, y_name, y_values, "y_values")]
-    grid = np.array([_sweep(row, cell, 2) for row in rows])
-    grid = grid.reshape(len(rows), x_values.size, 2)  # also for no rows
-    return PhaseScan(x_name=x_name, x_values=x_values, y_name=y_name,
-                     y_values=y_values, nu=grid[..., 0], min_gap=grid[..., 1])
-
-
-def nu_change_locations(spec: ModelSpec, name: str, values,
-                        samples: int = 1024) -> list[float]:
-    """Midpoints of a 1D sweep where nu changes (or the gap closes)."""
-    xs = np.asarray(values, dtype=float)
-    nu = _sweep(_swept_specs(spec, name, xs),
-                lambda sp: winding_number(sp, samples=samples).nu)
-    gapless = np.isnan(nu)
-    changed = (nu[:-1] != nu[1:]) & ~(gapless[:-1] & gapless[1:])
-    return (0.5 * (xs[:-1] + xs[1:]))[changed].tolist()

@@ -1,5 +1,6 @@
 """Shared deterministic random-spec generators and references for the test
-suite."""
+suite: every helper more than one test module reads lives here, so that no
+test module imports another."""
 import os
 
 # One BLAS thread per test process, set before numpy loads.  Beside another
@@ -15,6 +16,8 @@ import numpy as np
 import pytest
 
 from kitaev_de import ModelSpec, minimum_gap
+from kitaev_de.majorana import _band
+from kitaev_de.model import grid_numerators
 
 
 def random_pairing_spec(rng, trivial=False):
@@ -78,6 +81,66 @@ def grid_gapless_spec(n):
     from kitaev_de import momentum_grid
     k0 = float(momentum_grid(n)[n // 3])
     return ModelSpec.pairing(j=1.0, delta=0.0, mu=-math.cos(k0))
+
+
+def decay_roots(spec):
+    """Roots of the zero-mode recursion's band symbol.
+
+    A left mode m_j = x^j solves the bulk rows of m^T K = 0 when
+    sum_d K_{l+d, l} x^d = 0; decaying solutions have |x| < 1.  The symbol's
+    coefficients are the band of K, ``K[a, a + d] = band[d + n - 1]``, over
+    its nonzero support ``|d| <= r``.
+    """
+    n = 16
+    band = _band(spec, n)
+    d = np.nonzero(band)[0] - (n - 1)
+    r = max(1, int(np.abs(d).max(initial=0)))
+    return np.roots(band[n - 1 - r:n + r]), r
+
+
+def analytic_pair_count(spec):
+    """Zero-mode pairs in the semi-infinite limit.
+
+    Left a-type modes count (roots inside the unit disk) - r; for the
+    opposite winding sign the pair lives on the b-type operators, whose
+    recursion has the inverted roots, so the pair count is |inside - r|.
+    """
+    roots, r = decay_roots(spec)
+    inside = int(np.sum(np.abs(roots) < 1.0))
+    return abs(inside - r)
+
+
+def momentum_ground_energy(spec, n):
+    """Closed-chain ground energy from the momentum solution.
+
+    The dispersion follows the convention of each chain family, so the sum
+    over the full grid carries a factor 1/2 for the pairing-only chain and
+    1 for the pairing+hopping chain.
+    """
+    _, y, z = grid_numerators(spec, n)
+    eps = np.hypot(y, z)
+    const = 0.5 if spec.beta is None else 1.0
+    return -const * float(eps.sum())
+
+
+def gap_closing_mus(spec):
+    """Chemical potentials at which a pairing+hopping chain's gap closes.
+
+    With equal exponents both harmonic sums carry the weights
+    ``w_l = l^-alpha`` (``l <= r``, far below N/2, so ring and open
+    distances agree).  The gap closes at the zeros k* of the sine sum where
+    also ``z = mu/2 + J sum_l w_l cos(k* l) = 0``.  With ``x = e^{ik}``,
+    ``2i x^r`` times the sine sum is the polynomial
+    ``sum_l w_l (x^(r+l) - x^(r-l))``, whose unit-circle roots give k*.
+    """
+    assert spec.alpha == spec.beta
+    l = np.arange(1, spec.r + 1)
+    w = l ** -spec.alpha
+    poly = np.zeros(2 * spec.r + 1)  # index m holds the coefficient of x^m
+    poly[spec.r + l], poly[spec.r - l] = w, -w
+    x = np.roots(poly[::-1])
+    k = np.unique(np.abs(np.angle(x[np.abs(np.abs(x) - 1.0) < 1e-9])).round(12))
+    return np.sort(-2.0 * spec.j * np.cos(np.outer(k, l)) @ w)
 
 
 @pytest.fixture

@@ -16,10 +16,9 @@ import kitaev_de as kd
 from kitaev_de.oracle import (ed_diagonal_marginal, ed_ground_state,
                               ed_sigma_x_product, ed_sigma_z_product)
 
-from conftest import (random_gapped_spec, random_pairing_hopping_spec,
+from conftest import (decay_roots, gap_closing_mus, momentum_ground_energy,
+                      random_gapped_spec, random_pairing_hopping_spec,
                       random_pairing_spec)
-from test_majorana import decay_roots
-from test_oracle import momentum_ground_energy
 
 V1 = kd.ModelSpec.pairing
 V2 = kd.ModelSpec.pairing_hopping
@@ -66,26 +65,6 @@ def test_c2_mzm_counting():
            ok, f"counts=({count1},{count3}), |nu|=({nu1:.0f},{nu3:.0f}), "
            f"|x_slow|={slow:.5f}, {dt:.1f} s")
     assert ok, f"counts ({count1},{count3}) != (1,3) or {dt:.1f} s >= 5 s"
-
-
-def gap_closing_mus(spec):
-    """Chemical potentials at which a pairing+hopping chain's gap closes.
-
-    With equal exponents both harmonic sums carry the weights
-    ``w_l = l^-alpha`` (``l <= r``, far below N/2, so ring and open
-    distances agree).  The gap closes at the zeros k* of the sine sum where
-    also ``z = mu/2 + J sum_l w_l cos(k* l) = 0``.  With ``x = e^{ik}``,
-    ``2i x^r`` times the sine sum is the polynomial
-    ``sum_l w_l (x^(r+l) - x^(r-l))``, whose unit-circle roots give k*.
-    """
-    assert spec.alpha == spec.beta
-    l = np.arange(1, spec.r + 1)
-    w = l ** -spec.alpha
-    poly = np.zeros(2 * spec.r + 1)  # index m holds the coefficient of x^m
-    poly[spec.r + l], poly[spec.r - l] = w, -w
-    x = np.roots(poly[::-1])
-    k = np.unique(np.abs(np.angle(x[np.abs(np.abs(x) - 1.0) < 1e-9])).round(12))
-    return np.sort(-2.0 * spec.j * np.cos(np.outer(k, l)) @ w)
 
 
 def test_c3_critical_point_detection():

@@ -1,4 +1,5 @@
-"""Scaling-law fits, susceptibilities and the critical-point detector."""
+"""Scaling-law fits, susceptibilities, the critical-point detector and the
+scans."""
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -11,6 +12,7 @@ from kitaev_de import (GaplessSpecError, IllConditionedError,
                        InsufficientPointsError, ModelSpec, NonUniformGridError,
                        block_coefficients, de_density, detect_critical_points,
                        fit_block_law, fit_volume_law, global_entanglement,
+                       nu_change_locations, phase_boundary_scan,
                        susceptibility, winding_number)
 from kitaev_de import analysis, correlator_kernel
 from kitaev_de.analysis import CHANNELS, comparative_scan
@@ -263,12 +265,11 @@ class TestDetector:
 
     def test_locations_match_nu_changes(self):
         # detector flags coincide with winding-number changes within a step
-        from kitaev_de import nu_change_locations
         spec = ModelSpec.pairing_hopping(j=-0.8, delta=1.0, mu=0.0)
         mus = np.arange(-2.0, 0.5 + 1e-9, 0.01)
         s = comparative_scan(spec, "mu", mus, ["s"], n_density=2000)["s"]
         rep = detect_critical_points(susceptibility("mu", mus, s), 10.0)
-        nus = nu_change_locations(spec, "mu", mus, samples=2048)
+        nus = nu_change_locations(spec, "mu", mus)
         assert len(rep.points) == len(nus)
         for pt, loc in zip(rep.points, nus):
             assert abs(pt.location - loc) <= 0.011
@@ -333,6 +334,43 @@ class TestComparativeScan:
                                  lengths=range(2, 8), n_density=256, n_kernel=256)
         assert len(built) == mus.size
         assert [sp.mu for sp in built] == table["mu"].tolist()
+
+    def test_lengths_generator_reads_like_a_list(self):
+        # lengths are read once before the passes; a generator was used up
+        # by the first point, and the second raised for want of lengths
+        spec = ModelSpec.pairing(j=1.0, delta=1.0, mu=0.0)
+        want = comparative_scan(spec, "mu", [0.4, 0.5], ["a"], lengths=list(range(4, 15)))
+        got = comparative_scan(spec, "mu", [0.4, 0.5], ["a"],
+                               lengths=(l for l in range(4, 15)))
+        assert got.keys() == want.keys()
+        for c in want:
+            np.testing.assert_array_equal(got[c], want[c])
+
+    @pytest.mark.parametrize("spec,x_values,y_name,y_values", [
+        (ModelSpec.pairing_hopping(j=-0.8, delta=1.0, mu=0.0),
+         np.arange(-2.0, 0.5 + 1e-9, 0.01), None, None),
+        (ModelSpec.pairing_hopping(j=0.3, delta=1.0, mu=0.0),
+         np.arange(-2.0, 1.0 + 1e-9, 0.01), None, None),
+        (ModelSpec.pairing(j=1.0), np.arange(-1.9, 1.91, 0.1),
+         "delta", np.arange(-1.5, 1.51, 0.25))],
+        ids=["c3-j-0.8", "c3-j0.3", "pairing-map"])
+    def test_every_scan_reads_one_nu(self, spec, x_values, y_name, y_values):
+        # c3's two slices and the demo's pairing-only (mu, Delta) map, whose
+        # Delta = 0 row is gapless inside |mu| < 1: each row of the phase
+        # map is the nu channel of that row's sweep, and its nu changes
+        # are the midpoints between neighbours that differ (two NaN
+        # neighbours do not)
+        scan = phase_boundary_scan(spec, "mu", x_values, y_name, y_values)
+        rows = [spec] if y_name is None else [replace(spec, delta=d) for d in y_values]
+        for row, nu in zip(rows, scan.nu, strict=True):
+            want = comparative_scan(row, "mu", x_values, ["nu"])["nu"]
+            assert np.array_equal(nu, want, equal_nan=True)
+            mids = [0.5 * (a + b) for a, b, p, q
+                    in zip(x_values, x_values[1:], nu, nu[1:])
+                    if p != q and not (np.isnan(p) and np.isnan(q))]
+            assert nu_change_locations(row, "mu", x_values) == mids
+        # the slices are gapped at every point; the map has its NaN row
+        assert np.isnan(scan.nu).any() == (y_name is not None)
 
     def test_unknown_channel_raises(self):
         spec = ModelSpec.pairing(j=1.0, delta=1.0, mu=0.0)

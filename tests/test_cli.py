@@ -19,7 +19,7 @@ from kitaev_de import cli, majorana
 from kitaev_de.cli import (DEFAULTS, MAX_GRID_POINTS, _grid, _spec, main,
                            resolve_config, write_csv)
 
-from test_acceptance import gap_closing_mus
+from conftest import gap_closing_mus
 
 CONFIGS = sorted(glob.glob(str(Path(__file__).parent.parent / "configs" / "*.json")))
 
@@ -55,6 +55,14 @@ class TestValidation:
         code = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o.csv")])
         assert code == 1
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["w.json", "w.JSON", "w.Json"])
+    def test_json_out_rejected_before_work(self, tmp_path, capsys, monkeypatch, out):
+        # the sidecar is out's stem plus .json: it would overwrite the CSV
+        monkeypatch.setattr(cli, "run_task", _no_work)
+        assert run_cli(["--task", "winding", "--out", str(tmp_path / out)]) == 1
+        assert "'out'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_task(self, tmp_path, capsys):
         assert run_cli(["--out", str(tmp_path / "o.csv")]) == 1

@@ -13,16 +13,15 @@ from kitaev_de import (InvalidParameterError, ModelSpec, Variant,
                        correlator_kernel, de_density,
                        detect_critical_points, dispersion, fit_block_law,
                        fit_volume_law, minimum_gap, mode_count, momentum_grid,
-                       open_chain_correlations, pair_correlation, pfaffian,
-                       phase_boundary_scan, sigma_x_correlator,
-                       sigma_z_correlator, susceptibility, trajectory,
-                       winding_number, zero_modes)
+                       nu_change_locations, open_chain_correlations,
+                       pair_correlation, pfaffian, phase_boundary_scan,
+                       sigma_x_correlator, sigma_z_correlator, susceptibility,
+                       trajectory, winding_number, zero_modes)
 from kitaev_de.majorana import MAX_OPEN_SITES
 from kitaev_de.model import open_chain_weights
 from kitaev_de.oracle import (ed_diagonal_marginal, ed_ground_state,
                               ed_pair_correlator, ed_sigma_x_product,
                               ed_sigma_z_product, ed_spectrum)
-from kitaev_de.topology import nu_change_locations
 
 PACKAGE = Path(__file__).parent.parent / "src" / "kitaev_de"
 MODULES = sorted(PACKAGE.glob("*.py"))

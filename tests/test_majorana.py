@@ -6,11 +6,11 @@ from kitaev_de import (GaplessSpecError, KitaevDEError, ModelSpec, Side,
                        SpectrumOverflowError, TolAmbiguousError, build_coupling,
                        mode_count, open_chain_correlations, winding_number,
                        zero_modes)
-from kitaev_de.majorana import _band, _reflected
+from kitaev_de.majorana import _reflected
 from kitaev_de.model import open_chain_weights
 
-from conftest import (random_gapped_spec, random_pairing_hopping_spec,
-                      random_pairing_spec)
+from conftest import (analytic_pair_count, decay_roots, random_gapped_spec,
+                      random_pairing_hopping_spec, random_pairing_spec)
 
 
 def dense_coupling(spec, n):
@@ -25,33 +25,6 @@ def dense_coupling(spec, n):
         k[idx, idx + l] += pair[l - 1] - hop[l - 1]
         k[idx + l, idx] += -pair[l - 1] - hop[l - 1]
     return k
-
-
-def decay_roots(spec):
-    """Roots of the zero-mode recursion's band symbol.
-
-    A left mode m_j = x^j solves the bulk rows of m^T K = 0 when
-    sum_d K_{l+d, l} x^d = 0; decaying solutions have |x| < 1.  The symbol's
-    coefficients are the band of K, ``K[a, a + d] = band[d + n - 1]``, over
-    its nonzero support ``|d| <= r``.
-    """
-    n = 16
-    band = _band(spec, n)
-    d = np.nonzero(band)[0] - (n - 1)
-    r = max(1, int(np.abs(d).max(initial=0)))
-    return np.roots(band[n - 1 - r:n + r]), r
-
-
-def analytic_pair_count(spec):
-    """Zero-mode pairs in the semi-infinite limit.
-
-    Left a-type modes count (roots inside the unit disk) - r; for the
-    opposite winding sign the pair lives on the b-type operators, whose
-    recursion has the inverted roots, so the pair count is |inside - r|.
-    """
-    roots, r = decay_roots(spec)
-    inside = int(np.sum(np.abs(roots) < 1.0))
-    return abs(inside - r)
 
 
 class TestCoupling:

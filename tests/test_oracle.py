@@ -13,8 +13,8 @@ from kitaev_de.oracle import (_Operator, _bonds, _hamiltonian, _lowest_two,
                               ed_pair_correlator, ed_sigma_z_product,
                               ed_spectrum, eigen_residual, spin_ground_state)
 
-from conftest import (random_gapped_spec, random_pairing_hopping_spec,
-                      random_pairing_spec)
+from conftest import (momentum_ground_energy, random_gapped_spec,
+                      random_pairing_hopping_spec, random_pairing_spec)
 
 V1, V2 = ModelSpec.pairing, ModelSpec.pairing_hopping
 
@@ -87,19 +87,6 @@ def reference_hamiltonian(spec, n, boundary):
                           (np.concatenate([m.row for _, m in terms]),
                            np.concatenate([m.col for _, m in terms]))),
                          shape=(1 << n, 1 << n))
-
-
-def momentum_ground_energy(spec, n):
-    """Closed-chain ground energy from the momentum solution.
-
-    The dispersion follows the convention of each chain family, so the sum
-    over the full grid carries a factor 1/2 for the pairing-only chain and
-    1 for the pairing+hopping chain.
-    """
-    _, y, z = grid_numerators(spec, n)
-    eps = np.hypot(y, z)
-    const = 0.5 if spec.beta is None else 1.0
-    return -const * float(eps.sum())
 
 
 class TestGroundState:

@@ -8,7 +8,7 @@ import pytest
 from kitaev_de import (GaplessSpecError, ModelSpec, nu_change_locations,
                        phase_boundary_scan, trajectory, winding_number)
 from kitaev_de.model import grid_numerators
-from kitaev_de.topology import _winding
+from kitaev_de.topology import DEFAULT_SAMPLES, _winding
 
 from conftest import random_gapped_spec, rolled_turns
 
@@ -190,8 +190,7 @@ class TestPhaseScan:
     def test_variant1_boundaries(self):
         spec = ModelSpec.pairing(j=1.0)
         scan = phase_boundary_scan(spec, "mu", np.arange(-1.55, 1.56, 0.25),
-                                   "delta", [-1.0, -0.3, 0.3, 1.0],
-                                   samples=1024)
+                                   "delta", [-1.0, -0.3, 0.3, 1.0])
         # inside |mu| < 1: nu = sign(delta); outside: nu = 0
         for iy, d in enumerate([-1.0, -0.3, 0.3, 1.0]):
             for ix, mu in enumerate(scan.x_values):
@@ -202,22 +201,20 @@ class TestPhaseScan:
         # nu = sign(delta) for |mu| < 1: the rows at delta = -0.5 and 0.5
         # differ in every column, and only the y direction marks them
         scan = phase_boundary_scan(ModelSpec.pairing(j=1.0), "mu", [-0.5, 0.5],
-                                   "delta", [-0.5, 0.5, 1.0], samples=256)
+                                   "delta", [-0.5, 0.5, 1.0])
         np.testing.assert_array_equal(scan.nu, [[-1, -1], [1, 1], [1, 1]])
         np.testing.assert_array_equal(scan.boundary_mask(),
                                       [[True, True], [True, True], [False, False]])
 
     def test_constant_phase_has_no_boundary(self):
         spec = ModelSpec.pairing(j=1.0, delta=1.0)
-        scan = phase_boundary_scan(spec, "mu", np.arange(-0.5, 0.51, 0.1),
-                                   samples=1024)
+        scan = phase_boundary_scan(spec, "mu", np.arange(-0.5, 0.51, 0.1))
         assert not scan.boundary_mask().any()
         assert np.all(scan.nu == 1.0)
 
     def test_variant2_transition_locations(self):
         spec = ModelSpec.pairing_hopping(j=-0.8, delta=1.0, mu=0.0)
-        locs = nu_change_locations(spec, "mu", np.arange(-2.0, 0.5, 0.01),
-                                   samples=2048)
+        locs = nu_change_locations(spec, "mu", np.arange(-2.0, 0.5, 0.01))
         want = (-1.49151, -0.97868, -0.41420)
         assert len(locs) == 3
         for got, ref in zip(locs, want):
@@ -225,18 +222,18 @@ class TestPhaseScan:
 
     def test_gapless_cells_marked(self):
         from conftest import grid_gapless_spec
-        base = grid_gapless_spec(1024)
-        scan = phase_boundary_scan(base, "mu", [base.mu, 2.0], samples=1024)
+        base = grid_gapless_spec(DEFAULT_SAMPLES)
+        scan = phase_boundary_scan(base, "mu", [base.mu, 2.0])
         assert np.isnan(scan.nu[0, 0])
         assert scan.nu[0, 1] == 0.0
 
     def test_gapless_cells_nan_in_every_field(self):
         from conftest import grid_gapless_spec
         deltas = [-0.5, 0.0, 0.0, 0.5]
-        base = grid_gapless_spec(1024)
-        scan = phase_boundary_scan(base, "delta", deltas, samples=1024)
+        base = grid_gapless_spec(DEFAULT_SAMPLES)
+        scan = phase_boundary_scan(base, "delta", deltas)
         np.testing.assert_array_equal(scan.nu, [[-1.0, np.nan, np.nan, 1.0]])
         assert np.isnan(scan.min_gap[0, 1:3]).all()
         assert np.isfinite(scan.min_gap[0, [0, 3]]).all()
         # a NaN next to a number is a change; two NaN cells are not
-        assert nu_change_locations(base, "delta", deltas, samples=1024) == [-0.25, 0.25]
+        assert nu_change_locations(base, "delta", deltas) == [-0.25, 0.25]
